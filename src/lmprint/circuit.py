@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CircuitError, ConfigError, UnknownPadError
 
@@ -77,18 +78,86 @@ def segments_touch(t1, t2, tolerance: float) -> bool:
     return outline_clearance(t1, t2) <= tolerance
 
 
+def _capsules(traces) -> list[tuple[Point, Point, float]]:
+    """(start, end, half width in mm) of each trace's stroked outline."""
+    capsules = [(t.start, t.end, 0.5e3 * t.width_m) for t in traces]
+    for start, end, half_width in capsules:
+        if not (math.isfinite(start[0]) and math.isfinite(start[1])
+                and math.isfinite(end[0]) and math.isfinite(end[1])
+                and 0.0 <= half_width < math.inf):
+            raise CircuitError("trace geometry must be finite, width >= 0")
+    return capsules
+
+
+def _candidate_pairs(capsules, reach: float) -> list[tuple[int, int]]:
+    """Sorted pairs (i, j), i < j, whose outlines may come within reach.
+
+    Uniform-grid broad phase (Ericson, Real-Time Collision Detection,
+    2004, ch. 7). Each capsule is cut into pieces no longer than a cell;
+    each piece's bounding box, grown by the capsule's half width, half the
+    reach and a rounding margin, is entered in every cell it covers. Two
+    outlines within reach of each other have pieces whose grown boxes
+    overlap, so they share a cell and the pair is a candidate; the caller
+    decides each candidate with the exact distance.
+
+    The cell is the largest half width plus half the reach, so a grown
+    piece spans about three cells a side at most. It is never below a
+    quarter of the mean capsule length, which caps the pieces at five per
+    capsule on average when widths are tiny next to lengths.
+    """
+    n = len(capsules)
+    if n < 2:
+        return []
+    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b, _ in capsules]
+    # zero only for bare points with no reach, where any cell will do
+    cell = max(max(hw for _, _, hw in capsules) + 0.5 * reach,
+               sum(lengths) / (4 * n)) or 1.0
+    extent = max(max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+                 for a, b, _ in capsules)
+    margin = 1e-9 * (extent + cell)
+    grid: dict[tuple[int, int], list[int]] = {}
+    for i, ((x0, y0), (x1, y1), hw) in enumerate(capsules):
+        grow = hw + 0.5 * reach + margin
+        pieces = max(1, math.ceil(lengths[i] / cell))
+        cells = set()
+        ax, ay = x0, y0
+        for k in range(1, pieces + 1):
+            if k == pieces:
+                bx, by = x1, y1
+            else:
+                f = k / pieces
+                bx, by = x0 + f * (x1 - x0), y0 + f * (y1 - y0)
+            cx0 = math.floor((min(ax, bx) - grow) / cell)
+            cx1 = math.floor((max(ax, bx) + grow) / cell)
+            cy0 = math.floor((min(ay, by) - grow) / cell)
+            cy1 = math.floor((max(ay, by) + grow) / cell)
+            cells.update((cx, cy) for cx in range(cx0, cx1 + 1)
+                         for cy in range(cy0, cy1 + 1))
+            ax, ay = bx, by
+        for key in cells:
+            grid.setdefault(key, []).append(i)
+    pairs = set()
+    for members in grid.values():
+        # members were appended in increasing index order
+        for x, i in enumerate(members):
+            for j in members[x + 1:]:
+                pairs.add((i, j))
+    return sorted(pairs)
+
+
 @dataclass(frozen=True)
 class Net:
     """Segments that share a potential, with the pads they touch.
 
-    pad_segments records, per touching pad, which member segments it
-    contacts — the entry points for resistance queries.
+    edges lists the touching member pairs (i, j), i < j, in sorted order:
+    the net's touch graph. pad_segments records, per touching pad, which
+    member segments it contacts — the entry points for resistance queries.
     """
 
     net_id: int
     segments: tuple[int, ...]
     pads: tuple[str, ...] = ()
-    touch_tolerance: float = 0.0
+    edges: tuple[tuple[int, int], ...] = ()
     pad_segments: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     def segments_for_pad(self, name: str) -> tuple[int, ...]:
@@ -103,17 +172,34 @@ class CircuitNets:
     nets: tuple[Net, ...]
     touch_tolerance: float
 
-    def net_of_segment(self, index: int) -> Net:
+    @cached_property
+    def _by_segment(self) -> dict[int, Net]:
+        lookup: dict[int, Net] = {}
         for net in self.nets:
-            if index in net.segments:
-                return net
-        raise CircuitError(f"segment {index} belongs to no net")
+            for k in net.segments:
+                lookup.setdefault(k, net)
+        return lookup
+
+    @cached_property
+    def _by_pad(self) -> dict[str, Net]:
+        lookup: dict[str, Net] = {}
+        for net in self.nets:
+            for name in net.pads:
+                lookup.setdefault(name, net)
+        return lookup
+
+    def net_of_segment(self, index: int) -> Net:
+        try:
+            return self._by_segment[index]
+        except KeyError:
+            raise CircuitError(f"segment {index} belongs to no net") from None
 
     def net_of_pad(self, name: str) -> Net:
-        for net in self.nets:
-            if name in net.pads:
-                return net
-        raise UnknownPadError(f"pad {name!r} touches no trace")
+        """The first net, in id order, that the pad touches."""
+        try:
+            return self._by_pad[name]
+        except KeyError:
+            raise UnknownPadError(f"pad {name!r} touches no trace") from None
 
 
 class _UnionFind:
@@ -141,35 +227,51 @@ def extract_nets(traces, touch_tolerance: float,
     discovered. A pad belongs to a net when it lies within the tolerance
     of a member segment's stroked outline.
     """
-    if touch_tolerance < 0:
-        raise ConfigError("touch tolerance must be >= 0")
+    if not 0.0 <= touch_tolerance < math.inf:
+        raise ConfigError("touch tolerance must be finite and >= 0")
     traces = tuple(traces)
-    uf = _UnionFind(len(traces))
-    for i in range(len(traces)):
-        for j in range(i + 1, len(traces)):
+    n = len(traces)
+    pad_items = sorted((pads or {}).items())
+    # pads join the broad phase as zero-width points, so each pad is
+    # tested only against the segments near it
+    capsules = _capsules(traces) + [(p, p, 0.0) for _, p in pad_items]
+    uf = _UnionFind(n)
+    edges = []
+    pad_hits: list[list[int]] = [[] for _ in pad_items]
+    for i, j in _candidate_pairs(capsules, touch_tolerance):
+        if j < n:
             if segments_touch(traces[i], traces[j], touch_tolerance):
                 uf.union(i, j)
+                edges.append((i, j))
+        elif i < n:
+            point = pad_items[j - n][1]
+            if (_point_segment_distance(point, traces[i].start, traces[i].end)
+                    <= 0.5e3 * traces[i].width_m + touch_tolerance):
+                pad_hits[j - n].append(i)
     groups: dict[int, list[int]] = {}
-    for i in range(len(traces)):
+    for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
-    members = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    pad_items = sorted((pads or {}).items())
-    nets = []
+    members = sorted(groups.values(), key=lambda g: g[0])
+    net_of = [0] * n
     for nid, seg_ids in enumerate(members):
-        touching = []
-        for name, point in pad_items:
-            hit = tuple(
-                k for k in seg_ids
-                if _point_segment_distance(point, traces[k].start,
-                                           traces[k].end)
-                <= 0.5e3 * traces[k].width_m + touch_tolerance)
-            if hit:
-                touching.append((name, hit))
-        nets.append(Net(net_id=nid, segments=tuple(seg_ids),
-                        pads=tuple(name for name, _ in touching),
-                        touch_tolerance=touch_tolerance,
-                        pad_segments=tuple(touching)))
-    return CircuitNets(nets=tuple(nets), touch_tolerance=touch_tolerance)
+        for k in seg_ids:
+            net_of[k] = nid
+    net_edges: list[list[tuple[int, int]]] = [[] for _ in members]
+    for i, j in edges:
+        net_edges[net_of[i]].append((i, j))
+    touching: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in members]
+    for (name, _), hits in zip(pad_items, pad_hits):
+        by_net: dict[int, list[int]] = {}
+        for k in hits:
+            by_net.setdefault(net_of[k], []).append(k)
+        for nid, ks in by_net.items():
+            touching[nid].append((name, tuple(ks)))
+    nets = tuple(
+        Net(net_id=nid, segments=tuple(seg_ids),
+            pads=tuple(name for name, _ in touching[nid]),
+            edges=tuple(net_edges[nid]), pad_segments=tuple(touching[nid]))
+        for nid, seg_ids in enumerate(members))
+    return CircuitNets(nets=nets, touch_tolerance=touch_tolerance)
 
 
 def check_connectivity(nets: CircuitNets,
@@ -205,22 +307,18 @@ def estimate_resistance(net: Net, pad_a: str, pad_b: str,
     in metres. On a branched or looping net the single-path model ignores
     parallel branches, so the estimate carries approximate=True there.
     """
-    if resistivity <= 0:
-        raise CircuitError("resistivity must be > 0")
+    if not 0.0 < resistivity < math.inf:
+        raise CircuitError("resistivity must be finite and > 0")
     traces = tuple(traces)
     starts = net.segments_for_pad(pad_a)
     targets = set(net.segments_for_pad(pad_b))
     members = net.segments
     res = {i: _segment_resistance(traces[i], resistivity) for i in members}
     adjacency: dict[int, list[int]] = {i: [] for i in members}
-    edge_count = 0
-    for x, i in enumerate(members):
-        for j in members[x + 1:]:
-            if segments_touch(traces[i], traces[j], net.touch_tolerance):
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-                edge_count += 1
-    branched = (edge_count != len(members) - 1 or
+    for i, j in net.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    branched = (len(net.edges) != len(members) - 1 or
                 any(len(v) > 2 for v in adjacency.values()))
 
     heap = [(res[i], i, (i,)) for i in sorted(starts)]
@@ -268,8 +366,8 @@ def drc(traces, min_width: float, min_clearance: float,
     stroked outlines come closer than min_clearance (short risk).
     Violations are sorted by location for deterministic output.
     """
-    if min_width <= 0 or min_clearance <= 0:
-        raise ConfigError("DRC limits must be > 0")
+    if not (0.0 < min_width < math.inf and 0.0 < min_clearance < math.inf):
+        raise ConfigError("DRC limits must be finite and > 0")
     traces = tuple(traces)
     net_of = {}
     for net in nets.nets:
@@ -283,18 +381,17 @@ def drc(traces, min_width: float, min_clearance: float,
             violations.append(DrcViolation(kind="min-width", location=mid,
                                            measured=width_mm,
                                            limit=min_width))
-    for i in range(len(traces)):
-        for j in range(i + 1, len(traces)):
-            if net_of.get(i) == net_of.get(j):
-                continue
-            d, pi, pj = _closest_points(traces[i].start, traces[i].end,
-                                        traces[j].start, traces[j].end)
-            gap = d - 0.5e3 * (traces[i].width_m + traces[j].width_m)
-            if gap < min_clearance:
-                loc = ((pi[0] + pj[0]) / 2.0, (pi[1] + pj[1]) / 2.0)
-                violations.append(DrcViolation(kind="clearance-short-risk",
-                                               location=loc, measured=gap,
-                                               limit=min_clearance))
+    for i, j in _candidate_pairs(_capsules(traces), min_clearance):
+        if net_of.get(i) == net_of.get(j):
+            continue
+        d, pi, pj = _closest_points(traces[i].start, traces[i].end,
+                                    traces[j].start, traces[j].end)
+        gap = d - 0.5e3 * (traces[i].width_m + traces[j].width_m)
+        if gap < min_clearance:
+            loc = ((pi[0] + pj[0]) / 2.0, (pi[1] + pj[1]) / 2.0)
+            violations.append(DrcViolation(kind="clearance-short-risk",
+                                           location=loc, measured=gap,
+                                           limit=min_clearance))
     violations.sort(key=lambda v: (v.location[0], v.location[1], v.kind,
                                    v.measured))
     return DrcResult(violations=tuple(violations))

@@ -1,16 +1,22 @@
 """Net extraction, connectivity, resistance estimates and design rules."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 import scipy.ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmprint import MachineSettings, extract_nets, get_sample, plan, \
     rasterize, simulate
-from lmprint.circuit import check_connectivity, drc, estimate_resistance, \
-    outline_clearance, segments_touch
-from lmprint.errors import CircuitError, UnknownPadError
+from lmprint.circuit import CircuitNets, DrcResult, DrcViolation, Net, \
+    ResistanceEstimate, _candidate_pairs, _capsules, _closest_points, \
+    _point_segment_distance, _segment_resistance, _UnionFind, \
+    check_connectivity, drc, estimate_resistance, outline_clearance, \
+    segments_touch
+from lmprint.errors import CircuitError, ConfigError, UnknownPadError
 from lmprint.simulator import TraceSegment
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -27,6 +33,102 @@ def _flood_count(traces, scale):
     img = rasterize(traces, scale)
     _, count = scipy.ndimage.label(img.cells, structure=EIGHT_CONNECTED)
     return count
+
+
+# --- all-pairs oracles: the obvious quadratic versions of the fast paths
+
+
+def _brute_nets(traces, touch_tolerance, pads=None) -> CircuitNets:
+    traces = tuple(traces)
+    uf = _UnionFind(len(traces))
+    edges = []
+    for i in range(len(traces)):
+        for j in range(i + 1, len(traces)):
+            if segments_touch(traces[i], traces[j], touch_tolerance):
+                uf.union(i, j)
+                edges.append((i, j))
+    groups: dict[int, list[int]] = {}
+    for i in range(len(traces)):
+        groups.setdefault(uf.find(i), []).append(i)
+    members = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    pad_items = sorted((pads or {}).items())
+    nets = []
+    for nid, seg_ids in enumerate(members):
+        touching = []
+        for name, point in pad_items:
+            hit = tuple(
+                k for k in seg_ids
+                if _point_segment_distance(point, traces[k].start,
+                                           traces[k].end)
+                <= 0.5e3 * traces[k].width_m + touch_tolerance)
+            if hit:
+                touching.append((name, hit))
+        nets.append(Net(net_id=nid, segments=tuple(seg_ids),
+                        pads=tuple(name for name, _ in touching),
+                        edges=tuple(e for e in edges if e[0] in seg_ids),
+                        pad_segments=tuple(touching)))
+    return CircuitNets(nets=tuple(nets), touch_tolerance=touch_tolerance)
+
+
+def _brute_drc(traces, min_width, min_clearance, nets) -> DrcResult:
+    traces = tuple(traces)
+    net_of = {k: net.net_id for net in nets.nets for k in net.segments}
+    violations = []
+    for t in traces:
+        width_mm = t.width_m * 1e3
+        if width_mm < min_width:
+            mid = ((t.start[0] + t.end[0]) / 2.0, (t.start[1] + t.end[1]) / 2.0)
+            violations.append(DrcViolation(kind="min-width", location=mid,
+                                           measured=width_mm,
+                                           limit=min_width))
+    for i in range(len(traces)):
+        for j in range(i + 1, len(traces)):
+            if net_of.get(i) == net_of.get(j):
+                continue
+            d, pi, pj = _closest_points(traces[i].start, traces[i].end,
+                                        traces[j].start, traces[j].end)
+            gap = d - 0.5e3 * (traces[i].width_m + traces[j].width_m)
+            if gap < min_clearance:
+                loc = ((pi[0] + pj[0]) / 2.0, (pi[1] + pj[1]) / 2.0)
+                violations.append(DrcViolation(kind="clearance-short-risk",
+                                               location=loc, measured=gap,
+                                               limit=min_clearance))
+    violations.sort(key=lambda v: (v.location[0], v.location[1], v.kind,
+                                   v.measured))
+    return DrcResult(violations=tuple(violations))
+
+
+def _brute_resistance(net, pad_a, pad_b, resistivity, traces,
+                      touch_tolerance) -> ResistanceEstimate:
+    starts = net.segments_for_pad(pad_a)
+    targets = set(net.segments_for_pad(pad_b))
+    members = net.segments
+    res = {i: _segment_resistance(traces[i], resistivity) for i in members}
+    adjacency: dict[int, list[int]] = {i: [] for i in members}
+    edge_count = 0
+    for x, i in enumerate(members):
+        for j in members[x + 1:]:
+            if segments_touch(traces[i], traces[j], touch_tolerance):
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+                edge_count += 1
+    branched = (edge_count != len(members) - 1 or
+                any(len(v) > 2 for v in adjacency.values()))
+    heap = [(res[i], i, (i,)) for i in sorted(starts)]
+    heapq.heapify(heap)
+    settled: set[int] = set()
+    while heap:
+        cost, node, path = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node in targets:
+            return ResistanceEstimate(ohms=cost, path=path,
+                                      approximate=branched)
+        for nb in sorted(adjacency[node]):
+            if nb not in settled:
+                heapq.heappush(heap, (cost + res[nb], nb, path + (nb,)))
+    raise CircuitError("pads are not connected within the net")
 
 
 def test_outline_clearance_subtracts_half_widths():
@@ -107,6 +209,14 @@ def test_pads_attach_to_their_nets():
     assert nets.net_of_pad("A").segments_for_pad("A") == (0,)
     with pytest.raises(UnknownPadError):
         nets.net_of_pad("A").segments_for_pad("B")
+
+
+def test_pad_touching_two_nets_answers_lowest_net_id():
+    traces = [_trace((0.0, 1.0), (10.0, 1.0)),
+              _trace((0.0, 0.0), (10.0, 0.0))]
+    nets = extract_nets(traces, 0.45, pads={"M": (5.0, 0.5)})
+    assert [n.pads for n in nets.nets] == [("M",), ("M",)]
+    assert nets.net_of_pad("M").net_id == 0
 
 
 def test_floating_pad_is_unknown():
@@ -322,3 +432,163 @@ def test_random_layouts_match_flood_fill():
         accepted += 1
         nets = extract_nets(traces, 0.0)
         assert len(nets.nets) == _flood_count(traces, scale)
+
+
+# --- fast paths against the all-pairs oracles
+
+WIDTHS_MM = (0.005, 0.05, 0.5)      # 100x apart
+TOLERANCES_MM = (0.0, 0.02, 0.1)
+CLEARANCES_MM = (0.05, 0.1, 0.3)
+
+
+@st.composite
+def _layouts(draw):
+    """Traces, pads and limits with the cases a grid could get wrong.
+
+    Zero-length and duplicate segments, long diagonals across many cells,
+    widths 100x apart, coordinates offset by 1e4 mm and parallel pairs
+    whose outline gap is computed as exactly the tolerance or clearance.
+    Chains continue from the last trace's end, so nets have branches and
+    pads sit on multi-segment nets.
+    """
+    offset = draw(st.sampled_from((0.0, 1e4)))
+    tolerance = draw(st.sampled_from(TOLERANCES_MM))
+    clearance = draw(st.sampled_from(CLEARANCES_MM))
+    coord = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    traces = []
+    kinds = ("segment", "chain", "point", "duplicate", "diagonal", "gap")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=12)):
+        w = draw(st.sampled_from(WIDTHS_MM))
+        x, y = draw(coord) + offset, draw(coord) + offset
+        if kind == "chain" and traces:
+            x, y = traces[-1].end
+        if kind == "duplicate" and traces:
+            traces.append(draw(st.sampled_from(traces)))
+        elif kind == "point":
+            traces.append(_trace((x, y), (x, y), width_mm=w))
+        elif kind == "diagonal":
+            ang = draw(st.floats(0.0, 2 * math.pi))
+            length = draw(st.floats(20.0, 40.0))
+            traces.append(_trace((x, y), (x + length * math.cos(ang),
+                                          y + length * math.sin(ang)),
+                                 width_mm=w))
+        elif kind == "gap":
+            w2 = draw(st.sampled_from(WIDTHS_MM))
+            reach = draw(st.sampled_from((tolerance, clearance)))
+            first = _trace((x, y), (x + draw(coord), y), width_mm=w)
+            second = _trace((x, y), (x + draw(coord), y), width_mm=w2)
+            rise = 0.5e3 * (first.width_m + second.width_m) + reach
+            shift = draw(st.floats(-5.0, 5.0))
+            traces += [first, _trace((x + shift, y + rise),
+                                     (second.end[0] + shift, y + rise),
+                                     width_mm=w2)]
+        else:
+            traces.append(_trace((x, y), (x + draw(st.floats(-5.0, 5.0)),
+                                          y + draw(st.floats(-5.0, 5.0))),
+                                 width_mm=w))
+    pads = {}
+    for k in range(draw(st.integers(0, 4))):
+        t = draw(st.sampled_from(traces))
+        where = draw(st.sampled_from(("start", "end", "beyond", "free")))
+        if where == "start":
+            pads[f"P{k}"] = t.start
+        elif where == "end":
+            pads[f"P{k}"] = t.end
+        elif where == "beyond":
+            # just at the reach of the outline past the segment's end
+            pads[f"P{k}"] = (max(t.start[0], t.end[0]) + 0.5e3 * t.width_m
+                             + tolerance, t.end[1])
+        else:
+            pads[f"P{k}"] = (draw(coord) + offset, draw(coord) + offset)
+    return traces, pads, tolerance, clearance
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CircuitError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layouts())
+def test_grid_paths_equal_all_pairs_oracles(layout):
+    traces, pads, tolerance, clearance = layout
+    nets = extract_nets(traces, tolerance, pads=pads)
+    assert nets == _brute_nets(traces, tolerance, pads)
+    assert drc(traces, 0.1, clearance, nets) == \
+        _brute_drc(traces, 0.1, clearance, nets)
+    for a in sorted(pads):
+        for b in sorted(pads):
+            net = _outcome(nets.net_of_pad, a)
+            if not isinstance(net, Net):
+                continue
+            assert _outcome(estimate_resistance, net, a, b, 1e-7, traces) \
+                == _outcome(_brute_resistance, net, a, b, 1e-7, traces,
+                            tolerance)
+
+
+# --- scaling: candidate pairs grow with the segment count, not its square
+
+TRACE_WIDTH_MM = 0.157              # deposited at speed 10 / pressure 30
+
+
+def _serpentine(n):
+    """One chain: 1.5 mm leg segments and 0.5 mm rungs, legs 0.5 mm apart."""
+    points = []
+    leg = 0
+    while len(points) < n + 1:
+        xs = [0.0, 1.5, 3.0] if leg % 2 == 0 else [3.0, 1.5, 0.0]
+        points += [(x, 0.5 * leg) for x in xs]
+        leg += 1
+    return [_trace(p, q, width_mm=TRACE_WIDTH_MM)
+            for p, q in zip(points, points[1:n + 1])]
+
+
+def _bus(n):
+    """Parallel 8 mm lines at 0.6 mm pitch; every tenth gap pinched."""
+    traces = []
+    y = 0.0
+    for k in range(n):
+        if k:
+            y += 0.21 if k % 10 == 0 else 0.6
+        traces.append(_trace((0.0, y), (8.0, y), width_mm=TRACE_WIDTH_MM))
+    return traces
+
+
+@pytest.mark.parametrize("traces, net_count, edge_count, violations", [
+    (_serpentine(4000), 1, 3999, 0),
+    (_bus(1000), 1000, 0, 99),
+], ids=["serpentine-4000", "bus-1000"])
+def test_large_layouts_stay_linear(traces, net_count, edge_count,
+                                   violations):
+    capsules = _capsules(traces)
+    for reach in (0.0, 0.1):
+        assert len(_candidate_pairs(capsules, reach)) <= 3 * len(traces)
+    nets = extract_nets(traces, 0.0)
+    assert len(nets.nets) == net_count
+    assert sum(len(net.edges) for net in nets.nets) == edge_count
+    result = drc(traces, 0.1, 0.1, nets)
+    assert len(result.violations) == violations
+    assert all(v.kind == "clearance-short-risk" for v in result.violations)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+def test_non_finite_or_negative_limits_rejected(value):
+    traces = [_trace((0.0, 0.0), (10.0, 0.0))]
+    with pytest.raises(ConfigError):
+        extract_nets(traces, value)
+    nets = extract_nets(traces, 0.0, pads={"A": (0.0, 0.0),
+                                           "B": (10.0, 0.0)})
+    with pytest.raises(ConfigError):
+        drc(traces, value, 0.1, nets)
+    with pytest.raises(ConfigError):
+        drc(traces, 0.1, value, nets)
+    with pytest.raises(CircuitError):
+        estimate_resistance(nets.nets[0], "A", "B", value, traces)
+
+
+def test_non_finite_trace_geometry_rejected():
+    with pytest.raises(CircuitError):
+        extract_nets([_trace((0.0, 0.0), (math.nan, 0.0))], 0.0)

@@ -299,6 +299,18 @@ def test_check_unknown_pad_is_domain_error(run, tmp_path):
     assert rc == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--tolerance", "--min-width",
+                                  "--min-clearance", "--resistivity"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_check_non_finite_limit_is_domain_error(run, tmp_path, flag, value):
+    out_path = tmp_path / "c.json"
+    rc, out, err = run(["check", *PIPELINE, "--pairs", "A:B", flag, value,
+                        "--out", str(out_path)])
+    assert rc == 1 and err.startswith("error:")
+    assert "finite" in err
+    assert not out_path.exists()
+
+
 def test_config_file_changes_environment(run, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"simulation": {"dwell_s": 0.0}}))

@@ -38,14 +38,14 @@ from .flux import (DEFAULT_FLUX_PARAMS, FlowConditions, FluxCalibrationResult,
                    FluxModelParams, calibrate_flux, cross_section_area,
                    default_flux_params, flux_table, gap_flux)
 from .config import load_config, load_config_file
-from .planner import (Lift, Move, PlanEstimate, Tap, Toolpath, estimate,
-                      interior_angle_deg, order_strokes, plan)
+from .planner import (HeadState, Lift, Move, PlanEstimate, Tap, Toolpath,
+                      estimate, interior_angle_deg, order_strokes, plan,
+                      step_head)
 from .raster import RasterImage, read_pgm, write_pgm
 from .report import make_report, read_report, write_report
 from .samples import SAMPLE_BUILDERS, get_sample, grid_antenna, ic_sketch
-from .simulator import (EmpiricalWidthModel, HeadState, SimulationResult,
-                        TraceSegment, fit_width_model, rasterize, simulate,
-                        step_head)
+from .simulator import (EmpiricalWidthModel, SimulationResult, TraceSegment,
+                        fit_width_model, rasterize, simulate)
 from .wetting import (BeadWettingPair, LineEstimate, SurfaceTensionTriple,
                       angle_at_force, deposition_feasible, stable_line_width,
                       wettability_ranking, young_contact_angle)

@@ -363,16 +363,14 @@ def drc(traces, min_width: float, min_clearance: float,
 
     Width violations flag individual segments narrower than min_width.
     Clearance violations flag pairs of segments on distinct nets whose
-    stroked outlines come closer than min_clearance (short risk).
-    Violations are sorted by location for deterministic output.
+    stroked outlines come closer than min_clearance (short risk); nets
+    must hold every segment, or CircuitError is raised. Violations are
+    sorted by location for deterministic output.
     """
     if not (0.0 < min_width < math.inf and 0.0 < min_clearance < math.inf):
         raise ConfigError("DRC limits must be finite and > 0")
     traces = tuple(traces)
-    net_of = {}
-    for net in nets.nets:
-        for k in net.segments:
-            net_of[k] = net.net_id
+    net_ids = [nets.net_of_segment(k).net_id for k in range(len(traces))]
     violations = []
     for k, t in enumerate(traces):
         width_mm = t.width_m * 1e3
@@ -382,7 +380,7 @@ def drc(traces, min_width: float, min_clearance: float,
                                            measured=width_mm,
                                            limit=min_width))
     for i, j in _candidate_pairs(_capsules(traces), min_clearance):
-        if net_of.get(i) == net_of.get(j):
+        if net_ids[i] == net_ids[j]:
             continue
         d, pi, pj = _closest_points(traces[i].start, traces[i].end,
                                     traces[j].start, traces[j].end)

@@ -89,6 +89,8 @@ def _action_json(action) -> list:
 
 
 def _toolpath_section(toolpath, est) -> dict:
+    """est: a PlanEstimate, or a SimulationResult, which holds the same
+    time and volume floats."""
     return {
         "drawing_id": toolpath.drawing_id,
         "policy": toolpath.policy,
@@ -116,7 +118,7 @@ def _trace_section(result) -> list[dict]:
     ]
 
 
-def _totals_section(result, est) -> dict:
+def _totals_section(result) -> dict:
     return {
         "print_time_s": result.print_time_s,
         "ink_volume_mm3": result.ink_volume_mm3,
@@ -125,8 +127,8 @@ def _totals_section(result, est) -> dict:
         "lift_count": result.lift_count,
         "flag_counts": dict(sorted(result.flag_counts.items())),
         "width_source": result.width_source,
-        "planner_time_s": est.print_time_s,
-        "planner_volume_mm3": est.ink_volume_mm3,
+        "planner_time_s": result.print_time_s,
+        "planner_volume_mm3": result.ink_volume_mm3,
     }
 
 
@@ -154,12 +156,11 @@ def _cmd_plan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     env, drawing, toolpath = _pipeline(args)
-    est = estimate(toolpath, env)
     result = simulate(toolpath, env)
     report = make_report(drawing=_drawing_section(drawing),
-                         toolpath=_toolpath_section(toolpath, est),
+                         toolpath=_toolpath_section(toolpath, result),
                          traces=_trace_section(result),
-                         totals=_totals_section(result, est))
+                         totals=_totals_section(result))
     _write_bytes(args.out, write_report(report))
     if args.pgm:
         image = rasterize(result.traces, args.scale,
@@ -192,7 +193,6 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
 
 def _cmd_check(args) -> int:
     env, drawing, toolpath = _pipeline(args)
-    est = estimate(toolpath, env)
     result = simulate(toolpath, env)
     nets = extract_nets(result.traces, args.tolerance, pads=drawing.pads)
     checks: dict = {
@@ -233,7 +233,7 @@ def _cmd_check(args) -> int:
         ],
     }
     report = make_report(drawing=_drawing_section(drawing),
-                         totals=_totals_section(result, est),
+                         totals=_totals_section(result),
                          checks=checks)
     _write_bytes(args.out, write_report(report))
     return 0

@@ -17,6 +17,7 @@ import json
 import math
 import re
 
+from .circuit import _point_segment_distance
 from .errors import (DrawingFormatError, NonVectorContentError,
                      UnsupportedSvgFeatureError)
 
@@ -333,19 +334,6 @@ def _dedup(points: list[Point], eps: float = 1e-12) -> list[Point]:
         if abs(p[0] - q[0]) > eps or abs(p[1] - q[1]) > eps:
             out.append(p)
     return out
-
-
-def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    if den == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / den
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point, tol: float,

@@ -4,11 +4,13 @@ Coordinates are millimetres throughout. A toolpath is a flat sequence of
 actions: Tap (seal and press the bead at a point), Move (draw a straight
 segment at a commanded speed and pressure), Lift (raise the head). Corner
 handling follows a CornerPolicy; strokes are greedily reordered to cut
-travel unless reordering is disabled.
+travel unless reordering is disabled. The head state machine lives here
+too: estimate() and simulator.simulate() share one walk through it.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -70,19 +72,39 @@ class Toolpath:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def segments(self):
-        """Yield (start, end, speed_mm_s, pressure_g) per Move, in order."""
-        pos: Point | None = None
-        for a in self.actions:
-            if isinstance(a, Tap):
-                pos = a.at
-            elif isinstance(a, Move):
-                if pos is None:
-                    raise IllegalActionError("move before any tap")
-                yield pos, a.to, a.speed_mm_s, a.pressure_g
-                pos = a.to
-            else:
-                pos = pos  # Lift keeps XY position
+
+# --------------------------------------------------------------------------
+# head state machine
+
+
+class HeadState(enum.Enum):
+    SEALED = "Sealed"
+    TAPPED = "Tapped"
+    DRAWING = "Drawing"
+    LIFTED = "Lifted"
+
+
+_TRANSITIONS = {
+    (HeadState.SEALED, Tap): HeadState.TAPPED,
+    (HeadState.TAPPED, Move): HeadState.DRAWING,
+    (HeadState.DRAWING, Move): HeadState.DRAWING,
+    (HeadState.DRAWING, Lift): HeadState.LIFTED,
+    (HeadState.LIFTED, Tap): HeadState.TAPPED,
+}
+
+
+def step_head(state: HeadState, action) -> HeadState:
+    """Advance the head state machine by one action.
+
+    The nozzle starts Sealed (bead pressed into its seat, no outflow); only
+    a tap opens the gap, and ink can flow only while Drawing. Anything off
+    the legal transition table raises IllegalActionError.
+    """
+    nxt = _TRANSITIONS.get((state, type(action)))
+    if nxt is None:
+        raise IllegalActionError(
+            f"{type(action).__name__} is illegal in state {state.value}")
+    return nxt
 
 
 # --------------------------------------------------------------------------
@@ -371,35 +393,54 @@ class PlanEstimate:
     ink_volume_mm3: float
 
 
+def _walk(toolpath: Toolpath, env: Environment):
+    """Run a toolpath through the head state machine, once.
+
+    Time is segment length over commanded speed plus one dwell per Tap and
+    per Lift. Volume integrates the gap flux of each segment over its
+    duration; segment_physics runs once per (speed, pressure) pair.
+    Returns (time_s, volume_mm3, drawn, taps, lifts, final_state), where
+    drawn lists (start, move, physics, run) for each Move of nonzero
+    length and run counts the taps before it, from 0.
+    """
+    state = HeadState.SEALED
+    pos: Point | None = None
+    time_s = 0.0
+    volume_m3 = 0.0
+    taps = lifts = 0
+    cache = {}
+    drawn = []
+    for action in toolpath.actions:
+        state = step_head(state, action)
+        if isinstance(action, Tap):
+            pos = action.at
+            time_s += env.dwell_s
+            taps += 1
+        elif isinstance(action, Move):
+            length = math.hypot(action.to[0] - pos[0], action.to[1] - pos[1])
+            dt = length / action.speed_mm_s
+            key = (action.speed_mm_s, action.pressure_g)
+            if key not in cache:
+                cache[key] = segment_physics(action.speed_mm_s,
+                                             action.pressure_g, env)
+            volume_m3 += cache[key].flux_m3_s * dt
+            time_s += dt
+            if length > 0.0:
+                drawn.append((pos, action, cache[key], taps - 1))
+            pos = action.to
+        else:
+            time_s += env.dwell_s
+            lifts += 1
+    return time_s, volume_m3 * 1e9, drawn, taps, lifts, state
+
+
 def estimate(toolpath: Toolpath,
              environment: Environment | None = None) -> PlanEstimate:
     """Print time and deposited ink volume for a toolpath.
 
-    Time is segment length over commanded speed plus one dwell per Tap and
-    per Lift. Volume integrates the gap flux of each segment over its
-    duration, using the same per-segment physics as the simulator.
+    The same walk as simulate(), so the totals are the same floats and an
+    action sequence the head cannot carry out raises IllegalActionError.
     """
     env = environment if environment is not None else DEFAULT_ENVIRONMENT
-    time_s = 0.0
-    volume_m3 = 0.0
-    cache: dict[tuple[float, float], float] = {}
-    pos: Point | None = None
-    for a in toolpath.actions:
-        if isinstance(a, Tap):
-            pos = a.at
-            time_s += env.dwell_s
-        elif isinstance(a, Move):
-            if pos is None:
-                raise IllegalActionError("move before any tap")
-            length = math.hypot(a.to[0] - pos[0], a.to[1] - pos[1])
-            dt = length / a.speed_mm_s
-            key = (a.speed_mm_s, a.pressure_g)
-            if key not in cache:
-                cache[key] = segment_physics(a.speed_mm_s, a.pressure_g,
-                                             env).flux_m3_s
-            volume_m3 += cache[key] * dt
-            time_s += dt
-            pos = a.to
-        else:
-            time_s += env.dwell_s
-    return PlanEstimate(print_time_s=time_s, ink_volume_mm3=volume_m3 * 1e9)
+    time_s, volume_mm3, *_ = _walk(toolpath, env)
+    return PlanEstimate(print_time_s=time_s, ink_volume_mm3=volume_mm3)

@@ -1,57 +1,26 @@
-"""Toolpath execution: head state machine, deposited traces, rasters.
+"""Toolpath execution: deposited traces, rasters.
 
-simulate() walks a toolpath through the tap/move/lift state machine and,
-for every drawn segment, runs the segment physics chain to predict the
-deposited width, flux and creep, attaching risk flags. rasterize() stamps
-the resulting traces into a binary occupancy image for preview and
-area-based volume checks. fit_width_model() provides the alternative,
-measurement-driven width predictor.
+simulate() walks a toolpath through the tap/move/lift state machine (the
+walk planner.estimate() makes too) and, for every drawn segment, takes the
+segment physics chain's predicted width, flux and creep, attaching risk
+flags. rasterize() stamps the resulting traces into a binary occupancy
+image for preview and area-based volume checks. fit_width_model() provides
+the alternative, measurement-driven width predictor.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .environment import DEFAULT_ENVIRONMENT, Environment, segment_physics
-from .errors import (CalibrationError, ConfigError, IllegalActionError,
-                     RasterSizeError)
-from .planner import Lift, Move, Point, Tap, Toolpath, interior_angle_deg
+from .environment import DEFAULT_ENVIRONMENT, Environment
+from .errors import CalibrationError, ConfigError, RasterSizeError
+from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
+from .planner import step_head  # noqa: F401  (re-exported)
 from .raster import RasterImage
-
-
-class HeadState(enum.Enum):
-    SEALED = "Sealed"
-    TAPPED = "Tapped"
-    DRAWING = "Drawing"
-    LIFTED = "Lifted"
-
-
-_TRANSITIONS = {
-    (HeadState.SEALED, Tap): HeadState.TAPPED,
-    (HeadState.TAPPED, Move): HeadState.DRAWING,
-    (HeadState.DRAWING, Move): HeadState.DRAWING,
-    (HeadState.DRAWING, Lift): HeadState.LIFTED,
-    (HeadState.LIFTED, Tap): HeadState.TAPPED,
-}
-
-
-def step_head(state: HeadState, action) -> HeadState:
-    """Advance the head state machine by one action.
-
-    The nozzle starts Sealed (bead pressed into its seat, no outflow); only
-    a tap opens the gap, and ink can flow only while Drawing. Anything off
-    the legal transition table raises IllegalActionError.
-    """
-    nxt = _TRANSITIONS.get((state, type(action)))
-    if nxt is None:
-        raise IllegalActionError(
-            f"{type(action).__name__} is illegal in state {state.value}")
-    return nxt
 
 
 FLAG_CORNER = "corner-risk"
@@ -123,57 +92,22 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
     if width_source == "empirical" and width_model is None:
         raise ConfigError("width_source='empirical' requires a width_model")
 
-    state = HeadState.SEALED
-    pos: Point | None = None
-    time_s = 0.0
-    volume_m3 = 0.0
-    taps = lifts = 0
-    cache: dict[tuple[float, float], object] = {}
-    # records: (start, end, move, physics, run_id, index_in_run)
-    records = []
-    run_id = -1
-    idx_in_run = 0
-    for action in toolpath.actions:
-        state = step_head(state, action)
-        if isinstance(action, Tap):
-            pos = action.at
-            time_s += env.dwell_s
-            taps += 1
-            run_id += 1
-            idx_in_run = 0
-        elif isinstance(action, Move):
-            length = math.hypot(action.to[0] - pos[0], action.to[1] - pos[1])
-            dt = length / action.speed_mm_s
-            key = (action.speed_mm_s, action.pressure_g)
-            if key not in cache:
-                cache[key] = segment_physics(action.speed_mm_s,
-                                             action.pressure_g, env)
-            volume_m3 += cache[key].flux_m3_s * dt
-            time_s += dt
-            if length > 0.0:
-                records.append((pos, action.to, action, cache[key], run_id,
-                                idx_in_run))
-                idx_in_run += 1
-            pos = action.to
-        else:
-            time_s += env.dwell_s
-            lifts += 1
-
+    time_s, volume_mm3, drawn, taps, lifts, state = _walk(toolpath, env)
     threshold = env.policy.threshold_angle
     traces = []
-    for k, (start, end, move, phys, rid, _) in enumerate(records):
+    for k, (start, move, phys, run) in enumerate(drawn):
+        end = move.to
         flags = set()
         if phys.full_slip or abs(phys.creep) > env.s_max:
             flags.add(FLAG_SLIP)
         if move.speed_mm_s > env.limits.preferred_max_speed:
             flags.add(FLAG_SPEED)
-        for other in (k - 1, k + 1):
-            if 0 <= other < len(records) and records[other][4] == rid:
-                shared = start if other == k - 1 else end
-                a = records[other][0] if other == k - 1 else start
-                b = end if other == k - 1 else records[other][1]
-                if interior_angle_deg(a, shared, b) < threshold:
-                    flags.add(FLAG_CORNER)
+        if k > 0 and drawn[k - 1][3] == run and interior_angle_deg(
+                drawn[k - 1][0], start, end) < threshold:
+            flags.add(FLAG_CORNER)
+        if k + 1 < len(drawn) and drawn[k + 1][3] == run and \
+                interior_angle_deg(start, end, drawn[k + 1][1].to) < threshold:
+            flags.add(FLAG_CORNER)
         if width_source == "empirical":
             width_m = width_model.predict(move.speed_mm_s, move.pressure_g)
         else:
@@ -192,7 +126,7 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
     return SimulationResult(
         traces=tuple(traces),
         print_time_s=time_s,
-        ink_volume_mm3=volume_m3 * 1e9,
+        ink_volume_mm3=volume_mm3,
         trace_length_mm=sum(t.length_mm for t in traces),
         tap_count=taps,
         lift_count=lifts,

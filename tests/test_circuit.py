@@ -403,6 +403,15 @@ class TestDrc:
         assert [(v.kind, v.measured) for v in again.violations] == \
             [(v.kind, v.measured) for v in result.violations]
 
+    def test_segment_in_no_net_is_rejected(self):
+        # two parallel traces 0.05 mm apart: a clearance risk unless both
+        # sit in one net; nets built for fewer traces must not hide it
+        traces = [_trace((0.0, 0.0), (10.0, 0.0)),
+                  _trace((0.0, 0.25), (10.0, 0.25))]
+        for known in (traces[:1], []):
+            with pytest.raises(CircuitError, match="belongs to no net"):
+                drc(traces, 0.1, 0.1, extract_nets(known, 0.0))
+
 
 def test_random_layouts_match_flood_fill():
     """Net count from the touch graph equals the raster component count."""

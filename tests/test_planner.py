@@ -304,7 +304,11 @@ def test_estimate_volume_matches_flux_anchor():
 
 
 def test_estimate_rejects_move_before_tap():
+    # estimate walks the head state machine, so it rejects what simulate
+    # rejects: a move before any tap, a move while lifted, a tap-lift
     from lmprint.planner import Toolpath
-    bad = Toolpath(actions=(Move((1.0, 0.0), 40.0, 94.0),))
-    with pytest.raises(IllegalActionError):
-        estimate(bad)
+    tap = Tap((0.0, 0.0), 0.92)
+    move = Move((1.0, 0.0), 40.0, 94.0)
+    for actions in ((move,), (tap, move, Lift(), move), (tap, Lift())):
+        with pytest.raises(IllegalActionError):
+            estimate(Toolpath(actions=actions))

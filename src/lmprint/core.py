@@ -83,6 +83,8 @@ class SubstrateProperties:
         object.__setattr__(self, "angle_table", table)
         forces = [f for f, _ in table]
         angles = [a for _, a in table]
+        if not all(map(math.isfinite, forces + angles)):
+            raise ConfigError(f"{self.name}: angle_table forces and angles must be finite")
         if any(b <= a for a, b in zip(forces, forces[1:])):
             raise ConfigError(f"{self.name}: angle_table forces must be strictly increasing")
         if any(b >= a for a, b in zip(angles, angles[1:])):

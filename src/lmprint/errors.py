@@ -75,3 +75,7 @@ class CircuitError(LmprintError, ValueError):
 
 class UnknownPadError(CircuitError, KeyError):
     """Pad name not present in the drawing or touching no trace."""
+
+    def __str__(self):
+        # KeyError's str() is the repr of the message, quotes and all.
+        return Exception.__str__(self)

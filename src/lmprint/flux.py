@@ -14,13 +14,13 @@ Q = kappa_p * w_eff * GW^3 * dP / (12 mu l_eff)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
-from scipy.optimize import nnls
+from typing import TYPE_CHECKING, Sequence
 
 from .core import DEFAULT_BEAD, GAIN245, BeadGeometry, InkProperties, dynamic_viscosity
 from .errors import CalibrationError, ConfigError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 M3_PER_MM3 = 1e-9
 
@@ -110,6 +110,8 @@ def calibrate_flux(observations: Sequence[tuple[FlowConditions, BeadGeometry, fl
     """
     if not observations:
         raise CalibrationError("no observations to calibrate against")
+    import numpy as np
+    from scipy.optimize import nnls
     rows = []
     target = []
     for cond, bead, q in observations:
@@ -157,6 +159,7 @@ def flux_table(pressures: Sequence[float], gap_widths: Sequence[float],
     """
     if len(pressures) == 0 or len(gap_widths) == 0:
         raise ConfigError("flux_table needs non-empty pressure and gap-width axes")
+    import numpy as np
     out = np.empty((len(pressures), len(gap_widths)), dtype=float)
     for i, dp in enumerate(pressures):
         ci = replace(cond, pressure_drop=float(dp))

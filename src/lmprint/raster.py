@@ -9,10 +9,12 @@ dimensions round-trip bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DrawingFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,7 @@ class RasterImage:
             raise ConfigError("raster dimensions must be >= 1")
         if not (self.scale > 0):
             raise ConfigError("raster scale must be > 0")
+        import numpy as np
         cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
         if cells.shape != (self.height, self.width):
             raise ConfigError(
@@ -40,12 +43,14 @@ class RasterImage:
     def __eq__(self, other):
         if not isinstance(other, RasterImage):
             return NotImplemented
+        import numpy as np
         return (self.width == other.width and self.height == other.height
                 and self.scale == other.scale and self.origin_mm == other.origin_mm
                 and np.array_equal(self.cells, other.cells))
 
     def occupied_area_mm2(self) -> float:
         """Area covered by nonzero pixels."""
+        import numpy as np
         return float(np.count_nonzero(self.cells)) * self.scale * self.scale
 
 
@@ -80,6 +85,7 @@ def read_pgm(data: bytes, scale: float,
     if len(payload) != w * h:
         raise DrawingFormatError(
             f"PGM payload is {len(payload)} bytes, expected {w * h}")
+    import numpy as np
     cells = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
     return RasterImage(width=w, height=h, scale=scale, cells=cells,
                        origin_mm=origin_mm)

@@ -13,9 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import nnls
-
 from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
@@ -149,6 +146,7 @@ def rasterize(traces, scale: float, *,
     """
     if scale <= 0:
         raise ConfigError("raster scale must be > 0")
+    import numpy as np
     traces = tuple(traces)
     if not traces:
         return RasterImage(width=1, height=1, scale=scale,
@@ -242,6 +240,8 @@ def fit_width_model(samples) -> EmpiricalWidthModel:
         raise CalibrationError("width fit needs at least 2 distinct speeds")
     if len({f for _, f, _ in samples}) < 2:
         raise CalibrationError("width fit needs at least 2 distinct pressures")
+    import numpy as np
+    from scipy.optimize import nnls
     rows = np.array([[1.0, -1.0, math.log(f), -math.log(v)]
                      for v, f, _ in samples])
     rhs = np.array([math.log(w) for _, _, w in samples])

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import bisect
 import math
 import warnings
-
-import numpy as np
 
 from .core import SubstrateProperties
 from .errors import ConfigError, NoEquilibriumError, WettingDomainError
@@ -97,14 +96,28 @@ def angle_at_force(substrate: SubstrateProperties, applied_force: float) -> floa
     table = substrate.angle_table
     if not table:
         raise ConfigError(f"{substrate.name}: empty contact-angle table")
-    forces = np.array([f for f, _ in table])
-    angles = np.array([a for _, a in table])
-    if applied_force < forces[0] or applied_force > forces[-1]:
+    force = float(applied_force)
+    forces = [f for f, _ in table]
+    angles = [a for _, a in table]
+    if force < forces[0] or force > forces[-1]:
         warnings.warn(
-            f"{substrate.name}: force {applied_force:g} N outside table span "
+            f"{substrate.name}: force {force:g} N outside table span "
             f"[{forces[0]:g}, {forces[-1]:g}] N; clamping",
             stacklevel=2)
-    return float(np.interp(applied_force, forces, angles))
+    # np.interp's rule and arithmetic, so the result keeps its bits: a
+    # one-entry table answers its angle, NaN answers NaN, the ends clamp
+    # and a knot answers its own angle.
+    if len(table) == 1:
+        return angles[0]
+    if math.isnan(force):
+        return force
+    j = bisect.bisect_right(forces, force) - 1
+    if j < 0:
+        return angles[0]
+    if j == len(table) - 1 or forces[j] == force:
+        return angles[j]
+    slope = (angles[j + 1] - angles[j]) / (forces[j + 1] - forces[j])
+    return slope * (force - forces[j]) + angles[j]
 
 
 def wettability_ranking(substrates: Iterable[SubstrateProperties],

@@ -311,6 +311,50 @@ def test_check_non_finite_limit_is_domain_error(run, tmp_path, flag, value):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("table", ["[[0.0, 140.0], [0.2, NaN]]",
+                                   "[[0.0, 140.0], [Infinity, 40.0]]"],
+                         ids=["nan-angle", "inf-force"])
+def test_non_finite_angle_table_is_domain_error(run, tmp_path, table):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f"""{{"substrate": {{"name": "bad", "youngs_modulus": 1e9,
+        "poisson_ratio": 0.3, "friction_coefficient": 0.4,
+        "gamma_sub_air": 0.04, "gamma_sub_lm": 0.5,
+        "angle_table": {table}}}}}""")
+    out_path = tmp_path / "p.json"
+    rc, out, err = run(["plan", *PIPELINE, "--config", str(cfg),
+                        "--out", str(out_path)])
+    assert rc == 1 and err.startswith("error:")
+    assert "finite" in err
+    assert not out_path.exists()
+
+
+# plan and check run in a fresh interpreter, so the modules they load are
+# those of one CLI call and not of the rest of the test session
+_IMPORT_PROBE = """
+import sys
+def heavy(*roots):
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
+import lmprint, lmprint.cli
+print(heavy("numpy", "scipy"))
+from lmprint.cli import main
+pipeline = ["--drawing", "samples/grid-antenna.json", "--speed", "10",
+            "--pressure", "30"]
+assert main(["plan", *pipeline, "--out", sys.argv[1]]) == 0
+assert main(["check", *pipeline, "--pairs", "feed:tip",
+             "--out", sys.argv[2]]) == 0
+print(heavy("numpy"))
+"""
+
+
+def test_plan_and_check_load_no_numpy_or_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore::UserWarning", "-c", _IMPORT_PROBE,
+         str(tmp_path / "plan.json"), str(tmp_path / "check.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_config_file_changes_environment(run, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"simulation": {"dwell_s": 0.0}}))

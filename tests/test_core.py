@@ -121,6 +121,19 @@ def test_substrate_table_validation():
                             friction_coefficient=0.4, gamma_sub_air=0.04,
                             gamma_sub_lm=0.5,
                             angle_table=((0.0, 140.0), (0.1, 150.0)))
+    # non-finite entries compare false in the order checks, so each one is
+    # named: ((0, 140), (inf, 40)) used to answer 140 deg at every force
+    for table in (((0.0, 140.0), (math.inf, 40.0)),
+                  ((-math.inf, 140.0), (0.1, 40.0)),
+                  ((0.0, 140.0), (math.nan, 40.0)),
+                  ((0.0, math.nan), (0.1, 40.0)),
+                  ((0.0, math.inf),),
+                  ((math.nan, 90.0),)):
+        with pytest.raises(ConfigError, match="finite"):
+            SubstrateProperties(name="bad", youngs_modulus=1e9,
+                                poisson_ratio=0.3, friction_coefficient=0.4,
+                                gamma_sub_air=0.04, gamma_sub_lm=0.5,
+                                angle_table=table)
 
 
 def test_bead_geometry_defaults():

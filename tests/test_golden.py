@@ -116,7 +116,7 @@ GOLDEN = {
 # runs that fail on purpose: (sample, strategy, command) -> (exit, stderr)
 GOLDEN_ERRORS = {
     ("square", "fillet", "check"):
-        (1, "error: \"pad 'corner' touches no trace\"\n"),
+        (1, "error: pad 'corner' touches no trace\n"),
 }
 
 # flatten_cubic on seeded random curves: point count and sha256 of repr

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lmprint import (OFFICE_PAPER, PVC_FILM, STAINLESS_STEEL,
-                     BeadWettingPair, SurfaceTensionTriple, angle_at_force,
+                     BeadWettingPair, SubstrateProperties,
+                     SurfaceTensionTriple, angle_at_force,
                      deposition_feasible, stable_line_width,
                      wettability_ranking, young_contact_angle)
 from lmprint.wetting import line_width_profile
@@ -100,6 +103,43 @@ def test_angle_at_force_clamps_with_warning():
         assert angle_at_force(PVC_FILM, 1.84) == 40.0
     with pytest.warns(UserWarning):
         assert angle_at_force(PVC_FILM, -0.01) == 140.0
+
+
+_FORCE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _table_and_force(draw):
+    """A valid angle table and a force at, beside, between or past a knot, or NaN."""
+    forces = sorted(draw(st.lists(_FORCE, min_size=1, max_size=8, unique=True)))
+    angles = sorted(draw(st.lists(st.floats(1e-3, 180.0), min_size=len(forces),
+                                  max_size=len(forces), unique=True)),
+                    reverse=True)
+    knot = draw(st.sampled_from(forces))
+    force = draw(st.one_of(
+        st.just(knot),
+        st.just(math.nextafter(knot, -math.inf)),
+        st.just(math.nextafter(knot, math.inf)),
+        st.floats(forces[0], forces[-1]),
+        st.floats(-2e6, forces[0]),
+        st.floats(forces[-1], 2e6),
+        st.just(math.nan)))
+    return tuple(zip(forces, angles)), force
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_and_force())
+@example((((0.0, 140.0), (5e-324, 40.0)), 0.0))  # knot where the slope is -inf
+@example((((0.1, 90.0),), math.nan))              # one entry answers even NaN
+def test_angle_at_force_equals_np_interp(case):
+    table, force = case
+    substrate = SubstrateProperties(
+        name="random", youngs_modulus=1e9, poisson_ratio=0.3,
+        friction_coefficient=0.4, gamma_sub_air=0.04, gamma_sub_lm=0.5,
+        angle_table=table)
+    expected = float(np.interp(force, [f for f, _ in table],
+                               [a for _, a in table]))
+    assert angle_at_force(substrate, force).hex() == expected.hex()
 
 
 def test_wettability_ranking():

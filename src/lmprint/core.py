@@ -126,10 +126,11 @@ class MachineSettings:
     pressure_setting: float
 
     def __post_init__(self):
-        if self.speed_setting < 0:
-            raise InvalidSettingError("speed setting must be >= 0")
-        if self.pressure_setting < 0:
-            raise InvalidSettingError("pressure setting must be >= 0")
+        if not (0 <= self.speed_setting < math.inf):
+            raise InvalidSettingError("speed setting must be finite and >= 0")
+        if not (0 <= self.pressure_setting < math.inf):
+            raise InvalidSettingError(
+                "pressure setting must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ dimensions round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -30,8 +31,8 @@ class RasterImage:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ConfigError("raster dimensions must be >= 1")
-        if not (self.scale > 0):
-            raise ConfigError("raster scale must be > 0")
+        if not (0 < self.scale < math.inf):
+            raise ConfigError("raster scale must be finite and > 0")
         import numpy as np
         cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
         if cells.shape != (self.height, self.width):
@@ -59,10 +60,11 @@ def write_pgm(image: RasterImage) -> bytes:
 
     The canonical header is b"P5\\n<width> <height>\\n255\\n"; a 1x1 zero
     image is exactly b"P5\\n1 1\\n255\\n\\x00" (12 bytes). Output is
-    byte-identical across runs and platforms.
+    byte-identical across runs and platforms. The pixels are copied once,
+    straight from the cells' buffer into the result.
     """
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    return header + image.cells.tobytes()
+    return b"".join((header, image.cells.data))
 
 
 def read_pgm(data: bytes, scale: float,

@@ -208,6 +208,20 @@ def test_plan_violation_exit_code(run, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag,name", [("--speed", "speed setting"),
+                                       ("--pressure", "pressure setting")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_setting_is_domain_error(run, tmp_path, flag, name, value):
+    settings = {"--speed": "10", "--pressure": "30", flag: value}
+    out_path = tmp_path / "p.json"
+    rc, out, err = run(["plan", "--drawing", SQUARE,
+                        *(a for kv in settings.items() for a in kv),
+                        "--out", str(out_path)])
+    assert rc == 1 and err.startswith("error:")
+    assert name in err and "finite" in err
+    assert not out_path.exists()
+
+
 def test_missing_drawing_is_os_error(run, tmp_path):
     rc, _, err = run(["plan", "--drawing", str(tmp_path / "nope.json"),
                       "--speed", "10", "--pressure", "30"])
@@ -264,6 +278,20 @@ def test_render_writes_pgm(run, tmp_path):
     blob = pgm_path.read_bytes()
     assert blob.startswith(b"P5\n")
     assert b"\xff" in blob
+
+
+@pytest.mark.parametrize("command", ["simulate", "render"])
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_raster_scale_is_domain_error(run, tmp_path, command,
+                                                 scale):
+    pgm_path = tmp_path / "img.pgm"
+    argv = [command, *PIPELINE, "--pgm", str(pgm_path), "--scale", scale]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim.json")]
+    rc, out, err = run(argv)
+    assert rc == 1 and err.startswith("error:")
+    assert "scale" in err and "finite" in err
+    assert not pgm_path.exists()
 
 
 def test_check_report(run, tmp_path):

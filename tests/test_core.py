@@ -60,6 +60,14 @@ def test_negative_settings_rejected():
         PressureCalibration().force(-0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_settings_rejected(value):
+    with pytest.raises(InvalidSettingError, match="speed setting"):
+        MachineSettings(speed_setting=value, pressure_setting=30)
+    with pytest.raises(InvalidSettingError, match="pressure setting"):
+        MachineSettings(speed_setting=10, pressure_setting=value)
+
+
 def test_validate_settings_ok():
     verdict = validate_settings(MachineSettings(30, 60))
     assert verdict.ok

@@ -8,6 +8,7 @@ purpose updates its hash and says why.
 
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -185,3 +186,53 @@ def test_flattened_cubic_bytes():
         flatten_cubic(*points, rng.choice((0.001, 0.01, 0.05)), out)
     assert len(out) == FLATTENED_POINTS
     assert hashlib.sha256(repr(out).encode()).hexdigest() == FLATTENED_SHA256
+
+
+# simulate --pgm on a seeded SVG of cubic coils (fillet corners, 0.01
+# mm/px): every trace is a short chord at its own angle, which the sample
+# drawings, all axis-aligned, never exercise in the raster
+COILS_PGM_SHA256 = \
+    "dc6f0e57ab2b69643c74d4602fa4a944fb1903f48a7094da4789406eefe95928"
+
+
+def _coil_svg(seed, cells=2, cell_mm=6.0, turns=6, pitch_mm=0.35):
+    rng = random.Random(seed)
+    paths = []
+    for i in range(cells * cells):
+        cx = (i % cells + 0.5) * cell_mm + rng.uniform(-0.3, 0.3)
+        cy = (i // cells + 0.5) * cell_mm + rng.uniform(-0.3, 0.3)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        sense = rng.choice((1.0, -1.0))
+        r = rng.uniform(0.3, 0.6)
+        parts = []
+        for q in range(4 * turns):
+            a0 = phase + sense * q * math.pi / 2
+            a1 = a0 + sense * math.pi / 2
+            r0, r1 = r + pitch_mm * q / 4, r + pitch_mm * (q + 1) / 4
+            k = 4.0 * (math.sqrt(2.0) - 1.0) / 3.0 * rng.uniform(0.9, 1.1)
+            p0 = (cx + r0 * math.cos(a0), cy + r0 * math.sin(a0))
+            p3 = (cx + r1 * math.cos(a1), cy + r1 * math.sin(a1))
+            p1 = (p0[0] - sense * k * r0 * math.sin(a0),
+                  p0[1] + sense * k * r0 * math.cos(a0))
+            p2 = (p3[0] + sense * k * r1 * math.sin(a1),
+                  p3[1] - sense * k * r1 * math.cos(a1))
+            if q == 0:
+                parts.append(f"M {p0[0]:.5f} {p0[1]:.5f}")
+            parts.append("C " + " ".join(f"{v:.5f}" for v in (*p1, *p2, *p3)))
+        paths.append(" ".join(parts))
+    body = "".join(f'<path d="{d}"/>' for d in paths)
+    return f'<svg xmlns="http://www.w3.org/2000/svg">{body}</svg>'
+
+
+def test_coil_raster_bytes(tmp_path):
+    svg = tmp_path / "coils.svg"
+    svg.write_text(_coil_svg(seed=11), encoding="utf-8")
+    config = tmp_path / "fillet.json"
+    config.write_text(json.dumps(
+        {"policy": {"strategy": "fillet", "fillet_radius_mm": 0.3}}))
+    pgm = tmp_path / "coils.pgm"
+    rc = main(["simulate", "--config", str(config), "--drawing", str(svg),
+               *PIPELINE, "--out", str(tmp_path / "coils.json"),
+               "--pgm", str(pgm), "--scale", "0.01"])
+    assert rc == 0
+    assert hashlib.sha256(pgm.read_bytes()).hexdigest() == COILS_PGM_SHA256

@@ -47,6 +47,12 @@ def test_raster_validation():
                     cells=np.zeros((1, 1), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+def test_non_finite_scale_rejected(scale):
+    with pytest.raises(ConfigError, match="finite"):
+        read_pgm(b"P5\n2 1\n255\n\xff\x00", scale=scale)
+
+
 def test_occupied_area():
     cells = np.zeros((4, 4), dtype=np.uint8)
     cells[:2, :2] = 255

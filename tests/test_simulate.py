@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
     estimate, fit_width_model, get_sample, plan, rasterize, simulate
@@ -14,6 +16,7 @@ from lmprint.environment import segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
 from lmprint.planner import Lift, Move, Tap, Toolpath
+from lmprint.raster import RasterImage
 from lmprint.simulator import FLAG_CORNER, FLAG_SLIP, FLAG_SPEED, \
     EmpiricalWidthModel, HeadState, TraceSegment, step_head
 
@@ -214,6 +217,162 @@ class TestRasterize:
         first = write_pgm(rasterize(result.traces, 0.05))
         second = write_pgm(rasterize(simulate(tp, QUIET).traces, 0.05))
         assert first == second
+
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf,
+                                       0.0, -0.05])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        trace = _trace((0.0, 0.0), (1.0, 0.0), 0.2)
+        with pytest.raises(ConfigError, match="finite"):
+            rasterize([trace], scale)
+
+    @pytest.mark.parametrize("start,end,width_mm", [
+        ((math.nan, 0.0), (1.0, 0.0), 0.2),
+        ((0.0, 0.0), (1.0, math.inf), 0.2),
+        ((0.0, -math.inf), (1.0, 0.0), 0.2),
+        ((0.0, 0.0), (1.0, 0.0), math.nan),
+        ((0.0, 0.0), (1.0, 0.0), math.inf),
+    ], ids=["nan-x", "inf-y", "neg-inf-y", "nan-width", "inf-width"])
+    def test_non_finite_trace_is_domain_error(self, start, end, width_mm):
+        good = _trace((0.0, 0.0), (1.0, 1.0), 0.2)
+        with pytest.raises(ConfigError, match="finite"):
+            rasterize([good, _trace(start, end, width_mm)], 0.05)
+
+
+# --- span rasterizer against the per-pixel oracle
+
+
+def _brute_rasterize(traces, scale, *, max_pixels=50_000_000):
+    """The per-pixel loop: every pixel of every trace's window is tested."""
+    traces = tuple(traces)
+    if not traces:
+        return RasterImage(width=1, height=1, scale=scale,
+                           cells=np.zeros((1, 1), dtype=np.uint8),
+                           origin_mm=(0.0, 0.0))
+    halfw_mm = [0.5 * t.width_m * 1e3 for t in traces]
+    pad = max(halfw_mm) + scale
+    xs = [c for t in traces for c in (t.start[0], t.end[0])]
+    ys = [c for t in traces for c in (t.start[1], t.end[1])]
+    ox = math.floor((min(xs) - pad) / scale) * scale
+    oy = math.ceil((max(ys) + pad) / scale) * scale  # top edge
+    wpx = int(math.ceil((max(xs) + pad - ox) / scale)) + 1
+    hpx = int(math.ceil((oy - (min(ys) - pad)) / scale)) + 1
+    if wpx * hpx > max_pixels:
+        raise RasterSizeError("over budget")
+    cells = np.zeros((hpx, wpx), dtype=np.uint8)
+    for t, hw in zip(traces, halfw_mm):
+        if hw <= 0.0:
+            continue
+        (sx, sy), (ex, ey) = t.start, t.end
+        j0 = max(0, int((min(sx, ex) - hw - ox) / scale) - 1)
+        j1 = min(wpx, int((max(sx, ex) + hw - ox) / scale) + 2)
+        i0 = max(0, int((oy - (max(sy, ey) + hw)) / scale) - 1)
+        i1 = min(hpx, int((oy - (min(sy, ey) - hw)) / scale) + 2)
+        if j0 >= j1 or i0 >= i1:
+            continue
+        px = ox + (np.arange(j0, j1) + 0.5) * scale
+        py = oy - (np.arange(i0, i1) + 0.5) * scale
+        dx, dy = ex - sx, ey - sy
+        rx = px[None, :] - sx
+        ry = py[:, None] - sy
+        ll = dx * dx + dy * dy
+        if ll == 0.0:
+            d2 = rx * rx + ry * ry
+        else:
+            s = np.clip((rx * dx + ry * dy) / ll, 0.0, 1.0)
+            d2 = (rx - s * dx) ** 2 + (ry - s * dy) ** 2
+        window = cells[i0:i1, j0:j1]
+        window[d2 <= hw * hw] = 255
+    return RasterImage(width=wpx, height=hpx, scale=scale, cells=cells,
+                       origin_mm=(ox, oy))
+
+
+@st.composite
+def _raster_layouts(draw):
+    """Traces and a scale with the cases a span could get wrong.
+
+    Zero-length and zero-width segments, axis-aligned and 45-degree ones,
+    random directions (some nearly axis-aligned), widths 1e-5 to 1.1e-3 m,
+    coordinates offset by up to 1e4 mm, scales 0.003 to 0.05 mm/px, and
+    grazing segments: axis-aligned at exactly half a width from a row or
+    column of pixel centres, so whole rows sit on the boundary.
+    """
+    scale = draw(st.floats(0.003, 0.05))
+    offset = draw(st.sampled_from((0.0, 1e4, -1e4))) + draw(
+        st.floats(-1.0, 1.0))
+    span = 120 * scale                  # segments stay within ~120 px
+    kinds = ("zero-length", "zero-width", "horizontal", "vertical",
+             "diagonal", "random", "grazing")
+    traces = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=6)):
+        width_mm = draw(st.floats(1e-5, 1.1e-3)) * 1e3
+        x = offset + draw(st.floats(0.0, span))
+        y = offset + draw(st.floats(0.0, span))
+        length = draw(st.floats(0.0, span))
+        if kind == "zero-length":
+            end = (x, y)
+        elif kind == "zero-width":
+            end, width_mm = (x + length, y - length), 0.0
+        elif kind == "horizontal":
+            end = (x + length, y)
+        elif kind == "vertical":
+            end = (x, y - length)
+        elif kind == "diagonal":
+            end = (x + length, y + draw(st.sampled_from((-1, 1))) * length)
+        elif kind == "grazing":
+            # centres lie at odd multiples of half a pixel; put the
+            # segment half a width away from one of them
+            grid = (math.floor(offset / scale) + 0.5) * scale
+            edge = grid + draw(st.integers(0, 100)) * scale + \
+                draw(st.sampled_from((-0.5, 0.5))) * width_mm
+            if draw(st.booleans()):
+                x, y, end = x, edge, (x + length, edge)
+            else:
+                x, y, end = edge, y, (edge, y + length)
+        else:
+            ang = draw(st.one_of(st.floats(0.0, 2 * math.pi),
+                                 st.sampled_from((1e-9, math.pi / 2 - 1e-9))))
+            end = (x + length * math.cos(ang), y + length * math.sin(ang))
+        traces.append(_trace((x, y), end, width_mm))
+    return traces, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raster_layouts())
+def test_spans_equal_per_pixel_oracle(layout):
+    traces, scale = layout
+    fast = rasterize(traces, scale)
+    slow = _brute_rasterize(traces, scale)
+    assert (fast.width, fast.height) == (slow.width, slow.height)
+    assert fast.origin_mm == slow.origin_mm
+    assert np.array_equal(fast.cells, slow.cells)
+
+
+def test_capsule_row_is_the_exact_crossing():
+    # the span guesses are the row's true crossing, so the per-pixel rule
+    # only confirms them; a wrong guess would stay exact but walk slowly
+    from lmprint.circuit import _point_segment_distance
+    from lmprint.simulator import _capsule_row
+    rng = np.random.default_rng(5)
+    n = 4000
+    r = rng.uniform(0.01, 1.0, n)
+    dx = rng.uniform(-3.0, 3.0, n) * rng.choice((0.0, 1.0, 1.0), n)
+    dy = rng.uniform(-3.0, 3.0, n) * rng.choice((0.0, 1.0, 1.0), n)
+    ry = rng.uniform(-4.0, 4.0, n)
+    lo, hi = _capsule_row(ry, dx, dy, r)
+    for k in range(n):
+        low, high = min(0.0, dy[k]), max(0.0, dy[k])
+        gap = max(low - ry[k], ry[k] - high, 0.0)  # row to segment, in y
+        if gap > r[k]:
+            assert lo[k] > hi[k]
+            continue
+        segment = ((0.0, 0.0), (dx[k], dy[k]))
+        for x, out in ((lo[k], -1.0), (hi[k], 1.0)):
+            assert _point_segment_distance(
+                (x, ry[k]), *segment) == pytest.approx(r[k], rel=1e-9)
+            assert _point_segment_distance(
+                (x + out * 1e-6 * r[k], ry[k]), *segment) > r[k]
 
 
 class TestWidthModelFit:

@@ -157,15 +157,19 @@ def _cmd_plan(args) -> int:
 def _cmd_simulate(args) -> int:
     env, drawing, toolpath = _pipeline(args)
     result = simulate(toolpath, env)
-    report = make_report(drawing=_drawing_section(drawing),
-                         toolpath=_toolpath_section(toolpath, result),
-                         traces=_trace_section(result),
-                         totals=_totals_section(result))
-    _write_bytes(args.out, write_report(report))
+    report = write_report(make_report(
+        drawing=_drawing_section(drawing),
+        toolpath=_toolpath_section(toolpath, result),
+        traces=_trace_section(result),
+        totals=_totals_section(result)))
+    # rasterize before writing anything, so a raster error leaves no report
+    pgm = None
     if args.pgm:
-        image = rasterize(result.traces, args.scale,
-                          max_pixels=env.max_raster_pixels)
-        _write_bytes(args.pgm, write_pgm(image))
+        pgm = write_pgm(rasterize(result.traces, args.scale,
+                                  max_pixels=env.max_raster_pixels))
+    _write_bytes(args.out, report)
+    if pgm is not None:
+        _write_bytes(args.pgm, pgm)
     return 0
 
 

@@ -65,10 +65,6 @@ class VectorDrawing:
                 raise DrawingFormatError(f"pad {name!r}: non-finite coordinate")
         object.__setattr__(self, "bounds", _bounds(strokes))
 
-    @property
-    def n_strokes(self) -> int:
-        return len(self.strokes)
-
     def stroke_vertices(self, index: int) -> tuple[Point, ...]:
         """Vertices of a stroke with the closing vertex appended if closed."""
         s = self.strokes[index]

@@ -13,11 +13,13 @@ Q = kappa_p * w_eff * GW^3 * dP / (12 mu l_eff)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .core import DEFAULT_BEAD, GAIN245, BeadGeometry, InkProperties, dynamic_viscosity
 from .errors import CalibrationError, ConfigError, DomainError
+from .nnls import nnls
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,29 +107,26 @@ def calibrate_flux(observations: Sequence[tuple[FlowConditions, BeadGeometry, fl
 
     Each observation is (conditions, bead, Q in m^3/s). With a single
     observation the underdetermined fit lands exactly on the dominant term.
-    Raises CalibrationError on an empty list or when every observation has
-    a closed gap (nothing identifies the constants).
+    Raises CalibrationError on an empty list, on a non-finite drive or
+    flux, or when every observation has a closed gap (nothing identifies
+    the constants).
     """
     if not observations:
         raise CalibrationError("no observations to calibrate against")
-    import numpy as np
-    from scipy.optimize import nnls
-    rows = []
-    target = []
-    for cond, bead, q in observations:
-        rows.append((pressure_term(bead, ink) * cond.pressure_drop,
-                     couette_term(bead) * abs(cond.omega_y)))
-        target.append(q)
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(target, dtype=float)
-    if not np.any(a):
+    rows = [(pressure_term(bead, ink) * cond.pressure_drop,
+             couette_term(bead) * abs(cond.omega_y), q)
+            for cond, bead, q in observations]
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise CalibrationError("observations must be finite")
+    if not any(p or c for p, c, _ in rows):
         raise CalibrationError("unidentifiable: every observation has zero gap drive")
-    if not np.any((b > 0) & np.any(a > 0, axis=1)):
+    if not any(q > 0 and (p > 0 or c > 0) for p, c, q in rows):
         raise CalibrationError("need at least one observation with Q > 0 and open gap")
-    x, rnorm = nnls(a, b)
+    pressure, couette, flux = zip(*rows)
+    (kp, kc), rnorm = nnls([pressure, couette], flux)
     return FluxCalibrationResult(
-        params=FluxModelParams(kappa_pressure=float(x[0]), kappa_couette=float(x[1])),
-        residual=float(rnorm),
+        params=FluxModelParams(kappa_pressure=kp, kappa_couette=kc),
+        residual=rnorm,
     )
 
 

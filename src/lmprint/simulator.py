@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
+from .nnls import independent, nnls
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
 from .planner import step_head  # noqa: F401  (re-exported)
 from .raster import RasterImage
@@ -51,10 +52,6 @@ class TraceSegment:
     @property
     def cross_section_m2(self) -> float:
         return self.flux_m3_s / (self.speed_mm_s * 1e-3)
-
-    @property
-    def volume_mm3(self) -> float:
-        return self.flux_m3_s * self.duration_s * 1e9
 
 
 @dataclass(frozen=True)
@@ -339,24 +336,25 @@ def fit_width_model(samples) -> EmpiricalWidthModel:
 
     Least squares in log space with the exponents constrained nonnegative
     (log w = log a + b log F - c log v, solved as NNLS with the intercept
-    split into a +/- pair). Needs at least 3 samples spanning at least 2
-    distinct speeds and 2 distinct pressures, all strictly positive.
+    split into a +/- pair). Needs at least 3 samples, all finite and
+    strictly positive, whose log F and log v are not collinear with each
+    other or with a constant (so at least 2 distinct speeds and pressures).
     """
     samples = [(float(v), float(f), float(w)) for v, f, w in samples]
     if len(samples) < 3:
         raise CalibrationError("width fit needs at least 3 samples")
-    if any(v <= 0 or f <= 0 or w <= 0 for v, f, w in samples):
-        raise CalibrationError("width fit needs positive speeds, pressures "
-                               "and widths (log-space fit)")
-    if len({v for v, _, _ in samples}) < 2:
-        raise CalibrationError("width fit needs at least 2 distinct speeds")
-    if len({f for _, f, _ in samples}) < 2:
-        raise CalibrationError("width fit needs at least 2 distinct pressures")
-    import numpy as np
-    from scipy.optimize import nnls
-    rows = np.array([[1.0, -1.0, math.log(f), -math.log(v)]
-                     for v, f, _ in samples])
-    rhs = np.array([math.log(w) for _, _, w in samples])
-    coef, resid = nnls(rows, rhs)
-    return EmpiricalWidthModel(a=math.exp(coef[0] - coef[1]), b=coef[2],
-                               c=coef[3], residual=float(resid))
+    if not all(0.0 < x < math.inf for sample in samples for x in sample):
+        raise CalibrationError("width fit needs finite positive speeds, "
+                               "pressures and widths (log-space fit)")
+    ones = [1.0] * len(samples)
+    log_f = [math.log(f) for _, f, _ in samples]
+    minus_log_v = [-math.log(v) for v, _, _ in samples]
+    if not independent([ones, log_f, minus_log_v]):
+        raise CalibrationError("width fit needs speeds and pressures that "
+                               "vary independently (1, log F and log v "
+                               "are collinear)")
+    (up, down, b, c), resid = nnls(
+        [ones, [-1.0] * len(samples), log_f, minus_log_v],
+        [math.log(w) for _, _, w in samples])
+    return EmpiricalWidthModel(a=math.exp(up - down), b=b, c=c,
+                               residual=resid)

@@ -151,13 +151,18 @@ def test_calibrate_flux_rejects_bad_columns(run, tmp_path):
     assert rc == 1 and "error:" in err
 
 
-def test_fit_width_golden(run, tmp_path):
+def _write_widths(path):
+    """Widths from w = 3.2e-4 F^0.31 / v^0.47 as a fit-width CSV."""
     rows = ["speed_mm_s,pressure_g,width_m"]
     for v, f in [(10, 50), (20, 100), (40, 200), (80, 400), (160, 100),
                  (5, 300)]:
         rows.append(f"{v},{f},{3.2e-4 * f ** 0.31 / v ** 0.47!r}")
-    path = tmp_path / "widths.csv"
     path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_fit_width_golden(run, tmp_path):
+    path = _write_widths(tmp_path / "widths.csv")
     rc, out, _ = run(["fit-width", "--samples", str(path)])
     assert rc == 0
     lines = out.splitlines()
@@ -165,6 +170,24 @@ def test_fit_width_golden(run, tmp_path):
     assert lines[1] == "b = 0.31"
     assert lines[2] == "c = 0.47"
     assert lines[3].startswith("residual_log = ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag,rows", [
+    ("fit-width", "--samples",
+     ["speed_mm_s,pressure_g,width_m", "10,50,{}", "20,100,1.2e-4",
+      "160,100,6e-5"]),
+    ("calibrate-flux", "--observations",
+     ["pressure_drop_pa,omega_y_rad_s,gap_width_m,flux_mm3_s",
+      "1.0,{},5e-05,0.06"]),
+], ids=["fit-width", "calibrate-flux"])
+def test_non_finite_samples_are_domain_errors(run, tmp_path, command, flag,
+                                              rows, value):
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(rows).format(value) + "\n")
+    rc, out, err = run([command, flag, str(path)])
+    assert rc == 1 and err.startswith("error:") and out == ""
+    assert "finite" in err
 
 
 def test_flux_table_anchor_cell(run):
@@ -269,6 +292,16 @@ def test_simulate_report_and_pgm(run, tmp_path):
     assert pgm_path.read_bytes().startswith(b"P5\n")
 
 
+def test_simulate_raster_error_writes_nothing(run, tmp_path):
+    out_path = tmp_path / "sim.json"
+    pgm_path = tmp_path / "sim.pgm"
+    rc, _, err = run(["simulate", "--drawing", SQUARE, "--speed", "10",
+                      "--pressure", "30", "--out", str(out_path),
+                      "--pgm", str(pgm_path), "--scale", "0.00001"])
+    assert rc == 1 and err.startswith("error: raster")
+    assert not out_path.exists() and not pgm_path.exists()
+
+
 def test_render_writes_pgm(run, tmp_path):
     pgm_path = tmp_path / "img.pgm"
     rc, _, _ = run(["render", "--drawing", SQUARE, "--speed", "10",
@@ -356,8 +389,8 @@ def test_non_finite_angle_table_is_domain_error(run, tmp_path, table):
     assert not out_path.exists()
 
 
-# plan and check run in a fresh interpreter, so the modules they load are
-# those of one CLI call and not of the rest of the test session
+# plan, check and both fits run in a fresh interpreter, so the modules they
+# load are those of these CLI calls and not of the rest of the test session
 _IMPORT_PROBE = """
 import sys
 def heavy(*roots):
@@ -370,17 +403,24 @@ pipeline = ["--drawing", "samples/grid-antenna.json", "--speed", "10",
 assert main(["plan", *pipeline, "--out", sys.argv[1]]) == 0
 assert main(["check", *pipeline, "--pairs", "feed:tip",
              "--out", sys.argv[2]]) == 0
-print(heavy("numpy"))
+assert main(["calibrate-flux", "--anchor"]) == 0
+assert main(["fit-width", "--samples", sys.argv[3]]) == 0
+print(heavy("numpy", "scipy"))
 """
 
 
 def test_plan_and_check_load_no_numpy_or_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-W", "ignore::UserWarning", "-c", _IMPORT_PROBE,
-         str(tmp_path / "plan.json"), str(tmp_path / "check.json")],
+         str(tmp_path / "plan.json"), str(tmp_path / "check.json"),
+         str(_write_widths(tmp_path / "widths.csv"))],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    lines = proc.stdout.splitlines()
+    assert lines[1:4] == ["kappa_pressure = 0", "kappa_couette = 0.227277589",
+                          "residual_m3_s = 0"]
+    assert lines[4:7] == ["a = 0.00032", "b = 0.31", "c = 0.47"]
+    assert [lines[0], lines[-1]] == ["[]", "[]"]
 
 
 def test_config_file_changes_environment(run, tmp_path):

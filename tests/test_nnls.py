@@ -1,0 +1,130 @@
+"""The pure-Python Lawson-Hanson solver against scipy's, on the shapes of
+both calibration fits."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
+
+from lmprint import fit_width_model
+from lmprint.nnls import independent, nnls
+
+
+def _scipy(columns, b):
+    x, rnorm = scipy_nnls(np.array(columns, dtype=float).T,
+                          np.array(b, dtype=float))
+    return [float(v) for v in x], float(rnorm)
+
+
+def _assert_same_residual(rnorm, ref_rnorm, b):
+    # rounding leaves an exact fit about 1e-16 of |b|
+    assert abs(rnorm - ref_rnorm) <= 1e-9 * ref_rnorm + 1e-13 * math.hypot(*b)
+
+
+def _stable(columns, b, x, constrained):
+    """Whether the problem has a well-conditioned full column rank and every
+    constrained coefficient of the solution x is clearly positive or
+    clearly held at zero, so rounding cannot move which ones are zero."""
+    a = np.array(columns, dtype=float).T
+    norms = np.linalg.norm(a, axis=0)
+    if a.shape[0] < a.shape[1] or not norms.all() or \
+            np.linalg.cond(a / norms) > 1e3:
+        return False
+    grad = a.T @ (np.asarray(b) - a @ np.asarray(x))
+    scale = np.linalg.norm(b)
+    return all(x[j] * norms[j] > 1e-4 * scale if x[j] > 0.0
+               else grad[j] < -1e-4 * norms[j] * scale
+               for j in constrained)
+
+
+@st.composite
+def flux_problems(draw):
+    """Two columns >= 0 at scales 1e-20 to 1e-8, as the flux fit builds
+    them, and fluxes from constants of either sign plus noise."""
+    m = draw(st.integers(1, 12))
+    scales = [10.0 ** draw(st.floats(-20.0, -8.0)) for _ in range(2)]
+    columns = [[s * draw(st.floats(0.0, 1.0)) for _ in range(m)]
+               for s in scales]
+    kappa = [draw(st.floats(-1.0, 1.0)) for _ in range(2)]
+    b = [kappa[0] * p + kappa[1] * c + 0.1 * max(scales) * draw(
+        st.floats(-1.0, 1.0)) for p, c in zip(*columns)]
+    return columns, b
+
+
+@st.composite
+def width_samples(draw):
+    """(speed, pressure, width) samples from a power law whose exponents
+    may have either sign, with noise."""
+    m = draw(st.integers(3, 12))
+    log_a = draw(st.floats(-12.0, -4.0))
+    b, c = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    samples = []
+    for _ in range(m):
+        v, f = draw(st.floats(1.0, 400.0)), draw(st.floats(1.0, 800.0))
+        noise = draw(st.floats(-0.2, 0.2))
+        samples.append((v, f, math.exp(log_a + noise) * f ** b / v ** c))
+    return samples
+
+
+@settings(max_examples=400, deadline=None)
+@given(flux_problems())
+@example(([[0.0], [8.724484470149369e-177]], [1e-09]))  # |v|^2 underflows
+def test_flux_shaped_matches_scipy(problem):
+    columns, b = problem
+    x, rnorm = nnls(columns, b)
+    ref, ref_rnorm = _scipy(columns, b)
+    _assert_same_residual(rnorm, ref_rnorm, b)
+    assert all(type(v) is float and v >= 0.0 for v in x)
+    if _stable(columns, b, ref, constrained=(0, 1)):
+        assert [v == 0.0 for v in x] == [v == 0.0 for v in ref]
+        assert x == pytest.approx(ref, rel=1e-8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(width_samples())
+# adding the intercept makes both exponents negative; dropping both at once
+# instead of stepping to the first one that reaches zero empties the fit
+@example([(379.0, 657.0, 9.2), (161.0, 207.0, 1.27), (252.0, 362.0, 3.66)])
+def test_width_shaped_matches_scipy(samples):
+    ones = [1.0] * len(samples)
+    log_f = [math.log(f) for _, f, _ in samples]
+    minus_log_v = [-math.log(v) for v, _, _ in samples]
+    columns = [ones, [-1.0] * len(samples), log_f, minus_log_v]
+    b = [math.log(w) for _, _, w in samples]
+    x, rnorm = nnls(columns, b)
+    ref, ref_rnorm = _scipy(columns, b)
+    _assert_same_residual(rnorm, ref_rnorm, b)
+    ref_abc = [ref[0] - ref[1], ref[2], ref[3]]
+    if _stable([ones, log_f, minus_log_v], b, ref_abc, constrained=(1, 2)):
+        model = fit_width_model(samples)
+        assert model.residual == rnorm
+        assert model.a == pytest.approx(math.exp(ref_abc[0]), rel=1e-8)
+        assert [model.b == 0.0, model.c == 0.0] == \
+            [ref[2] == 0.0, ref[3] == 0.0]
+        assert [model.b, model.c] == pytest.approx(ref_abc[1:], rel=1e-8)
+
+
+def test_worked_cases():
+    # scipy's documented examples: an interior optimum and a clamped one
+    x, rnorm = nnls([[1, 1, 0], [0, 0, 1]], [2, 1, 1])
+    assert x == pytest.approx([1.5, 1.0], rel=1e-15)
+    assert rnorm == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert nnls([[1, 1, 0], [0, 0, 1]], [-1, -1, -1]) == \
+        ([0.0, 0.0], math.sqrt(3.0))
+    # one row: the column with the larger gradient takes the fit, and the
+    # residual is the empty tail of Q^T b
+    x, rnorm = nnls([[1e-11], [3e-10]], [6e-11])
+    assert x[0] == 0.0 and x[1] == pytest.approx(0.2, rel=1e-15)
+    assert rnorm == 0.0
+
+
+def test_independent():
+    assert independent([[1.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
+    assert not independent([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    assert not independent([[1.0, 2.0], [0.0, 1.0], [5.0, 1.0]])  # 3 in 2-D
+    logs = [[1.0] * 3, [math.log(f) for f in (50, 100, 200)],
+            [-math.log(v) for v in (10, 20, 40)]]  # F = 5 v
+    assert not independent(logs)

@@ -386,6 +386,7 @@ class TestWidthModelFit:
     def test_recovers_generating_law(self):
         a, b, c = 3.2e-4, 0.31, 0.47
         model = fit_width_model(self._samples(a, b, c))
+        assert type(model.b) is float and type(model.c) is float
         assert model.a == pytest.approx(a, rel=1e-6)
         assert model.b == pytest.approx(b, rel=1e-6)
         assert model.c == pytest.approx(c, rel=1e-6)
@@ -422,6 +423,9 @@ class TestWidthModelFit:
             fit_width_model(same_force)
         with pytest.raises(CalibrationError):
             fit_width_model(good[:-1] + [(40.0, 94.0, -1e-5)])
+        with pytest.raises(CalibrationError):  # F = 5 v: log F, log v collinear
+            fit_width_model([(10, 50, 1e-4), (20, 100, 1.2e-4),
+                             (40, 200, 1.5e-4)])
 
     def test_model_validation(self):
         with pytest.raises(CalibrationError):

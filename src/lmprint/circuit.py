@@ -9,10 +9,13 @@ each segment as a uniform conductor of its simulated cross-section.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CircuitError, ConfigError, UnknownPadError
 
@@ -65,13 +68,19 @@ def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
 
 
+def _outline_gap(t1, t2) -> tuple[float, Point, Point]:
+    """Outline gap of two trace segments in mm, with the closest points
+    of their centrelines."""
+    d, p1, p2 = _closest_points(t1.start, t1.end, t2.start, t2.end)
+    return d - 0.5e3 * (t1.width_m + t2.width_m), p1, p2
+
+
 def outline_clearance(t1, t2) -> float:
     """Gap between the stroked outlines of two trace segments, in mm.
 
     Negative values mean the outlines overlap.
     """
-    d, _, _ = _closest_points(t1.start, t1.end, t2.start, t2.end)
-    return d - 0.5e3 * (t1.width_m + t2.width_m)
+    return _outline_gap(t1, t2)[0]
 
 
 def segments_touch(t1, t2, tolerance: float) -> bool:
@@ -89,60 +98,115 @@ def _capsules(traces) -> list[tuple[Point, Point, float]]:
     return capsules
 
 
-def _candidate_pairs(capsules, reach: float) -> list[tuple[int, int]]:
+def _cell_size(capsules, reach: float) -> float:
+    """Grid cell of the broad phase: the largest half width plus half the
+    reach, never below a quarter of the mean capsule length."""
+    lengths = sum(math.hypot(b[0] - a[0], b[1] - a[1])
+                  for a, b, _ in capsules)
+    # zero only for bare points with no reach, where any cell will do
+    return max(max(hw for _, _, hw in capsules) + 0.5 * reach,
+               lengths / (4 * len(capsules))) or 1.0
+
+
+def _candidate_pairs(capsules, reach: float,
+                     points=()) -> list[tuple[int, int]]:
     """Sorted pairs (i, j), i < j, whose outlines may come within reach.
 
     Uniform-grid broad phase (Ericson, Real-Time Collision Detection,
-    2004, ch. 7). Each capsule is cut into pieces no longer than a cell;
-    each piece's bounding box, grown by the capsule's half width, half the
-    reach and a rounding margin, is entered in every cell it covers. Two
-    outlines within reach of each other have pieces whose grown boxes
-    overlap, so they share a cell and the pair is a candidate; the caller
+    2004, ch. 7). Each capsule is entered row by row. Its outline is
+    grown by half the reach and a rounding margin; in every row of cells
+    the grown outline meets, the part of the centreline within that
+    distance of the row spans an x interval, and the capsule is entered in
+    the cells of that interval widened by the same distance. Two outlines
+    within reach of each other both reach a point midway across their
+    gap, so they share its cell and the pair is a candidate; the caller
     decides each candidate with the exact distance.
 
     The cell is the largest half width plus half the reach, so a grown
-    piece spans about three cells a side at most. It is never below a
-    quarter of the mean capsule length, which caps the pieces at five per
-    capsule on average when widths are tiny next to lengths.
+    row band is about three cells high at most. It is never below a
+    quarter of the mean capsule length, so the mean capsule crosses a few
+    cells a side at most when widths are tiny next to lengths.
+
+    points join the grid as zero-width capsules numbered after the
+    capsules. They never set the cell: a pad is a point, and counting it
+    as a zero-length capsule would shrink the cell and multiply the cells
+    every long capsule is entered in. Pairs of two points are left out.
     """
     n = len(capsules)
-    if n < 2:
+    if not capsules or n + len(points) < 2:
         return []
-    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b, _ in capsules]
-    # zero only for bare points with no reach, where any cell will do
-    cell = max(max(hw for _, _, hw in capsules) + 0.5 * reach,
-               sum(lengths) / (4 * n)) or 1.0
+    cell = _cell_size(capsules, reach)
+    items = list(capsules) + [(p, p, 0.0) for p in points]
     extent = max(max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-                 for a, b, _ in capsules)
+                 for a, b, _ in items)
     margin = 1e-9 * (extent + cell)
+    floor = math.floor
     grid: dict[tuple[int, int], list[int]] = {}
-    for i, ((x0, y0), (x1, y1), hw) in enumerate(capsules):
+    for i, ((x0, y0), (x1, y1), hw) in enumerate(items):
         grow = hw + 0.5 * reach + margin
-        pieces = max(1, math.ceil(lengths[i] / cell))
-        cells = set()
-        ax, ay = x0, y0
-        for k in range(1, pieces + 1):
-            if k == pieces:
-                bx, by = x1, y1
+        if y0 > y1:
+            x0, y0, x1, y1 = x1, y1, x0, y0
+        dx, dy = x1 - x0, y1 - y0
+        for cy in range(floor((y0 - grow) / cell),
+                        floor((y1 + grow) / cell) + 1):
+            if dy > 0.0:
+                # the centreline's x at the grown band's edges, clamped
+                # to the segment's ends
+                low = cy * cell - grow - y0
+                xa = x0 + dx * min(1.0, max(0.0, low / dy))
+                xb = x0 + dx * min(1.0, max(0.0, (low + cell + 2.0 * grow)
+                                            / dy))
             else:
-                f = k / pieces
-                bx, by = x0 + f * (x1 - x0), y0 + f * (y1 - y0)
-            cx0 = math.floor((min(ax, bx) - grow) / cell)
-            cx1 = math.floor((max(ax, bx) + grow) / cell)
-            cy0 = math.floor((min(ay, by) - grow) / cell)
-            cy1 = math.floor((max(ay, by) + grow) / cell)
-            cells.update((cx, cy) for cx in range(cx0, cx1 + 1)
-                         for cy in range(cy0, cy1 + 1))
-            ax, ay = bx, by
-        for key in cells:
-            grid.setdefault(key, []).append(i)
+                xa, xb = x0, x1
+            for cx in range(floor((min(xa, xb) - grow) / cell),
+                            floor((max(xa, xb) + grow) / cell) + 1):
+                grid.setdefault((cx, cy), []).append(i)
     pairs = set()
     for members in grid.values():
-        # members were appended in increasing index order
-        for x, i in enumerate(members):
-            for j in members[x + 1:]:
-                pairs.add((i, j))
+        if len(members) < 2:
+            continue
+        # members were appended in increasing index order, so the
+        # segments come first and the points after them
+        split = bisect.bisect_left(members, n)
+        segments = members[:split]
+        pairs.update(itertools.combinations(segments, 2))
+        pairs.update(itertools.product(segments, members[split:]))
     return sorted(pairs)
+
+
+class Contact(NamedTuple):
+    """Two trace segments whose stroked outlines come within a reach.
+
+    gap is the outline gap in mm, negative where the outlines overlap;
+    point_i and point_j are the closest points of the two centrelines.
+    """
+
+    i: int
+    j: int
+    gap: float
+    point_i: Point
+    point_j: Point
+
+
+def _contacts(traces, reach: float, points=()):
+    """The contact pass: one broad phase, one exact distance per pair.
+
+    Returns the contacts (i, j), i < j, in sorted order, of every segment
+    pair whose outline gap is at most reach, and the candidate pairs
+    (segment, point index) of the points, which the caller decides.
+    """
+    capsules = _capsules(traces)
+    n = len(capsules)
+    contacts = []
+    near_points = []
+    for i, j in _candidate_pairs(capsules, reach, points):
+        if j >= n:
+            near_points.append((i, j - n))
+            continue
+        gap, pi, pj = _outline_gap(traces[i], traces[j])
+        if gap <= reach:
+            contacts.append(Contact(i, j, gap, pi, pj))
+    return contacts, near_points
 
 
 @dataclass(frozen=True)
@@ -169,8 +233,19 @@ class Net:
 
 @dataclass(frozen=True)
 class CircuitNets:
+    """Nets, and the contacts of the pass that found them.
+
+    contacts lists every segment pair whose outline gap is at most
+    contact_reach, the larger of the touch tolerance and the clearance
+    the nets were extracted for; drc reads them instead of a second pass
+    when its traces are the ones kept here.
+    """
+
     nets: tuple[Net, ...]
     touch_tolerance: float
+    contact_reach: float = 0.0
+    contacts: tuple[Contact, ...] = ()
+    traces: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _by_segment(self) -> dict[int, Net]:
@@ -219,35 +294,41 @@ class _UnionFind:
 
 
 def extract_nets(traces, touch_tolerance: float,
-                 pads: dict[str, Point] | None = None) -> CircuitNets:
+                 pads: dict[str, Point] | None = None, *,
+                 clearance: float = 0.0) -> CircuitNets:
     """Partition trace segments into nets by outline touch.
 
     Net ids are assigned in order of each net's lowest member index, so
     the result is deterministic and invariant to how unions are
     discovered. A pad belongs to a net when it lies within the tolerance
-    of a member segment's stroked outline.
+    of a member segment's stroked outline. The contacts are kept up to
+    the larger of the tolerance and clearance, so a drc at a minimum
+    clearance up to that needs no pass of its own.
     """
     if not 0.0 <= touch_tolerance < math.inf:
         raise ConfigError("touch tolerance must be finite and >= 0")
+    if not 0.0 <= clearance < math.inf:
+        raise ConfigError("clearance must be finite and >= 0")
     traces = tuple(traces)
     n = len(traces)
     pad_items = sorted((pads or {}).items())
-    # pads join the broad phase as zero-width points, so each pad is
-    # tested only against the segments near it
-    capsules = _capsules(traces) + [(p, p, 0.0) for _, p in pad_items]
+    reach = max(touch_tolerance, clearance)
+    # pads join the broad phase as points, so each pad is tested only
+    # against the segments near it
+    contacts, near_pads = _contacts(traces, reach,
+                                    [p for _, p in pad_items])
     uf = _UnionFind(n)
     edges = []
+    for c in contacts:
+        if c.gap <= touch_tolerance:
+            uf.union(c.i, c.j)
+            edges.append((c.i, c.j))
     pad_hits: list[list[int]] = [[] for _ in pad_items]
-    for i, j in _candidate_pairs(capsules, touch_tolerance):
-        if j < n:
-            if segments_touch(traces[i], traces[j], touch_tolerance):
-                uf.union(i, j)
-                edges.append((i, j))
-        elif i < n:
-            point = pad_items[j - n][1]
-            if (_point_segment_distance(point, traces[i].start, traces[i].end)
-                    <= 0.5e3 * traces[i].width_m + touch_tolerance):
-                pad_hits[j - n].append(i)
+    for i, k in near_pads:
+        if (_point_segment_distance(pad_items[k][1], traces[i].start,
+                                    traces[i].end)
+                <= 0.5e3 * traces[i].width_m + touch_tolerance):
+            pad_hits[k].append(i)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
@@ -271,7 +352,9 @@ def extract_nets(traces, touch_tolerance: float,
             pads=tuple(name for name, _ in touching[nid]),
             edges=tuple(net_edges[nid]), pad_segments=tuple(touching[nid]))
         for nid, seg_ids in enumerate(members))
-    return CircuitNets(nets=nets, touch_tolerance=touch_tolerance)
+    return CircuitNets(nets=nets, touch_tolerance=touch_tolerance,
+                       contact_reach=reach, contacts=tuple(contacts),
+                       traces=traces)
 
 
 def check_connectivity(nets: CircuitNets,
@@ -364,8 +447,11 @@ def drc(traces, min_width: float, min_clearance: float,
     Width violations flag individual segments narrower than min_width.
     Clearance violations flag pairs of segments on distinct nets whose
     stroked outlines come closer than min_clearance (short risk); nets
-    must hold every segment, or CircuitError is raised. Violations are
-    sorted by location for deterministic output.
+    must hold every segment, or CircuitError is raised. The pairs come
+    from the contacts kept on nets when they were extracted from these
+    traces at a reach of at least min_clearance, else from a contact pass
+    of drc's own. Violations are sorted by location for deterministic
+    output.
     """
     if not (0.0 < min_width < math.inf and 0.0 < min_clearance < math.inf):
         raise ConfigError("DRC limits must be finite and > 0")
@@ -379,13 +465,12 @@ def drc(traces, min_width: float, min_clearance: float,
             violations.append(DrcViolation(kind="min-width", location=mid,
                                            measured=width_mm,
                                            limit=min_width))
-    for i, j in _candidate_pairs(_capsules(traces), min_clearance):
-        if net_ids[i] == net_ids[j]:
-            continue
-        d, pi, pj = _closest_points(traces[i].start, traces[i].end,
-                                    traces[j].start, traces[j].end)
-        gap = d - 0.5e3 * (traces[i].width_m + traces[j].width_m)
-        if gap < min_clearance:
+    if nets.contact_reach >= min_clearance and nets.traces == traces:
+        contacts = nets.contacts
+    else:
+        contacts, _ = _contacts(traces, min_clearance)
+    for i, j, gap, pi, pj in contacts:
+        if gap < min_clearance and net_ids[i] != net_ids[j]:
             loc = ((pi[0] + pj[0]) / 2.0, (pi[1] + pj[1]) / 2.0)
             violations.append(DrcViolation(kind="clearance-short-risk",
                                            location=loc, measured=gap,

@@ -198,7 +198,9 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
 def _cmd_check(args) -> int:
     env, drawing, toolpath = _pipeline(args)
     result = simulate(toolpath, env)
-    nets = extract_nets(result.traces, args.tolerance, pads=drawing.pads)
+    # one contact pass serves the nets and the DRC below
+    nets = extract_nets(result.traces, args.tolerance, pads=drawing.pads,
+                        clearance=args.min_clearance)
     checks: dict = {
         "touch_tolerance_mm": args.tolerance,
         "nets": [
@@ -323,13 +325,16 @@ def _cmd_line_width(args) -> int:
     q_m3_s = args.q_mm3s * 1e-9
     v_m_s = args.v_mms * 1e-3
     if args.sweep:
-        print("theta_deg,width_um")
+        # every row is computed before any is printed, so a bad input
+        # prints nothing but the error
+        rows = ["theta_deg,width_um"]
         n = args.steps
         lo, hi = args.theta_min, args.theta_max
         for k in range(n):
             theta_deg = lo + (hi - lo) * k / (n - 1) if n > 1 else lo
             est = stable_line_width(math.radians(theta_deg), q_m3_s, v_m_s)
-            print(f"{_g(theta_deg)},{_g(est.width * 1e6)}")
+            rows.append(f"{_g(theta_deg)},{_g(est.width * 1e6)}")
+        print("\n".join(rows))
         return 0
     est = stable_line_width(math.radians(args.theta_deg), q_m3_s, v_m_s)
     print(f"width_um = {_g(est.width * 1e6)}")

@@ -30,8 +30,10 @@ class ContactLoad:
     tangential_angle: float = 0.0
 
     def __post_init__(self):
-        if self.force < 0:
-            raise ConfigError("contact force must be >= 0")
+        if not 0.0 <= self.force < math.inf:
+            raise ConfigError("contact force must be finite and >= 0")
+        if not math.isfinite(self.tangential_angle):
+            raise ConfigError("tangential_angle must be finite")
         if not (0.0 <= self.normal_angle < math.pi / 2):
             raise ConfigError("normal_angle must be in [0, pi/2)")
 

@@ -41,11 +41,13 @@ class FlowConditions:
     head_velocity: float = 0.0
 
     def __post_init__(self):
-        if self.pressure_drop < 0:
-            raise ConfigError("pressure_drop must be >= 0")
+        if not 0.0 <= self.pressure_drop < math.inf:
+            raise ConfigError("pressure_drop must be finite and >= 0")
         rot = tuple(float(w) for w in self.rotation)
         if len(rot) != 3:
             raise ConfigError("rotation must have three components")
+        if not all(math.isfinite(w) for w in (*rot, self.head_velocity)):
+            raise ConfigError("rotation and head_velocity must be finite")
         object.__setattr__(self, "rotation", rot)
 
     @property
@@ -170,6 +172,6 @@ def flux_table(pressures: Sequence[float], gap_widths: Sequence[float],
 
 def cross_section_area(flux: float, print_speed: float) -> float:
     """Cross-section area (m^2) of the deposited line: A = Q / Vs."""
-    if print_speed <= 0:
-        raise DomainError("print speed must be > 0")
+    if not 0.0 < print_speed < math.inf:
+        raise DomainError("print speed must be finite and > 0")
     return flux / print_speed

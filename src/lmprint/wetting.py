@@ -79,8 +79,8 @@ def stable_line_width(theta: float, flux: float, print_speed: float) -> LineEsti
     """
     if not (0.0 < theta <= math.pi):
         raise WettingDomainError(f"contact angle {theta:g} rad outside (0, pi]")
-    if flux < 0:
-        raise WettingDomainError("flux must be >= 0")
+    if not 0.0 <= flux < math.inf:
+        raise WettingDomainError("flux must be finite and >= 0")
     area = cross_section_area(flux, print_speed)
     denom = theta - math.sin(theta) * math.cos(theta)
     width = 2.0 * math.sin(theta) / math.sqrt(denom) * math.sqrt(area)

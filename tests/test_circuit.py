@@ -2,20 +2,23 @@
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.ndimage
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmprint import MachineSettings, extract_nets, get_sample, plan, \
     rasterize, simulate
-from lmprint.circuit import CircuitNets, DrcResult, DrcViolation, Net, \
-    ResistanceEstimate, _candidate_pairs, _capsules, _closest_points, \
+from lmprint import circuit
+from lmprint.circuit import CircuitNets, Contact, DrcResult, DrcViolation, \
+    Net, ResistanceEstimate, _candidate_pairs, _capsules, _closest_points, \
     _point_segment_distance, _segment_resistance, _UnionFind, \
     check_connectivity, drc, estimate_resistance, outline_clearance, \
     segments_touch
+from lmprint.cli import main
 from lmprint.errors import CircuitError, ConfigError, UnknownPadError
 from lmprint.simulator import TraceSegment
 
@@ -38,15 +41,23 @@ def _flood_count(traces, scale):
 # --- all-pairs oracles: the obvious quadratic versions of the fast paths
 
 
-def _brute_nets(traces, touch_tolerance, pads=None) -> CircuitNets:
+def _brute_nets(traces, touch_tolerance, pads=None,
+                clearance=0.0) -> CircuitNets:
     traces = tuple(traces)
     uf = _UnionFind(len(traces))
     edges = []
+    contacts = []
+    reach = max(touch_tolerance, clearance)
     for i in range(len(traces)):
         for j in range(i + 1, len(traces)):
             if segments_touch(traces[i], traces[j], touch_tolerance):
                 uf.union(i, j)
                 edges.append((i, j))
+            d, pi, pj = _closest_points(traces[i].start, traces[i].end,
+                                        traces[j].start, traces[j].end)
+            gap = d - 0.5e3 * (traces[i].width_m + traces[j].width_m)
+            if gap <= reach:
+                contacts.append(Contact(i, j, gap, pi, pj))
     groups: dict[int, list[int]] = {}
     for i in range(len(traces)):
         groups.setdefault(uf.find(i), []).append(i)
@@ -67,7 +78,8 @@ def _brute_nets(traces, touch_tolerance, pads=None) -> CircuitNets:
                         pads=tuple(name for name, _ in touching),
                         edges=tuple(e for e in edges if e[0] in seg_ids),
                         pad_segments=tuple(touching)))
-    return CircuitNets(nets=tuple(nets), touch_tolerance=touch_tolerance)
+    return CircuitNets(nets=tuple(nets), touch_tolerance=touch_tolerance,
+                       contact_reach=reach, contacts=tuple(contacts))
 
 
 def _brute_drc(traces, min_width, min_clearance, nets) -> DrcResult:
@@ -446,8 +458,8 @@ def test_random_layouts_match_flood_fill():
 # --- fast paths against the all-pairs oracles
 
 WIDTHS_MM = (0.005, 0.05, 0.5)      # 100x apart
-TOLERANCES_MM = (0.0, 0.02, 0.1)
-CLEARANCES_MM = (0.05, 0.1, 0.3)
+TOLERANCES_MM = (0.0, 0.02, 0.1, 0.3)
+CLEARANCES_MM = (0.05, 0.1, 0.3)    # tolerance <, = and > clearance
 
 
 @st.composite
@@ -455,17 +467,20 @@ def _layouts(draw):
     """Traces, pads and limits with the cases a grid could get wrong.
 
     Zero-length and duplicate segments, long diagonals across many cells,
-    widths 100x apart, coordinates offset by 1e4 mm and parallel pairs
-    whose outline gap is computed as exactly the tolerance or clearance.
-    Chains continue from the last trace's end, so nets have branches and
-    pads sit on multi-segment nets.
+    slivers that rise a few ulps over their length, widths 100x apart,
+    coordinates offset by 1e4 mm and parallel pairs, across or along the
+    rows, whose outline gap is computed as exactly the tolerance or
+    clearance. The tolerance and clearance are drawn apart, so either may
+    be the larger. Chains continue from the last trace's end, so nets
+    have branches and pads sit on multi-segment nets.
     """
     offset = draw(st.sampled_from((0.0, 1e4)))
     tolerance = draw(st.sampled_from(TOLERANCES_MM))
     clearance = draw(st.sampled_from(CLEARANCES_MM))
     coord = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
     traces = []
-    kinds = ("segment", "chain", "point", "duplicate", "diagonal", "gap")
+    kinds = ("segment", "chain", "point", "duplicate", "diagonal", "sliver",
+             "gap")
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
                               max_size=12)):
         w = draw(st.sampled_from(WIDTHS_MM))
@@ -482,6 +497,10 @@ def _layouts(draw):
             traces.append(_trace((x, y), (x + length * math.cos(ang),
                                           y + length * math.sin(ang)),
                                  width_mm=w))
+        elif kind == "sliver":
+            rise = draw(st.sampled_from((5e-324, 1e-300, 1e-15, 1e-9)))
+            traces.append(_trace((x, y), (x + draw(coord), y + rise),
+                                 width_mm=w))
         elif kind == "gap":
             w2 = draw(st.sampled_from(WIDTHS_MM))
             reach = draw(st.sampled_from((tolerance, clearance)))
@@ -489,9 +508,14 @@ def _layouts(draw):
             second = _trace((x, y), (x + draw(coord), y), width_mm=w2)
             rise = 0.5e3 * (first.width_m + second.width_m) + reach
             shift = draw(st.floats(-5.0, 5.0))
-            traces += [first, _trace((x + shift, y + rise),
-                                     (second.end[0] + shift, y + rise),
-                                     width_mm=w2)]
+            pair = [first, _trace((x + shift, y + rise),
+                                  (second.end[0] + shift, y + rise),
+                                  width_mm=w2)]
+            if draw(st.booleans()):
+                # the same pair along a column: swap x and y
+                pair = [replace(t, start=t.start[::-1], end=t.end[::-1])
+                        for t in pair]
+            traces += pair
         else:
             traces.append(_trace((x, y), (x + draw(st.floats(-5.0, 5.0)),
                                           y + draw(st.floats(-5.0, 5.0))),
@@ -520,14 +544,29 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _parallel(width_mm, rise):
+    return [_trace((0.0, 0.0), (1.0, 0.0), width_mm=width_mm),
+            _trace((0.0, rise), (1.0, rise), width_mm=width_mm)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_layouts())
+# outline gaps computed as exactly the clearance (tolerance below it), the
+# tolerance (above the clearance) and both at once
+@example((_parallel(0.005, 0.055), {"P0": (0.0, 0.0)}, 0.0, 0.05))
+@example((_parallel(0.05, 0.35), {"P0": (1.0, 0.35)}, 0.3, 0.1))
+@example((_parallel(0.005, 0.055), {}, 0.05, 0.05))
 def test_grid_paths_equal_all_pairs_oracles(layout):
     traces, pads, tolerance, clearance = layout
-    nets = extract_nets(traces, tolerance, pads=pads)
-    assert nets == _brute_nets(traces, tolerance, pads)
-    assert drc(traces, 0.1, clearance, nets) == \
-        _brute_drc(traces, 0.1, clearance, nets)
+    # one contact pass serves nets and DRC, as in check
+    nets = extract_nets(traces, tolerance, pads=pads, clearance=clearance)
+    assert nets == _brute_nets(traces, tolerance, pads, clearance)
+    expected = _brute_drc(traces, 0.1, clearance, nets)
+    assert drc(traces, 0.1, clearance, nets) == expected
+    # nets kept to the tolerance alone: drc makes its own pass
+    alone = extract_nets(traces, tolerance, pads=pads)
+    assert alone == _brute_nets(traces, tolerance, pads)
+    assert drc(traces, 0.1, clearance, alone) == expected
     for a in sorted(pads):
         for b in sorted(pads):
             net = _outcome(nets.net_of_pad, a)
@@ -536,6 +575,44 @@ def test_grid_paths_equal_all_pairs_oracles(layout):
             assert _outcome(estimate_resistance, net, a, b, 1e-7, traces) \
                 == _outcome(_brute_resistance, net, a, b, 1e-7, traces,
                             tolerance)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(w_a=st.sampled_from(WIDTHS_MM), w_b=st.sampled_from(WIDTHS_MM),
+       reach=st.sampled_from(TOLERANCES_MM), x=st.floats(0.0, 10.0),
+       y=st.floats(0.0, 10.0), theta=st.floats(0.0, 2 * math.pi),
+       length=st.floats(0.1, 20.0), s=st.floats(0.0, 1.0),
+       side=st.sampled_from((-1.0, 1.0)), turn=st.floats(0.1, 3.0),
+       b_len=st.floats(0.0, 10.0), filler_len=st.floats(0.0, 80.0))
+# a shallow segment whose contact lies just above a cell row's top edge
+@example(w_a=0.005, w_b=0.005, reach=0.0, x=0.0, y=0.0, theta=0.015625,
+         length=1.0, s=0.1015625, side=-1.0, turn=1.0, b_len=0.0,
+         filler_len=0.0)
+def test_broad_phase_keeps_every_pair_within_reach(
+        w_a, w_b, reach, x, y, theta, length, s, side, turn, b_len,
+        filler_len):
+    """A segment end, and a pad, placed just at reach of segment a.
+
+    The closest approach is one point of a, at any slope and any place
+    against the cell rows. A far filler segment moves the cell size.
+    """
+    a = _trace((x, y), (x + length * math.cos(theta),
+                        y + length * math.sin(theta)), width_mm=w_a)
+    nx, ny = -side * math.sin(theta), side * math.cos(theta)
+    px = a.start[0] + s * (a.end[0] - a.start[0])
+    py = a.start[1] + s * (a.end[1] - a.start[1])
+    rise = 0.5 * (w_a + w_b) + reach
+    b0 = (px + rise * nx, py + rise * ny)
+    phi = theta + side * turn          # b leaves a on the far side
+    b = _trace(b0, (b0[0] + b_len * math.cos(phi),
+                    b0[1] + b_len * math.sin(phi)), width_mm=w_b)
+    filler = _trace((1e3, 1e3), (1e3 + filler_len, 1e3))
+    pad = (px + (0.5 * w_a + reach) * nx, py + (0.5 * w_a + reach) * ny)
+    pairs = _candidate_pairs(_capsules([a, b, filler]), reach, [pad])
+    if outline_clearance(a, b) <= reach:
+        assert (0, 1) in pairs
+    if _point_segment_distance(pad, a.start, a.end) <= 0.5 * w_a + reach:
+        assert (0, 3) in pairs
 
 
 # --- scaling: candidate pairs grow with the segment count, not its square
@@ -583,11 +660,64 @@ def test_large_layouts_stay_linear(traces, net_count, edge_count,
     assert all(v.kind == "clearance-short-risk" for v in result.violations)
 
 
+def test_pads_leave_the_grid_unchanged(monkeypatch):
+    traces = _bus(1000)
+    capsules = _capsules(traces)
+    pads = [p for t in traces[::2] for p in (t.start, t.end)]
+    assert len(pads) == 1000
+    cells = []
+    real = circuit._cell_size
+
+    def recorded(*args):
+        cells.append(real(*args))
+        return cells[-1]
+    monkeypatch.setattr(circuit, "_cell_size", recorded)
+    bare = _candidate_pairs(capsules, 0.1)
+    padded = _candidate_pairs(capsules, 0.1, pads)
+    assert len(cells) == 2 and cells[0] == cells[1]
+    n = len(traces)
+    assert [(i, j) for i, j in padded if j < n] == bare
+    assert len(padded) > len(bare)      # the pads did join the grid
+
+
+@pytest.mark.parametrize("extra, reach", [
+    ([], 0.1),
+    (["--tolerance", "0.3"], 0.3),
+    (["--min-clearance", "0.2", "--tolerance", "0.05"], 0.2),
+])
+def test_check_makes_one_contact_pass(monkeypatch, tmp_path, extra, reach):
+    reaches = []
+    real = circuit._candidate_pairs
+
+    def counted(capsules, pass_reach, points=()):
+        reaches.append(pass_reach)
+        return real(capsules, pass_reach, points)
+    monkeypatch.setattr(circuit, "_candidate_pairs", counted)
+    rc = main(["check", "--drawing", "samples/grid-antenna.json",
+               "--speed", "10", "--pressure", "30", "--pairs", "feed:tip",
+               "--resistivity", "2.9e-7", *extra,
+               "--out", str(tmp_path / "check.json")])
+    assert rc == 0
+    assert reaches == [reach]
+
+
+def test_drc_does_not_reuse_contacts_of_other_traces():
+    far = [_trace((0.0, 0.0), (10.0, 0.0)), _trace((0.0, 5.0), (10.0, 5.0))]
+    near = [far[0], _trace((0.0, 0.4), (10.0, 0.4))]
+    nets = extract_nets(far, 0.0, clearance=0.5)
+    assert nets.contacts == ()
+    result = drc(near, 0.1, 0.5, nets)
+    assert [v.kind for v in result.violations] == ["clearance-short-risk"]
+    assert result == _brute_drc(near, 0.1, 0.5, nets)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
 def test_non_finite_or_negative_limits_rejected(value):
     traces = [_trace((0.0, 0.0), (10.0, 0.0))]
     with pytest.raises(ConfigError):
         extract_nets(traces, value)
+    with pytest.raises(ConfigError):
+        extract_nets(traces, 0.0, clearance=value)
     nets = extract_nets(traces, 0.0, pads={"A": (0.0, 0.0),
                                            "B": (10.0, 0.0)})
     with pytest.raises(ConfigError):

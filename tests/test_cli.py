@@ -190,6 +190,24 @@ def test_non_finite_samples_are_domain_errors(run, tmp_path, command, flag,
     assert "finite" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["flux-table", "--pressures", "1,{}", "--gap-widths", "5e-5"],
+    ["flux-table", "--pressures", "1", "--gap-widths", "5e-5",
+     "--omega-y", "{}"],
+    ["line-width", "--q-mm3s", "{}", "--v-mms", "40"],
+    ["line-width", "--q-mm3s", "0.05", "--v-mms", "{}"],
+    ["line-width", "--q-mm3s", "{}", "--v-mms", "40", "--sweep"],
+    ["contact-probe", "--force-n", "{}"],
+    ["contact-probe", "--force-n", "0.05", "--tangential-angle-deg", "{}"],
+], ids=["flux-pressure", "flux-omega", "width-flux", "width-speed",
+        "width-sweep", "contact-force", "contact-tangential"])
+def test_non_finite_physics_inputs_are_domain_errors(run, argv, value):
+    rc, out, err = run([arg.format(value) for arg in argv])
+    assert rc == 1 and err.startswith("error:") and out == ""
+    assert "finite" in err
+
+
 def test_flux_table_anchor_cell(run):
     rc, out, _ = run(["flux-table", "--pressures", "1",
                       "--gap-widths", "5e-5", "--omega-y", "60"])

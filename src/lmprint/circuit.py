@@ -83,10 +83,6 @@ def outline_clearance(t1, t2) -> float:
     return _outline_gap(t1, t2)[0]
 
 
-def segments_touch(t1, t2, tolerance: float) -> bool:
-    return outline_clearance(t1, t2) <= tolerance
-
-
 def _capsules(traces) -> list[tuple[Point, Point, float]]:
     """(start, end, half width in mm) of each trace's stroked outline."""
     capsules = [(t.start, t.end, 0.5e3 * t.width_m) for t in traces]

@@ -29,7 +29,7 @@ from .planner import Lift, Move, Tap, estimate, plan
 from .raster import write_pgm
 from .report import make_report, write_report
 from .simulator import fit_width_model, rasterize, simulate
-from .wetting import stable_line_width
+from .wetting import line_width_profile, stable_line_width
 
 import dataclasses
 import math
@@ -325,16 +325,17 @@ def _cmd_line_width(args) -> int:
     q_m3_s = args.q_mm3s * 1e-9
     v_m_s = args.v_mms * 1e-3
     if args.sweep:
-        # every row is computed before any is printed, so a bad input
-        # prints nothing but the error
-        rows = ["theta_deg,width_um"]
         n = args.steps
+        if n < 1:
+            raise LmprintError("--steps must be >= 1")
         lo, hi = args.theta_min, args.theta_max
-        for k in range(n):
-            theta_deg = lo + (hi - lo) * k / (n - 1) if n > 1 else lo
-            est = stable_line_width(math.radians(theta_deg), q_m3_s, v_m_s)
-            rows.append(f"{_g(theta_deg)},{_g(est.width * 1e6)}")
-        print("\n".join(rows))
+        thetas = [lo + (hi - lo) * k / (n - 1) if n > 1 else lo
+                  for k in range(n)]
+        # the whole profile is computed before any row is printed, so a
+        # bad input prints nothing but the error
+        profile = line_width_profile(thetas, q_m3_s, v_m_s)
+        print("\n".join(["theta_deg,width_um"] + [
+            f"{_g(theta)},{_g(width * 1e6)}" for theta, width in profile]))
         return 0
     est = stable_line_width(math.radians(args.theta_deg), q_m3_s, v_m_s)
     print(f"width_um = {_g(est.width * 1e6)}")
@@ -353,16 +354,19 @@ def _cmd_contact_probe(args) -> int:
                        tangential_angle=math.radians(args.tangential_angle_deg))
     sol = indentation(load, env.bead, env.substrate,
                       literal_s4=args.literal_s4)
-    print(f"indentation_m = {_g(sol.indentation_depth)}")
-    print(f"contact_radius_m = {_g(sol.contact_radius)}")
-    print(f"contact_area_m2 = {_g(sol.contact_area)}")
+    # every line is computed before any is printed, so a bad input prints
+    # nothing but the error
+    lines = [f"indentation_m = {_g(sol.indentation_depth)}",
+             f"contact_radius_m = {_g(sol.contact_radius)}",
+             f"contact_area_m2 = {_g(sol.contact_area)}"]
     try:
         sliding = sliding_ratio(load, env.substrate, sol, env.bead)
-        print(f"creep = {_g(sliding.creep)}")
-        print(f"traction_fraction = {_g(sliding.fr)}")
+        lines += [f"creep = {_g(sliding.creep)}",
+                  f"traction_fraction = {_g(sliding.fr)}"]
     except FullSlipError:
-        print("creep = full-slip")
-    print(f"static = {static_slip_check(load, env.substrate)}")
+        lines.append("creep = full-slip")
+    lines.append(f"static = {static_slip_check(load, env.substrate)}")
+    print("\n".join(lines))
     return 0
 
 

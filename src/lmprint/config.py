@@ -1,13 +1,15 @@
 """JSON run configuration -> Environment.
 
-Every section is optional (defaults are the shipped GaIn24.5 / PVC-film
-setup); unknown keys anywhere are rejected so a typo cannot silently fall
-back to a default. Substrates and inks may be named presets or inline
-records.
+One table maps each section to its record and each JSON key to a record
+field; the field's annotation says what a value must be, and a field with
+no default (in the record or here) is a key an inline section needs.
+Absent and null sections keep the shipped GaIn24.5 / PVC-film defaults;
+unknown keys are rejected so a typo cannot silently fall back to one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .core import (DEFAULT_BEAD, GAIN245, SUBSTRATE_PRESETS, BeadGeometry,
@@ -17,131 +19,105 @@ from .environment import CornerPolicy, Environment
 from .errors import ConfigError
 from .flux import FluxModelParams
 
-_TOP_KEYS = {"ink", "substrate", "bead", "limits", "speed_calibration",
-             "pressure_calibration", "flux", "policy", "simulation"}
-
 INK_PRESETS = {"gain24.5": GAIN245}
+_PRESETS = {"ink": INK_PRESETS, "substrate": SUBSTRATE_PRESETS}
 
 
-def _require_keys(section: str, obj: dict, allowed: set[str]):
-    if not isinstance(obj, dict):
+def _number(value) -> float:
+    if type(value) not in (int, float):  # bool is not a number here
+        raise TypeError
+    return float(value)  # OverflowError: an int no float can hold
+
+
+def _exact(kind):
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError
+        return value
+    return read
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list) or any(
+            not isinstance(row, list) or len(row) != 2 for row in value):
+        raise TypeError
+    return tuple((_number(a), _number(b)) for a, b in value)
+
+
+# field annotation -> (reader, what a JSON value must be to pass it)
+_READERS = {
+    "float": (_number, "a number"),
+    "float | None": (lambda v: v if v is None else _number(v),
+                     "a number or null"),
+    "int": (_exact(int), "an integer"),
+    "str": (_exact(str), "a string"),
+    "tuple[tuple[float, float], ...]": (_pairs, "a list of [number, number]"),
+}
+
+
+def _schema(field, record, keys=None, **supplied):
+    """The Environment field a section fills (None: its own fields), its
+    record, JSON key -> (field, reader, what), the required keys and the
+    supplied defaults. An annotation with no reader fails at import."""
+    fields = {f.name: f for f in dataclasses.fields(record)}
+    keys = keys or {name: name for name in fields}
+    readers = {key: (name, *_READERS[fields[name].type])
+               for key, name in keys.items()}
+    required = [key for key, name in keys.items() if name not in supplied
+                and fields[name].default is dataclasses.MISSING]
+    return field, record, readers, required, supplied
+
+
+_SECTIONS = {
+    "ink": _schema("ink", InkProperties, name="custom", melting_point=15.5),
+    "substrate": _schema("substrate", SubstrateProperties, name="custom"),
+    "bead": _schema("bead", BeadGeometry, {
+        "bead_radius_m": "bead_radius", "gap_width_m": "gap_width",
+        "channel_width_m": "channel_width_eff",
+        "channel_length_m": "channel_length_eff"},
+        bead_radius=DEFAULT_BEAD.bead_radius,
+        gap_width=DEFAULT_BEAD.gap_width),
+    "limits": _schema("limits", MachineLimits, {
+        "max_speed_mm_s": "max_speed",
+        "preferred_max_speed_mm_s": "preferred_max_speed",
+        "max_pressure_g": "max_pressure"}),
+    "speed_calibration": _schema("speed_calibration", SpeedCalibration),
+    "pressure_calibration": _schema("pressure_calibration", PressureCalibration),
+    "flux": _schema("flux_params", FluxModelParams),
+    "policy": _schema("policy", CornerPolicy, {
+        "threshold_angle_deg": "threshold_angle", "strategy": "strategy",
+        "slowdown_factor": "slowdown_factor",
+        "fillet_radius_mm": "fillet_radius_mm"}),
+    "simulation": _schema(None, Environment, {
+        "pressure_drop_pa": "pressure_drop",
+        "tangential_angle_rad": "tangential_angle", "dwell_s": "dwell_s",
+        "s_max": "s_max", "chord_tolerance_mm": "chord_tolerance_mm",
+        "max_raster_pixels": "max_raster_pixels",
+        "resistivity_ohm_m": "resistivity_ohm_m"}),
+}
+
+
+def _object(section: str, spec, allowed):
+    if not isinstance(spec, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    unknown = set(obj) - allowed
+    unknown = set(spec) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
 
-def _number(section: str, obj: dict, key: str, default):
-    value = obj.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number")
-    return float(value)
-
-
-def _ink(spec) -> InkProperties:
-    if spec is None:
-        return GAIN245
-    if isinstance(spec, str):
-        try:
-            return INK_PRESETS[spec.lower()]
-        except KeyError:
-            raise ConfigError(
-                f"unknown ink preset {spec!r}; known: {sorted(INK_PRESETS)}")
-    _require_keys("ink", spec, {"name", "density", "kinematic_viscosity",
-                                "surface_tension_lm_air", "melting_point"})
-    for key in ("density", "kinematic_viscosity", "surface_tension_lm_air"):
-        if key not in spec:
-            raise ConfigError(f"inline ink needs {key!r}")
-    return InkProperties(
-        name=str(spec.get("name", "custom")),
-        density=_number("ink", spec, "density", None),
-        kinematic_viscosity=_number("ink", spec, "kinematic_viscosity", None),
-        surface_tension_lm_air=_number("ink", spec,
-                                       "surface_tension_lm_air", None),
-        melting_point=_number("ink", spec, "melting_point", 15.5),
-    )
-
-
-def _substrate(spec) -> SubstrateProperties:
-    if spec is None:
-        return SUBSTRATE_PRESETS["pvc-film"]
-    if isinstance(spec, str):
-        try:
-            return SUBSTRATE_PRESETS[spec.lower()]
-        except KeyError:
-            raise ConfigError(f"unknown substrate preset {spec!r}; known: "
-                              f"{sorted(SUBSTRATE_PRESETS)}")
-    _require_keys("substrate", spec,
-                  {"name", "youngs_modulus", "poisson_ratio",
-                   "friction_coefficient", "gamma_sub_air", "gamma_sub_lm",
-                   "angle_table"})
-    missing = {"youngs_modulus", "poisson_ratio", "friction_coefficient",
-               "gamma_sub_air", "gamma_sub_lm", "angle_table"} - set(spec)
+def _values(section: str, spec, readers, required, supplied) -> dict:
+    _object(section, spec, readers)
+    missing = [key for key in required if key not in spec]
     if missing:
-        raise ConfigError(f"inline substrate needs {sorted(missing)}")
-    table = spec["angle_table"]
-    if (not isinstance(table, list) or
-            any(not isinstance(r, list) or len(r) != 2 for r in table)):
-        raise ConfigError("substrate.angle_table must be [[force_n, deg],...]")
-    return SubstrateProperties(
-        name=str(spec.get("name", "custom")),
-        youngs_modulus=_number("substrate", spec, "youngs_modulus", None),
-        poisson_ratio=_number("substrate", spec, "poisson_ratio", None),
-        friction_coefficient=_number("substrate", spec,
-                                     "friction_coefficient", None),
-        gamma_sub_air=_number("substrate", spec, "gamma_sub_air", None),
-        gamma_sub_lm=_number("substrate", spec, "gamma_sub_lm", None),
-        angle_table=tuple((float(f), float(a)) for f, a in table),
-    )
-
-
-def _bead(spec) -> BeadGeometry:
-    if spec is None:
-        return DEFAULT_BEAD
-    _require_keys("bead", spec, {"bead_radius_m", "gap_width_m",
-                                 "channel_width_m", "channel_length_m"})
-    return BeadGeometry(
-        bead_radius=_number("bead", spec, "bead_radius_m",
-                            DEFAULT_BEAD.bead_radius),
-        gap_width=_number("bead", spec, "gap_width_m",
-                          DEFAULT_BEAD.gap_width),
-        channel_width_eff=_number("bead", spec, "channel_width_m", None),
-        channel_length_eff=_number("bead", spec, "channel_length_m", None),
-    )
-
-
-def _limits(spec) -> MachineLimits:
-    if spec is None:
-        return MachineLimits()
-    _require_keys("limits", spec, {"max_speed_mm_s", "preferred_max_speed_mm_s",
-                                   "max_pressure_g"})
-    base = MachineLimits()
-    return MachineLimits(
-        max_speed=_number("limits", spec, "max_speed_mm_s", base.max_speed),
-        preferred_max_speed=_number("limits", spec, "preferred_max_speed_mm_s",
-                                    base.preferred_max_speed),
-        max_pressure=_number("limits", spec, "max_pressure_g",
-                             base.max_pressure),
-    )
-
-
-def _policy(spec) -> CornerPolicy:
-    if spec is None:
-        return CornerPolicy()
-    _require_keys("policy", spec, {"threshold_angle_deg", "strategy",
-                                   "slowdown_factor", "fillet_radius_mm"})
-    base = CornerPolicy()
-    return CornerPolicy(
-        threshold_angle=_number("policy", spec, "threshold_angle_deg",
-                                base.threshold_angle),
-        strategy=str(spec.get("strategy", base.strategy)),
-        slowdown_factor=_number("policy", spec, "slowdown_factor",
-                                base.slowdown_factor),
-        fillet_radius_mm=_number("policy", spec, "fillet_radius_mm",
-                                 base.fillet_radius_mm),
-    )
+        raise ConfigError(f"{section} needs {missing}")
+    values = dict(supplied)
+    for key, value in spec.items():
+        name, read, what = readers[key]
+        try:
+            values[name] = read(value)
+        except (TypeError, OverflowError):
+            raise ConfigError(f"{section}.{key} must be {what}") from None
+    return values
 
 
 def load_config(data: bytes | str | None) -> Environment:
@@ -156,73 +132,23 @@ def load_config(data: bytes | str | None) -> Environment:
         raise ConfigError(f"malformed config JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys("config", doc, _TOP_KEYS)
-
-    ink = _ink(doc.get("ink"))
-    substrate = _substrate(doc.get("substrate"))
-    bead = _bead(doc.get("bead"))
-    limits = _limits(doc.get("limits"))
-    policy = _policy(doc.get("policy"))
-
-    speed_cal = SpeedCalibration()
-    if "speed_calibration" in doc:
-        spec = doc["speed_calibration"]
-        _require_keys("speed_calibration", spec, {"mm_s_per_unit"})
-        speed_cal = SpeedCalibration(
-            mm_s_per_unit=_number("speed_calibration", spec, "mm_s_per_unit",
-                                  speed_cal.mm_s_per_unit))
-
-    pressure_cal = PressureCalibration()
-    if "pressure_calibration" in doc:
-        spec = doc["pressure_calibration"]
-        _require_keys("pressure_calibration", spec, {"anchors"})
-        anchors = spec.get("anchors")
-        if anchors is not None:
-            if (not isinstance(anchors, list) or
-                    any(not isinstance(r, list) or len(r) != 2
-                        for r in anchors)):
-                raise ConfigError("pressure_calibration.anchors must be "
-                                  "[[setting, grams], ...]")
-            pressure_cal = PressureCalibration(
-                anchors=tuple((float(s), float(g)) for s, g in anchors))
-
-    flux_params = None
-    if "flux" in doc and doc["flux"] is not None:
-        spec = doc["flux"]
-        _require_keys("flux", spec, {"kappa_pressure", "kappa_couette"})
-        if {"kappa_pressure", "kappa_couette"} - set(spec):
-            raise ConfigError("flux section needs kappa_pressure and "
-                              "kappa_couette")
-        flux_params = FluxModelParams(
-            kappa_pressure=_number("flux", spec, "kappa_pressure", None),
-            kappa_couette=_number("flux", spec, "kappa_couette", None))
-
-    sim = doc.get("simulation") or {}
-    _require_keys("simulation", sim,
-                  {"pressure_drop_pa", "tangential_angle_rad", "dwell_s",
-                   "s_max", "chord_tolerance_mm", "max_raster_pixels",
-                   "resistivity_ohm_m"})
-    base = Environment()
-    max_px = sim.get("max_raster_pixels", base.max_raster_pixels)
-    if isinstance(max_px, bool) or not isinstance(max_px, int):
-        raise ConfigError("simulation.max_raster_pixels must be an integer")
-
-    return Environment(
-        ink=ink, substrate=substrate, bead=bead, flux_params=flux_params,
-        limits=limits, speed_calibration=speed_cal,
-        pressure_calibration=pressure_cal, policy=policy,
-        pressure_drop=_number("simulation", sim, "pressure_drop_pa",
-                              base.pressure_drop),
-        tangential_angle=_number("simulation", sim, "tangential_angle_rad",
-                                 base.tangential_angle),
-        dwell_s=_number("simulation", sim, "dwell_s", base.dwell_s),
-        s_max=_number("simulation", sim, "s_max", base.s_max),
-        chord_tolerance_mm=_number("simulation", sim, "chord_tolerance_mm",
-                                   base.chord_tolerance_mm),
-        max_raster_pixels=max_px,
-        resistivity_ohm_m=_number("simulation", sim, "resistivity_ohm_m",
-                                  base.resistivity_ohm_m),
-    )
+    _object("config", doc, _SECTIONS)
+    env = {}
+    for section, (field, record, *schema) in _SECTIONS.items():
+        spec = doc.get(section)
+        if spec is None:
+            continue
+        if isinstance(spec, str) and section in _PRESETS:
+            presets = _PRESETS[section]
+            if spec.lower() not in presets:
+                raise ConfigError(f"unknown {section} preset {spec!r}; "
+                                  f"known: {sorted(presets)}")
+            env[field] = presets[spec.lower()]
+        elif field is None:
+            env.update(_values(section, spec, *schema))
+        else:
+            env[field] = record(**_values(section, spec, *schema))
+    return Environment(**env)
 
 
 def load_config_file(path) -> Environment:

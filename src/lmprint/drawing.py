@@ -100,6 +100,12 @@ def parse_drawing(data: bytes | str, format: str = "native-json", *,
     raise DrawingFormatError(f"unknown drawing format {format!r}")
 
 
+def _is_xy(p) -> bool:
+    """A JSON [x, y] of two numbers; a bool is not a number."""
+    return (isinstance(p, list) and len(p) == 2
+            and all(type(v) in (int, float) for v in p))
+
+
 def _parse_native(text: str) -> VectorDrawing:
     try:
         doc = json.loads(text)
@@ -127,23 +133,25 @@ def _parse_native(text: str) -> VectorDrawing:
         if unknown:
             raise DrawingFormatError(f"stroke {i}: unknown keys {sorted(unknown)}")
         pts = s.get("points")
-        if not isinstance(pts, list) or any(
-                not isinstance(p, list) or len(p) != 2 for p in pts):
-            raise DrawingFormatError(f"stroke {i}: 'points' must be a list of [x, y]")
-        strokes.append(tuple((float(p[0]), float(p[1])) for p in pts))
-        closed.append(bool(s.get("closed", False)))
+        if not isinstance(pts, list) or not all(map(_is_xy, pts)):
+            raise DrawingFormatError(
+                f"stroke {i}: 'points' must be a list of [x, y] numbers")
+        is_closed = s.get("closed", False)
+        if type(is_closed) is not bool:
+            raise DrawingFormatError(f"stroke {i}: 'closed' must be true or false")
+        strokes.append(pts)
+        closed.append(is_closed)
     pads = doc.get("pads", {})
     if not isinstance(pads, dict):
         raise DrawingFormatError("'pads' must be an object of name -> [x, y]")
     for name, p in pads.items():
-        if not isinstance(p, list) or len(p) != 2:
-            raise DrawingFormatError(f"pad {name!r}: must be [x, y]")
-    return VectorDrawing(
-        strokes=tuple(strokes),
-        closed_flags=tuple(closed),
-        pads={str(k): (float(v[0]), float(v[1])) for k, v in pads.items()},
-        drawing_id=doc.get("id"),
-    )
+        if not _is_xy(p):
+            raise DrawingFormatError(f"pad {name!r}: must be [x, y] numbers")
+    try:  # VectorDrawing turns every coordinate into a float
+        return VectorDrawing(strokes=tuple(strokes), closed_flags=tuple(closed),
+                             pads=pads, drawing_id=doc.get("id"))
+    except OverflowError:
+        raise DrawingFormatError("a coordinate is too large for a float") from None
 
 
 def serialize_drawing(drawing: VectorDrawing) -> bytes:

@@ -12,7 +12,6 @@ import json
 from .errors import DrawingFormatError
 
 REPORT_VERSION = 1
-SECTIONS = ("drawing", "toolpath", "traces", "totals", "checks")
 
 
 def make_report(*, drawing=None, toolpath=None, traces=None, totals=None,

@@ -17,7 +17,6 @@ from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
 from .nnls import independent, nnls
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
-from .planner import step_head  # noqa: F401  (re-exported)
 from .raster import RasterImage
 
 

@@ -16,8 +16,7 @@ from lmprint import circuit
 from lmprint.circuit import CircuitNets, Contact, DrcResult, DrcViolation, \
     Net, ResistanceEstimate, _candidate_pairs, _capsules, _closest_points, \
     _point_segment_distance, _segment_resistance, _UnionFind, \
-    check_connectivity, drc, estimate_resistance, outline_clearance, \
-    segments_touch
+    check_connectivity, drc, estimate_resistance, outline_clearance
 from lmprint.cli import main
 from lmprint.errors import CircuitError, ConfigError, UnknownPadError
 from lmprint.simulator import TraceSegment
@@ -39,6 +38,10 @@ def _flood_count(traces, scale):
 
 
 # --- all-pairs oracles: the obvious quadratic versions of the fast paths
+
+
+def segments_touch(t1, t2, tolerance: float) -> bool:
+    return outline_clearance(t1, t2) <= tolerance
 
 
 def _brute_nets(traces, touch_tolerance, pads=None,

@@ -1,5 +1,6 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -77,6 +78,21 @@ def test_line_width_sweep_csv(run):
     assert all(a > b for a, b in zip(widths, widths[1:]))
 
 
+def test_line_width_default_sweep_is_pinned(run):
+    rc, out, _ = run(["line-width", "--sweep",
+                      "--q-mm3s", "0.0656", "--v-mms", "40"])
+    assert rc == 0 and len(out.splitlines()) == 36
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f21a2cc39f51f929409d3747eec34a6da68b7b874b745c4b9f8f42faef619df0")
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_line_width_empty_sweep_is_domain_error(run, steps):
+    rc, out, err = run(["line-width", "--sweep", "--steps", steps,
+                        "--q-mm3s", "0.0656", "--v-mms", "40"])
+    assert rc == 1 and out == "" and err.startswith("error:")
+
+
 def test_line_width_domain_error(run):
     rc, out, err = run(["line-width", "--theta-deg", "200",
                         "--q-mm3s", "0.05", "--v-mms", "40"])
@@ -120,6 +136,12 @@ def test_contact_probe_static_slip_boundary(run):
     rc, out, _ = run(["contact-probe", "--force-n", "0.05",
                       "--normal-angle-deg", "15"])
     assert "static = no-slip\n" in out
+
+
+def test_contact_probe_prints_nothing_before_an_error(run):
+    rc, out, err = run(["contact-probe", "--force-n", "0.05",
+                        "--tangential-angle-deg", "-5"])
+    assert rc == 1 and out == "" and err.startswith("error:")
 
 
 def test_calibrate_flux_anchor_golden(run):
@@ -276,6 +298,29 @@ def test_malformed_drawing_is_domain_error(run, tmp_path):
     rc, _, err = run(["plan", "--drawing", str(bad), "--speed", "10",
                       "--pressure", "30"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("stroke,pads", [
+    ({"points": [[0, 0], [None, 1]]}, {}),
+    ({"points": [["5", 0], [10, 0]]}, {}),
+    ({"points": [[0, 0], [10, True]]}, {}),
+    ({"points": [[0, 0], [10, 0], [10, 10]], "closed": "false"}, {}),
+    ({"points": [[0, 0], [10, 0], [10, 10]], "closed": 1}, {}),
+    ({"points": [[0, 0], [10, 0]]}, {"A": [None, 0]}),
+    ({"points": [[0, 0], [10, 0]]}, {"A": ["0", 0]}),
+    ({"points": [[0, 0], [10 ** 400, 0]]}, {}),
+], ids=["null-x", "string-x", "bool-y", "string-closed", "int-closed",
+        "null-pad", "string-pad", "huge-int-x"])
+def test_native_drawing_takes_only_json_numbers_and_booleans(
+        run, tmp_path, stroke, pads):
+    drawing = tmp_path / "bad.json"
+    drawing.write_text(json.dumps({"version": 1, "strokes": [stroke],
+                                   "pads": pads}))
+    out_path = tmp_path / "plan.json"
+    rc, _, err = run(["plan", "--drawing", str(drawing), "--speed", "10",
+                      "--pressure", "30", "--out", str(out_path)])
+    assert rc == 1 and err.startswith("error:")
+    assert not out_path.exists()
 
 
 def test_svg_input_by_extension(run, tmp_path):

@@ -12,9 +12,8 @@ from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
     estimate, get_sample, plan
 from lmprint.environment import CornerPolicy
 from lmprint.errors import IllegalActionError, PlanError
-from lmprint.planner import Lift, Move, Tap, apply_corner_policy, \
-    interior_angle_deg, order_strokes
-from lmprint.simulator import HeadState, step_head
+from lmprint.planner import HeadState, Lift, Move, Tap, \
+    apply_corner_policy, interior_angle_deg, order_strokes, step_head
 
 QUIET = dataclasses.replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
 SQUARE = [(0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0)]

@@ -15,10 +15,10 @@ from lmprint.core import grams_to_newtons
 from lmprint.environment import segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
-from lmprint.planner import Lift, Move, Tap, Toolpath
+from lmprint.planner import Lift, Move, Tap, Toolpath, step_head
 from lmprint.raster import RasterImage
 from lmprint.simulator import FLAG_CORNER, FLAG_SLIP, FLAG_SPEED, \
-    EmpiricalWidthModel, HeadState, TraceSegment, step_head
+    EmpiricalWidthModel, HeadState, TraceSegment
 
 QUIET = dataclasses.replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
 SETTINGS = MachineSettings(10.0, 30.0)  # 40 mm/s, 94 g

@@ -26,7 +26,8 @@ from .errors import FullSlipError, LmprintError
 from .flux import (ANCHOR_CONDITIONS, ANCHOR_FLUX_M3_S, ANCHOR_GAP_WIDTH,
                    FlowConditions, calibrate_flux, flux_table)
 from .planner import Lift, Move, Tap, estimate, plan
-from .raster import write_pgm
+# write_pgm is unused here, but perfbench's tracer wraps it by this name
+from .raster import pgm_parts, write_pgm  # noqa: F401
 from .report import make_report, write_report
 from .simulator import fit_width_model, rasterize, simulate
 from .wetting import line_width_profile, stable_line_width
@@ -46,11 +47,12 @@ def _point(p) -> list[float]:
     return [p[0], p[1]]
 
 
-def _write_bytes(path: str, data: bytes):
+def _write_bytes(path: str, *chunks):
     if path == "-":
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
     else:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _load_env(args) -> Environment:
@@ -165,11 +167,11 @@ def _cmd_simulate(args) -> int:
     # rasterize before writing anything, so a raster error leaves no report
     pgm = None
     if args.pgm:
-        pgm = write_pgm(rasterize(result.traces, args.scale,
+        pgm = pgm_parts(rasterize(result.traces, args.scale,
                                   max_pixels=env.max_raster_pixels))
     _write_bytes(args.out, report)
     if pgm is not None:
-        _write_bytes(args.pgm, pgm)
+        _write_bytes(args.pgm, *pgm)
     return 0
 
 
@@ -178,7 +180,7 @@ def _cmd_render(args) -> int:
     result = simulate(toolpath, env)
     image = rasterize(result.traces, args.scale,
                       max_pixels=env.max_raster_pixels)
-    _write_bytes(args.pgm, write_pgm(image))
+    _write_bytes(args.pgm, *pgm_parts(image))
     return 0
 
 

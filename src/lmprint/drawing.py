@@ -20,6 +20,7 @@ import re
 from .circuit import _point_segment_distance
 from .errors import (DrawingFormatError, NonVectorContentError,
                      UnsupportedSvgFeatureError)
+from .report import canonical_json
 
 DEFAULT_CHORD_TOLERANCE_MM = 0.05
 
@@ -63,6 +64,8 @@ class VectorDrawing:
         for name, (x, y) in self.pads.items():
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DrawingFormatError(f"pad {name!r}: non-finite coordinate")
+        if not (self.drawing_id is None or isinstance(self.drawing_id, str)):
+            raise DrawingFormatError("drawing 'id' must be a string or null")
         object.__setattr__(self, "bounds", _bounds(strokes))
 
     def stroke_vertices(self, index: int) -> tuple[Point, ...]:
@@ -167,7 +170,7 @@ def serialize_drawing(drawing: VectorDrawing) -> bytes:
     }
     if drawing.drawing_id is not None:
         doc["id"] = drawing.drawing_id
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return canonical_json(doc)
 
 
 # --- SVG subset -------------------------------------------------------------

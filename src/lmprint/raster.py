@@ -55,16 +55,23 @@ class RasterImage:
         return float(np.count_nonzero(self.cells)) * self.scale * self.scale
 
 
+def pgm_parts(image: RasterImage) -> tuple[bytes, memoryview]:
+    """The PGM header and the cells' own buffer, which follows it.
+
+    Writing the two in turn writes the PGM without a copy of the canvas.
+    """
+    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
+    return header, image.cells.data
+
+
 def write_pgm(image: RasterImage) -> bytes:
     """Binary PGM, maxval 255, row-major.
 
     The canonical header is b"P5\\n<width> <height>\\n255\\n"; a 1x1 zero
     image is exactly b"P5\\n1 1\\n255\\n\\x00" (12 bytes). Output is
-    byte-identical across runs and platforms. The pixels are copied once,
-    straight from the cells' buffer into the result.
+    byte-identical across runs and platforms.
     """
-    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    return b"".join((header, image.cells.data))
+    return b"".join(pgm_parts(image))
 
 
 def read_pgm(data: bytes, scale: float,

@@ -4,10 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lmprint import __version__, read_report
+from lmprint import (MachineSettings, __version__, parse_drawing, plan,
+                     rasterize, read_report, simulate, write_pgm)
 from lmprint.cli import main
 
 SAMPLES = "samples"
@@ -323,6 +325,19 @@ def test_native_drawing_takes_only_json_numbers_and_booleans(
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("drawing_id", [5, 1.5, True, [], {}],
+                         ids=["int", "float", "bool", "list", "object"])
+def test_native_drawing_id_is_a_string_or_null(run, tmp_path, drawing_id):
+    drawing = tmp_path / "bad.json"
+    drawing.write_text(json.dumps({"version": 1, "id": drawing_id,
+                                   "strokes": [{"points": [[0, 0], [10, 0]]}]}))
+    out_path = tmp_path / "plan.json"
+    rc, _, err = run(["plan", "--drawing", str(drawing), "--speed", "10",
+                      "--pressure", "30", "--out", str(out_path)])
+    assert rc == 1 and err.startswith("error:") and "'id'" in err
+    assert not out_path.exists()
+
+
 def test_svg_input_by_extension(run, tmp_path):
     svg = tmp_path / "shape.svg"
     svg.write_text('<svg xmlns="http://www.w3.org/2000/svg">'
@@ -374,6 +389,15 @@ def test_render_writes_pgm(run, tmp_path):
     blob = pgm_path.read_bytes()
     assert blob.startswith(b"P5\n")
     assert b"\xff" in blob
+
+
+def test_render_pgm_to_stdout_is_write_pgm(capsysbinary):
+    assert main(["render", "--drawing", SQUARE, "--speed", "10",
+                 "--pressure", "30", "--pgm", "-", "--scale", "0.05"]) == 0
+    toolpath = plan(parse_drawing(Path(SQUARE).read_bytes()),
+                    MachineSettings(10, 30))
+    image = rasterize(simulate(toolpath).traces, 0.05)
+    assert capsysbinary.readouterr().out == write_pgm(image)
 
 
 @pytest.mark.parametrize("command", ["simulate", "render"])

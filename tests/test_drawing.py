@@ -30,6 +30,29 @@ def test_native_round_trip_is_identity():
     assert serialize_drawing(parse_drawing(blob)) == blob
 
 
+def test_serialization_bytes_equal_json_dumps():
+    d = VectorDrawing(strokes=(((0.0, -0.0), (1e16, 1e-7), (0.1, 5e-324)),),
+                      closed_flags=(False,),
+                      pads={"ü%s": (-0.0, 2.5), "\x00": (1.0, 1.0)},
+                      drawing_id="é\"%d")
+    blob = serialize_drawing(d)
+    doc = json.loads(blob)
+    assert blob == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("drawing_id", [5, 2.5, False, ["a"], {"a": 1}])
+def test_native_id_must_be_a_string_or_null(drawing_id):
+    doc = {"version": 1, "id": drawing_id,
+           "strokes": [{"points": [[0, 0], [1, 0]]}]}
+    with pytest.raises(DrawingFormatError, match="'id'"):
+        parse_drawing(json.dumps(doc))
+    # nor can a library caller build a drawing that would not parse back
+    with pytest.raises(DrawingFormatError, match="'id'"):
+        VectorDrawing(strokes=(((0.0, 0.0), (1.0, 0.0)),),
+                      closed_flags=(False,), drawing_id=drawing_id)
+    assert parse_drawing(json.dumps(dict(doc, id=None))).drawing_id is None
+
+
 def test_native_rejects_unknown_keys_and_bad_version():
     good = json.loads(serialize_drawing(_drawing()))
     bad = dict(good, layers=[])

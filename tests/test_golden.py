@@ -236,3 +236,20 @@ def test_coil_raster_bytes(tmp_path):
                "--pgm", str(pgm), "--scale", "0.01"])
     assert rc == 0
     assert hashlib.sha256(pgm.read_bytes()).hexdigest() == COILS_PGM_SHA256
+
+
+def test_long_coil_report_bytes_equal_json_dumps(tmp_path):
+    # the report writer against its oracle on a report of over 1000 traces
+    svg = tmp_path / "coils.svg"
+    svg.write_text(_coil_svg(seed=5, cells=3, turns=8), encoding="utf-8")
+    config = tmp_path / "fillet.json"
+    config.write_text(json.dumps(
+        {"policy": {"strategy": "fillet", "fillet_radius_mm": 0.3}}))
+    out = tmp_path / "coils.json"
+    assert main(["simulate", "--config", str(config), "--drawing", str(svg),
+                 *PIPELINE, "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    report = json.loads(blob)
+    assert len(report["traces"]) > 1000
+    assert blob == (json.dumps(report, sort_keys=True, indent=2,
+                               ensure_ascii=True) + "\n").encode("ascii")

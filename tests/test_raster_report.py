@@ -6,6 +6,7 @@ import pytest
 from lmprint import RasterImage, make_report, read_pgm, read_report, \
     write_pgm, write_report
 from lmprint.errors import ConfigError, DrawingFormatError
+from lmprint.raster import pgm_parts
 
 
 def test_minimal_pgm_is_canonical_12_bytes():
@@ -14,6 +15,15 @@ def test_minimal_pgm_is_canonical_12_bytes():
     blob = write_pgm(img)
     assert blob == b"P5\n1 1\n255\n\x00"
     assert len(blob) == 12
+
+
+def test_pgm_parts_are_the_header_and_the_canvas_itself():
+    cells = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    img = RasterImage(width=4, height=3, scale=0.1, cells=cells)
+    header, body = pgm_parts(img)
+    assert header == b"P5\n4 3\n255\n"
+    assert body.obj is img.cells  # the canvas's buffer, not a copy
+    assert header + bytes(body) == write_pgm(img)
 
 
 def test_pgm_round_trip():

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
+from .drawing import _point_segment_distance
 from .errors import CircuitError, ConfigError, UnknownPadError
 
 Point = tuple[float, float]
@@ -57,15 +58,6 @@ def _closest_points(p1: Point, p2: Point, q1: Point, q2: Point):
             best = (d2, (p1[0] + s * px, p1[1] + s * py),
                     (q1[0] + t * qx, q1[1] + t * qy))
     return math.sqrt(best[0]), best[1], best[2]
-
-
-def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    ll = dx * dx + dy * dy
-    if ll == 0.0:
-        return math.hypot(p[0] - a[0], p[1] - a[1])
-    t = min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / ll))
-    return math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
 
 
 def _outline_gap(t1, t2) -> tuple[float, Point, Point]:

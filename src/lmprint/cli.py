@@ -10,14 +10,10 @@ flags or unreadable input files).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
-from . import __version__
-from .circuit import check_connectivity, drc, estimate_resistance, extract_nets
-from .config import load_config_file
+from . import _SUBMODULE_OF, __version__
 from .contact import ContactLoad, indentation, sliding_ratio, static_slip_check
 from .core import MachineSettings
 from .drawing import parse_drawing
@@ -26,14 +22,22 @@ from .errors import FullSlipError, LmprintError
 from .flux import (ANCHOR_CONDITIONS, ANCHOR_FLUX_M3_S, ANCHOR_GAP_WIDTH,
                    FlowConditions, calibrate_flux, flux_table)
 from .planner import Lift, Move, Tap, estimate, plan
-# write_pgm is unused here, but perfbench's tracer wraps it by this name
-from .raster import pgm_parts, write_pgm  # noqa: F401
 from .report import make_report, write_report
-from .simulator import fit_width_model, rasterize, simulate
 from .wetting import line_width_profile, stable_line_width
 
 import dataclasses
 import math
+
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    # simulator, circuit, raster and config load on first use. Handlers call
+    # their names on _cli, this module, so one replaced here serves every call.
+    if name in _SUBMODULE_OF:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 REFERENCE_WIDTH_UM = 126.0
 REFERENCE_CONDITIONS = (40.0, 0.0656, 40.0)  # theta deg, Q mm^3/s, V mm/s
@@ -57,7 +61,7 @@ def _write_bytes(path: str, *chunks):
 
 def _load_env(args) -> Environment:
     if getattr(args, "config", None):
-        return load_config_file(args.config)
+        return _cli.load_config_file(args.config)
     return Environment()
 
 
@@ -144,6 +148,12 @@ def _pipeline(args):
     return env, drawing, toolpath
 
 
+def _pgm_parts(args, env: Environment, result):
+    from .raster import pgm_parts
+    return pgm_parts(_cli.rasterize(result.traces, args.scale,
+                                    max_pixels=env.max_raster_pixels))
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 
@@ -158,17 +168,14 @@ def _cmd_plan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     env, drawing, toolpath = _pipeline(args)
-    result = simulate(toolpath, env)
+    result = _cli.simulate(toolpath, env)
     report = write_report(make_report(
         drawing=_drawing_section(drawing),
         toolpath=_toolpath_section(toolpath, result),
         traces=_trace_section(result),
         totals=_totals_section(result)))
     # rasterize before writing anything, so a raster error leaves no report
-    pgm = None
-    if args.pgm:
-        pgm = pgm_parts(rasterize(result.traces, args.scale,
-                                  max_pixels=env.max_raster_pixels))
+    pgm = _pgm_parts(args, env, result) if args.pgm else None
     _write_bytes(args.out, report)
     if pgm is not None:
         _write_bytes(args.pgm, *pgm)
@@ -177,10 +184,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_render(args) -> int:
     env, drawing, toolpath = _pipeline(args)
-    result = simulate(toolpath, env)
-    image = rasterize(result.traces, args.scale,
-                      max_pixels=env.max_raster_pixels)
-    _write_bytes(args.pgm, *pgm_parts(image))
+    _write_bytes(args.pgm,
+                 *_pgm_parts(args, env, _cli.simulate(toolpath, env)))
     return 0
 
 
@@ -198,11 +203,12 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
 
 
 def _cmd_check(args) -> int:
+    pairs = _parse_pairs(args.pairs) if args.pairs else []
     env, drawing, toolpath = _pipeline(args)
-    result = simulate(toolpath, env)
+    result = _cli.simulate(toolpath, env)
     # one contact pass serves the nets and the DRC below
-    nets = extract_nets(result.traces, args.tolerance, pads=drawing.pads,
-                        clearance=args.min_clearance)
+    nets = _cli.extract_nets(result.traces, args.tolerance,
+                             pads=drawing.pads, clearance=args.min_clearance)
     checks: dict = {
         "touch_tolerance_mm": args.tolerance,
         "nets": [
@@ -211,9 +217,8 @@ def _cmd_check(args) -> int:
             for n in nets.nets
         ],
     }
-    pairs = _parse_pairs(args.pairs) if args.pairs else []
     if pairs:
-        conn = check_connectivity(nets, pairs)
+        conn = _cli.check_connectivity(nets, pairs)
         checks["connectivity"] = [
             {"pads": [a, b], "connected": ok} for a, b, ok in conn
         ]
@@ -226,12 +231,13 @@ def _cmd_check(args) -> int:
                     entries.append({"pads": [a, b], "connected": False})
                     continue
                 net = nets.net_of_pad(a)
-                r = estimate_resistance(net, a, b, resistivity, result.traces)
+                r = _cli.estimate_resistance(net, a, b, resistivity,
+                                             result.traces)
                 entries.append({"pads": [a, b], "connected": True,
                                 "ohms": r.ohms, "path": list(r.path),
                                 "approximate": r.approximate})
             checks["resistance"] = entries
-    verdict = drc(result.traces, args.min_width, args.min_clearance, nets)
+    verdict = _cli.drc(result.traces, args.min_width, args.min_clearance, nets)
     checks["drc"] = {
         "passed": verdict.passed,
         "violations": [
@@ -248,6 +254,8 @@ def _cmd_check(args) -> int:
 
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
+    import csv
+    import io
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or set(reader.fieldnames) != set(columns):
@@ -291,7 +299,7 @@ def _cmd_calibrate_flux(args) -> int:
 
 def _cmd_fit_width(args) -> int:
     rows = _read_csv(args.samples, ("speed_mm_s", "pressure_g", "width_m"))
-    model = fit_width_model(
+    model = _cli.fit_width_model(
         [(r["speed_mm_s"], r["pressure_g"], r["width_m"]) for r in rows])
     print(f"a = {_g(model.a)}")
     print(f"b = {_g(model.b)}")

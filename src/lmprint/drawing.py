@@ -11,13 +11,11 @@ Everything else is rejected with a named error rather than guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.etree import ElementTree
 
 import json
 import math
 import re
 
-from .circuit import _point_segment_distance
 from .errors import (DrawingFormatError, NonVectorContentError,
                      UnsupportedSvgFeatureError)
 from .report import canonical_json
@@ -190,6 +188,7 @@ def _local_tag(tag: str) -> str:
 
 
 def _parse_svg(text: str, tol: float) -> VectorDrawing:
+    from xml.etree import ElementTree
     if tol <= 0:
         raise DrawingFormatError("chord tolerance must be > 0")
     try:
@@ -341,6 +340,15 @@ def _dedup(points: list[Point], eps: float = 1e-12) -> list[Point]:
         if abs(p[0] - q[0]) > eps or abs(p[1] - q[1]) > eps:
             out.append(p)
     return out
+
+
+def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    ll = dx * dx + dy * dy
+    if ll == 0.0:
+        return math.hypot(p[0] - a[0], p[1] - a[1])
+    t = min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / ll))
+    return math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
 
 
 def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point, tol: float,

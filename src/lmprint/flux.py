@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import DEFAULT_BEAD, GAIN245, BeadGeometry, InkProperties, dynamic_viscosity
 from .errors import CalibrationError, ConfigError, DomainError
-from .nnls import nnls
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,6 +123,7 @@ def calibrate_flux(observations: Sequence[tuple[FlowConditions, BeadGeometry, fl
         raise CalibrationError("unidentifiable: every observation has zero gap drive")
     if not any(q > 0 and (p > 0 or c > 0) for p, c, q in rows):
         raise CalibrationError("need at least one observation with Q > 0 and open gap")
+    from .nnls import nnls
     pressure, couette, flux = zip(*rows)
     (kp, kc), rnorm = nnls([pressure, couette], flux)
     return FluxCalibrationResult(

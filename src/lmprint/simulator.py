@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
-from .nnls import independent, nnls
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
-from .raster import RasterImage
+if TYPE_CHECKING:
+    from .raster import RasterImage
 
 
 FLAG_CORNER = "corner-risk"
@@ -156,6 +157,7 @@ def rasterize(traces, scale: float, *,
     if not (0.0 < scale < math.inf):
         raise ConfigError("raster scale must be finite and > 0")
     import numpy as np
+    from .raster import RasterImage
     traces = tuple(traces)
     if not traces:
         return RasterImage(width=1, height=1, scale=scale,
@@ -339,6 +341,7 @@ def fit_width_model(samples) -> EmpiricalWidthModel:
     strictly positive, whose log F and log v are not collinear with each
     other or with a constant (so at least 2 distinct speeds and pressures).
     """
+    from .nnls import independent, nnls
     samples = [(float(v), float(f), float(w)) for v, f, w in samples]
     if len(samples) < 3:
         raise CalibrationError("width fit needs at least 3 samples")

@@ -492,6 +492,9 @@ assert main(["check", *pipeline, "--pairs", "feed:tip",
              "--out", sys.argv[2]]) == 0
 assert main(["calibrate-flux", "--anchor"]) == 0
 assert main(["fit-width", "--samples", sys.argv[3]]) == 0
+assert main(["simulate", *pipeline, "--out", sys.argv[4]]) == 0
+assert main(["line-width", "--q-mm3s", "0.0656", "--v-mms", "40"]) == 0
+assert main(["contact-probe", "--force-n", "0.5"]) == 0
 print(heavy("numpy", "scipy"))
 """
 
@@ -500,7 +503,8 @@ def test_plan_and_check_load_no_numpy_or_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-W", "ignore::UserWarning", "-c", _IMPORT_PROBE,
          str(tmp_path / "plan.json"), str(tmp_path / "check.json"),
-         str(_write_widths(tmp_path / "widths.csv"))],
+         str(_write_widths(tmp_path / "widths.csv")),
+         str(tmp_path / "simulate.json")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

@@ -383,50 +383,42 @@ def _cmd_contact_probe(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lmprint",
-        description="Tapping-mode liquid-metal printing: planning, "
-                    "simulation and circuit checks.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _pipeline_args(p):
+    p.add_argument("--config", help="run configuration JSON")
+    p.add_argument("--drawing", required=True,
+                   help="drawing file (native JSON or SVG subset)")
+    p.add_argument("--format", choices=["native-json", "svg-subset"],
+                   help="drawing format (default: by file extension)")
+    p.add_argument("--speed", type=float, required=True,
+                   help="speed dial setting")
+    p.add_argument("--pressure", type=float, required=True,
+                   help="pressure dial setting")
+    p.add_argument("--no-reorder", action="store_true",
+                   help="keep the drawing's stroke order")
 
-    def add_pipeline_args(p):
-        p.add_argument("--config", help="run configuration JSON")
-        p.add_argument("--drawing", required=True,
-                       help="drawing file (native JSON or SVG subset)")
-        p.add_argument("--format", choices=["native-json", "svg-subset"],
-                       help="drawing format (default: by file extension)")
-        p.add_argument("--speed", type=float, required=True,
-                       help="speed dial setting")
-        p.add_argument("--pressure", type=float, required=True,
-                       help="pressure dial setting")
-        p.add_argument("--no-reorder", action="store_true",
-                       help="keep the drawing's stroke order")
 
-    p = sub.add_parser("plan", help="plan a toolpath and estimate time/ink")
-    add_pipeline_args(p)
+def _plan_args(p):
+    _pipeline_args(p)
     p.add_argument("--out", default="-", help="report path (default stdout)")
-    p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("simulate", help="simulate deposition along a plan")
-    add_pipeline_args(p)
+
+def _simulate_args(p):
+    _pipeline_args(p)
     p.add_argument("--out", default="-", help="report path (default stdout)")
     p.add_argument("--pgm", help="also write a raster preview here")
     p.add_argument("--scale", type=float, default=0.05,
                    help="raster scale, mm per pixel (default 0.05)")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("render", help="rasterize the simulated traces")
-    add_pipeline_args(p)
+
+def _render_args(p):
+    _pipeline_args(p)
     p.add_argument("--pgm", required=True, help="output PGM path")
     p.add_argument("--scale", type=float, default=0.05,
                    help="raster scale, mm per pixel (default 0.05)")
-    p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("check",
-                       help="extract nets, check connectivity and run DRC")
-    add_pipeline_args(p)
+
+def _check_args(p):
+    _pipeline_args(p)
     p.add_argument("--out", default="-", help="report path (default stdout)")
     p.add_argument("--tolerance", type=float, default=0.0,
                    help="net touch tolerance, mm (default 0)")
@@ -437,26 +429,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DRC minimum trace width, mm (default 0.1)")
     p.add_argument("--min-clearance", type=float, default=0.1,
                    help="DRC minimum inter-net clearance, mm (default 0.1)")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("calibrate-flux",
-                       help="fit flux model constants to observations")
+
+def _calibrate_flux_args(p):
     p.add_argument("--config", help="run configuration JSON")
     p.add_argument("--observations",
                    help="CSV: pressure_drop_pa,omega_y_rad_s,gap_width_m,"
                         "flux_mm3_s")
     p.add_argument("--anchor", action="store_true",
                    help="use the built-in single-point reference anchor")
-    p.set_defaults(func=_cmd_calibrate_flux)
 
-    p = sub.add_parser("fit-width",
-                       help="fit the empirical width power law to samples")
+
+def _fit_width_args(p):
     p.add_argument("--samples", required=True,
                    help="CSV: speed_mm_s,pressure_g,width_m")
-    p.set_defaults(func=_cmd_fit_width)
 
-    p = sub.add_parser("flux-table",
-                       help="tabulate flux over pressures and gap widths")
+
+def _flux_table_args(p):
     p.add_argument("--config", help="run configuration JSON")
     p.add_argument("--pressures", required=True,
                    help="comma-separated pressure drops, Pa")
@@ -464,10 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated gap widths, m")
     p.add_argument("--omega-y", type=float, default=0.0,
                    help="transverse rolling rate, rad/s (default 0)")
-    p.set_defaults(func=_cmd_flux_table)
 
-    p = sub.add_parser("line-width",
-                       help="stable line width from angle, flux and speed")
+
+def _line_width_args(p):
     p.add_argument("--theta-deg", type=float, default=40.0,
                    help="contact angle, degrees")
     p.add_argument("--q-mm3s", type=float, required=True,
@@ -479,10 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=5.0)
     p.add_argument("--theta-max", type=float, default=175.0)
     p.add_argument("--steps", type=int, default=35)
-    p.set_defaults(func=_cmd_line_width)
 
-    p = sub.add_parser("contact-probe",
-                       help="indentation, contact area and creep for a load")
+
+def _contact_probe_args(p):
     p.add_argument("--config", help="run configuration JSON")
     p.add_argument("--force-n", type=float, required=True,
                    help="applied force, N")
@@ -490,14 +477,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tangential-angle-deg", type=float, default=0.0)
     p.add_argument("--literal-s4", action="store_true",
                    help="evaluate the uncorrected printed indentation form")
-    p.set_defaults(func=_cmd_contact_probe)
 
+
+# command -> (help line, adds its arguments, handler), in --help order
+_COMMANDS = {
+    "plan": ("plan a toolpath and estimate time/ink", _plan_args, _cmd_plan),
+    "simulate": ("simulate deposition along a plan", _simulate_args,
+                 _cmd_simulate),
+    "render": ("rasterize the simulated traces", _render_args, _cmd_render),
+    "check": ("extract nets, check connectivity and run DRC", _check_args,
+              _cmd_check),
+    "calibrate-flux": ("fit flux model constants to observations",
+                       _calibrate_flux_args, _cmd_calibrate_flux),
+    "fit-width": ("fit the empirical width power law to samples",
+                  _fit_width_args, _cmd_fit_width),
+    "flux-table": ("tabulate flux over pressures and gap widths",
+                   _flux_table_args, _cmd_flux_table),
+    "line-width": ("stable line width from angle, flux and speed",
+                   _line_width_args, _cmd_line_width),
+    "contact-probe": ("indentation, contact area and creep for a load",
+                      _contact_probe_args, _cmd_contact_probe),
+}
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A top-level parser that holds one command. A usage error of its own
+    raises instead of printing, since the message lists every command."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parser(commands, parser_class) -> argparse.ArgumentParser:
+    """The top-level parser, a parser_class, with the subparsers of
+    `commands` only. Subparsers are plain ArgumentParsers."""
+    parser = parser_class(
+        prog="lmprint",
+        description="Tapping-mode liquid-metal printing: planning, "
+                    "simulation and circuit checks.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    for name in commands:
+        help_line, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every command."""
+    return _parser(_COMMANDS, argparse.ArgumentParser)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, building only the subparser that argv[0] names.
+
+    The full parser is built when argv[0] names no command (no arguments,
+    --help, --version, a typo) and for any usage error of the top level,
+    such as an unrecognized argument after the command, since that
+    message's usage line lists every command.
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _parser((argv[0],), _OneCommandParser).parse_args(argv)
+        except argparse.ArgumentError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except LmprintError as exc:

@@ -89,19 +89,21 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
     time_s, volume_mm3, drawn, taps, lifts, state = _walk(toolpath, env)
     threshold = env.policy.threshold_angle
     traces = []
+    sharp_start = False  # is the joint where segment k starts sharp?
     for k, (start, move, phys, run) in enumerate(drawn):
         end = move.to
+        # segment k ends where segment k + 1 starts, so each joint's angle
+        # is computed once and flags both segments
+        sharp_end = k + 1 < len(drawn) and drawn[k + 1][3] == run and \
+            interior_angle_deg(start, end, drawn[k + 1][1].to) < threshold
         flags = set()
         if phys.full_slip or abs(phys.creep) > env.s_max:
             flags.add(FLAG_SLIP)
         if move.speed_mm_s > env.limits.preferred_max_speed:
             flags.add(FLAG_SPEED)
-        if k > 0 and drawn[k - 1][3] == run and interior_angle_deg(
-                drawn[k - 1][0], start, end) < threshold:
+        if sharp_start or sharp_end:
             flags.add(FLAG_CORNER)
-        if k + 1 < len(drawn) and drawn[k + 1][3] == run and \
-                interior_angle_deg(start, end, drawn[k + 1][1].to) < threshold:
-            flags.add(FLAG_CORNER)
+        sharp_start = sharp_end
         if width_source == "empirical":
             width_m = width_model.predict(move.speed_mm_s, move.pressure_g)
         else:

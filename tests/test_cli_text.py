@@ -64,25 +64,31 @@ CASES = {
 RUNS = {"calibrate-flux-missing-input", "plan-abbreviated-option"}
 
 
-def capture(argv: list[str]) -> dict:
-    """stdout, stderr and exit code of main(argv) at an 80-column width."""
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
-    err = io.StringIO()
+@contextlib.contextmanager
+def eighty_columns():
+    """argparse wraps help to the terminal width, which COLUMNS sets."""
     saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                rc = main(list(argv))
-            except SystemExit as exc:
-                rc = exc.code
+        yield
     finally:
         if saved is None:
             del os.environ["COLUMNS"]
         else:
             os.environ["COLUMNS"] = saved
+
+
+def capture(argv: list[str]) -> dict:
+    """stdout, stderr and exit code of main(argv)."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    err = io.StringIO()
+    with eighty_columns(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
     out.flush()
     return {"argv": list(argv), "rc": rc,
             "stdout": out.buffer.getvalue().decode("utf-8"),
@@ -92,17 +98,9 @@ def capture(argv: list[str]) -> dict:
 def full_parser_text(argv: list[str]) -> dict:
     """What build_parser()'s full parser prints for a usage case."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(list(argv))
-    finally:
-        if saved is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved
+    with eighty_columns(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(list(argv))
     return {"argv": list(argv), "rc": exc.value.code,
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 

@@ -15,7 +15,8 @@ from lmprint.core import grams_to_newtons
 from lmprint.environment import segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
-from lmprint.planner import Lift, Move, Tap, Toolpath, step_head
+from lmprint.planner import Lift, Move, Tap, Toolpath, _walk, \
+    interior_angle_deg, step_head
 from lmprint.raster import RasterImage
 from lmprint.simulator import FLAG_CORNER, FLAG_SLIP, FLAG_SPEED, \
     EmpiricalWidthModel, HeadState, TraceSegment
@@ -122,6 +123,44 @@ def test_corner_risk_flag_on_sharp_junction():
     assert result.flag_counts[FLAG_CORNER] == 2
     for trace in result.traces:
         assert FLAG_CORNER in trace.flags
+
+
+def _corner_flags_per_end(toolpath, env):
+    """Corner flags as simulate set them before, testing segment k's start
+    joint and end joint separately, so each joint's angle was computed
+    twice: once from each side."""
+    drawn = _walk(toolpath, env)[2]
+    threshold = env.policy.threshold_angle
+    flags = []
+    for k, (start, move, _, run) in enumerate(drawn):
+        end = move.to
+        at_start = k > 0 and drawn[k - 1][3] == run and interior_angle_deg(
+            drawn[k - 1][0], start, end) < threshold
+        at_end = k + 1 < len(drawn) and drawn[k + 1][3] == run and \
+            interior_angle_deg(start, end, drawn[k + 1][1].to) < threshold
+        flags.append(at_start or at_end)
+    return flags
+
+
+# a coarse lattice makes repeated points (zero-length moves), reversals and
+# right angles common; finite floats give every other angle
+_coord = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-20.0, 20.0, allow_nan=False))
+_run = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_run, min_size=1, max_size=6))
+def test_corner_flags_equal_the_per_end_test(runs):
+    actions = []
+    for points in runs:
+        actions.append(Tap(points[0], grams_to_newtons(94.0)))
+        actions.extend(Move(p, 40.0, 94.0) for p in points[1:])
+        actions.append(Lift())
+    tp = Toolpath(actions=tuple(actions))
+    result = simulate(tp, QUIET)
+    assert [FLAG_CORNER in t.flags for t in result.traces] == \
+        _corner_flags_per_end(tp, QUIET)
 
 
 def test_no_corner_risk_across_lift():

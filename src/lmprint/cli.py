@@ -500,24 +500,20 @@ _COMMANDS = {
 }
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """A top-level parser that holds one command. A usage error of its own
-    raises instead of printing, since the message lists every command."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def _parser(commands, parser_class) -> argparse.ArgumentParser:
-    """The top-level parser, a parser_class, with the subparsers of
-    `commands` only. Subparsers are plain ArgumentParsers."""
-    parser = parser_class(
+def _parser(commands) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of `commands` only. Its
+    usage line lists every command all the same, so a top-level usage error
+    (an unrecognized argument after the command) reads as with every
+    command added."""
+    parser = argparse.ArgumentParser(
         prog="lmprint",
         description="Tapping-mode liquid-metal printing: planning, "
                     "simulation and circuit checks.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=argparse.ArgumentParser)
+    every = len(commands) == len(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{" + ",".join(_COMMANDS) + "}")
     for name in commands:
         help_line, add_args, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
@@ -528,27 +524,15 @@ def _parser(commands, parser_class) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, with every command."""
-    return _parser(_COMMANDS, argparse.ArgumentParser)
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv, building only the subparser that argv[0] names.
-
-    The full parser is built when argv[0] names no command (no arguments,
-    --help, --version, a typo) and for any usage error of the top level,
-    such as an unrecognized argument after the command, since that
-    message's usage line lists every command.
-    """
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _parser((argv[0],), _OneCommandParser).parse_args(argv)
-        except argparse.ArgumentError:
-            pass
-    return build_parser().parse_args(argv)
+    return _parser(_COMMANDS)
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's subparser runs, so only it is added; no
+    # command (or --help, --version, a typo) adds every command
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _parser(named).parse_args(argv)
     try:
         return args.func(args)
     except LmprintError as exc:

@@ -315,93 +315,83 @@ def _nearest_start_tour(entries: list[Point], exits: list[Point],
     """From origin, go to the remaining entry with the least
     (math.hypot(dx, dy), index), then on from that stroke's exit.
 
-    Equal entries share one stack of stroke indices, lowest on top. The
-    distinct entries are bucketed in a uniform grid of about one cell per
-    8 entries over their bounding box. Each step searches rings of cells
-    outward from the head's cell (the head projected onto the box) and
-    stops when the cells left are all strictly farther than the best entry
-    found. That lower bound is shrunk by a margin that covers the rounding
-    of cell assignment, bound and distance, so no entry that could tie is
+    The entries go in a k-d tree (Bentley 1990): a node splits its entries
+    at the median of the wider side of their bounding box, and a leaf holds
+    at most 8. Each step searches the tree nearer child first and skips a
+    node that holds no remaining entry, or whose box lies farther along x
+    or y than the best distance found, so crowded starts cost about as much
+    per step as scattered ones. That bound is shrunk by a relative 1e-12,
+    far more than hypot's rounding error, so no entry that could tie is
     skipped and the tour is the one a scan of every entry picks.
     """
     n = len(entries)
     if n == 0:
         return ()
     hypot = math.hypot
-    stacks: dict[Point, list[int]] = {}
-    for i in range(n - 1, -1, -1):
-        stacks.setdefault(entries[i], []).append(i)
-    points = list(stacks)
-    tops = list(stacks.values())
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    w, h = x1 - x0, y1 - y0
-    want = max(1, len(points) // 8)
-    s = max(math.sqrt(w * h / want), max(w, h) / want)
-    if 0.0 < s < math.inf:
-        nx, ny = int(w / s) + 1, int(h / s) + 1
-    else:  # every entry at one point, or an extent past the float range
-        nx = ny = 1
-    eps = 1e-9 * max(abs(x0), abs(x1), abs(y0), abs(y1),
-                     s if nx * ny > 1 else 0.0)
-    keep = 1.0 - 1e-12
-    cells: list[list[int]] = [[] for _ in range(nx * ny)]
-    home = []  # the cell of each distinct entry
-    for k in range(len(points)):
-        c = ((int((ys[k] - y0) / s) if ny > 1 else 0) * nx
-             + (int((xs[k] - x0) / s) if nx > 1 else 0))
-        cells[c].append(k)
-        home.append(c)
+    xs = [p[0] for p in entries]
+    ys = [p[1] for p in entries]
+    box: list[tuple[float, float, float, float]] = []  # x0, x1, y0, y1
+    live: list[int] = []    # remaining entries under the node
+    parent: list[int] = []
+    bucket: list[list[int]] = []  # a leaf's remaining entries
+    split: list = []        # a leaf's None, else (on x, median, low, high)
+    leaf_of = [0] * n
 
+    def build(idx: list[int], up: int) -> int:
+        v = len(box)
+        bx = [xs[i] for i in idx]
+        by = [ys[i] for i in idx]
+        x0, x1, y0, y1 = min(bx), max(bx), min(by), max(by)
+        box.append((x0, x1, y0, y1))
+        live.append(len(idx))
+        parent.append(up)
+        split.append(None)
+        if len(idx) <= 8:
+            bucket.append(idx)
+            for i in idx:
+                leaf_of[i] = v
+            return v
+        bucket.append([])
+        on_x = x1 - x0 >= y1 - y0
+        c = xs if on_x else ys
+        idx.sort(key=c.__getitem__)
+        m = len(idx) // 2
+        split[v] = (on_x, c[idx[m]], build(idx[:m], v), build(idx[m:], v))
+        return v
+
+    build(list(range(n)), -1)
+    keep = 1.0 - 1e-12
     order: list[int] = []
     px, py = origin
     while len(order) < n:
-        # no entry is nearer to the head than to its projection onto the
-        # box, and the head's distance from the box adds in quadrature
-        qx = x0 if px < x0 else (x1 if px > x1 else px)
-        qy = y0 if py < y0 else (y1 if py > y1 else py)
-        out = hypot(px - qx, py - qy)
-        cx = int((qx - x0) / s) if nx > 1 else 0
-        cy = int((qy - y0) / s) if ny > 1 else 0
-        best_d, best_i, best_k = math.inf, n, -1
-        ring = [cells[cy * nx + cx]]
-        r = 0
-        while True:
-            for cell in ring:
-                for k in cell:
-                    d = hypot(xs[k] - px, ys[k] - py)
-                    if d <= best_d:
-                        i = tops[k][-1]
-                        if d < best_d or i < best_i:
-                            best_d, best_i, best_k = d, i, k
-            r += 1
-            # ring r, the next to search, and a lower bound on the distance
-            # from the projection to it and to every cell beyond it
-            side = math.inf
-            ring = []
-            lo, hi = max(cx - r, 0), min(cx + r, nx - 1) + 1
-            if cy - r >= 0:
-                side = qy - (y0 + (cy - r + 1) * s)
-                ring += cells[(cy - r) * nx + lo:(cy - r) * nx + hi]
-            if cy + r < ny:
-                side = min(side, y0 + (cy + r) * s - qy)
-                ring += cells[(cy + r) * nx + lo:(cy + r) * nx + hi]
-            lo, hi = max(cy - r + 1, 0) * nx, min(cy + r, ny) * nx
-            if cx - r >= 0:
-                side = min(side, qx - (x0 + (cx - r + 1) * s))
-                ring += cells[lo + cx - r:hi:nx]
-            if cx + r < nx:
-                side = min(side, x0 + (cx + r) * s - qx)
-                ring += cells[lo + cx + r:hi:nx]
-            if side == math.inf or \
-                    hypot(out, max(side - eps, 0.0)) * keep > best_d:
-                break
+        best_d, best_i = math.inf, n
+        todo = [0]
+        while todo:
+            v = todo.pop()
+            if not live[v]:
+                continue
+            x0, x1, y0, y1 = box[v]
+            dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
+            dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
+            if (dx if dx > dy else dy) * keep > best_d:
+                continue
+            if split[v] is None:
+                for i in bucket[v]:
+                    d = hypot(xs[i] - px, ys[i] - py)
+                    if d < best_d or (d == best_d and i < best_i):
+                        best_d, best_i = d, i
+                continue
+            on_x, median, low, high = split[v]
+            if (px if on_x else py) < median:
+                todo += (high, low)
+            else:
+                todo += (low, high)
         order.append(best_i)
-        stack = tops[best_k]
-        stack.pop()
-        if not stack:
-            cells[home[best_k]].remove(best_k)
+        v = leaf_of[best_i]
+        bucket[v].remove(best_i)
+        while v >= 0:
+            live[v] -= 1
+            v = parent[v]
         px, py = exits[best_i]
     return tuple(order)
 
@@ -412,10 +402,11 @@ def order_strokes(drawing: VectorDrawing,
 
     Each step goes to the stroke whose start is nearest the head; ties go
     to the lowest stroke index. A closed stroke ends where it starts. The
-    search is bucketed (see _nearest_start_tour), so it takes near-linear
-    time on scattered strokes. If the greedy tour travels farther than the
-    drawing's own order (greedy is only a heuristic), the original order
-    is returned instead, so the result never loses to the identity.
+    search runs in a k-d tree (see _nearest_start_tour), so it takes
+    near-linear time on scattered and on crowded starts alike. If the
+    greedy tour travels farther than the drawing's own order (greedy is
+    only a heuristic), the original order is returned instead, so the
+    result never loses to the identity.
     """
     n = len(drawing.strokes)
     entries = [stroke[0] for stroke in drawing.strokes]

@@ -41,7 +41,6 @@ _EXPORTS = {
                "interior_angle_deg order_strokes plan step_head",
     "raster": "RasterImage read_pgm write_pgm",
     "report": "make_report read_report write_report",
-    "samples": "SAMPLE_BUILDERS get_sample grid_antenna ic_sketch",
     "simulator": "EmpiricalWidthModel SimulationResult "
                  "TraceSegment fit_width_model rasterize simulate",
     "wetting": "BeadWettingPair LineEstimate SurfaceTensionTriple angle_at_force "

@@ -61,16 +61,12 @@ class Toolpath:
     actions: tuple[Action, ...]
     drawing_id: str | None = None
     policy: str = ""
-    settings: MachineSettings | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
         for a in self.actions:
             if not isinstance(a, (Tap, Move, Lift)):
                 raise PlanError(f"not a toolpath action: {a!r}")
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
 
 # --------------------------------------------------------------------------
@@ -315,27 +311,36 @@ def _nearest_start_tour(entries: list[Point], exits: list[Point],
     """From origin, go to the remaining entry with the least
     (math.hypot(dx, dy), index), then on from that stroke's exit.
 
-    The entries go in a k-d tree (Bentley 1990): a node splits its entries
-    at the median of the wider side of their bounding box, and a leaf holds
-    at most 8. Each step searches the tree nearer child first and skips a
-    node that holds no remaining entry, or whose box lies farther along x
-    or y than the best distance found, so crowded starts cost about as much
-    per step as scattered ones. That bound is shrunk by a relative 1e-12,
-    far more than hypot's rounding error, so no entry that could tie is
-    skipped and the tour is the one a scan of every entry picks.
+    The distinct entry points go in a k-d tree (Bentley 1990): a node
+    splits its points at the median of the wider side of their bounding
+    box, and a leaf holds at most 8. A point offers the lowest index of the
+    strokes that start there and leaves the tree when the last of them is
+    taken, so strokes sharing one start cost one distance per step, not one
+    each. Each step searches the tree nearer child first and skips a node
+    that holds no remaining point, or whose box lies farther along x or y
+    than the best distance found, so crowded starts cost about as much per
+    step as scattered ones. That bound is shrunk by a relative 1e-12, far
+    more than hypot's rounding error, so no entry that could tie is skipped
+    and the tour is the one a scan of every entry picks.
     """
     n = len(entries)
     if n == 0:
         return ()
     hypot = math.hypot
-    xs = [p[0] for p in entries]
-    ys = [p[1] for p in entries]
+    # one point per distinct entry; 0.0 == -0.0 as keys, and both give
+    # every hypot the same value
+    strokes_at: dict[Point, list[int]] = {}
+    for i in range(n - 1, -1, -1):
+        strokes_at.setdefault(entries[i], []).append(i)
+    xs = [p[0] for p in strokes_at]
+    ys = [p[1] for p in strokes_at]
+    waiting = list(strokes_at.values())  # a point's strokes left, highest first
     box: list[tuple[float, float, float, float]] = []  # x0, x1, y0, y1
-    live: list[int] = []    # remaining entries under the node
+    live: list[int] = []    # remaining points under the node
     parent: list[int] = []
-    bucket: list[list[int]] = []  # a leaf's remaining entries
+    bucket: list[list[int]] = []  # a leaf's remaining points
     split: list = []        # a leaf's None, else (on x, median, low, high)
-    leaf_of = [0] * n
+    leaf_of = [0] * len(xs)
 
     def build(idx: list[int], up: int) -> int:
         v = len(box)
@@ -359,7 +364,7 @@ def _nearest_start_tour(entries: list[Point], exits: list[Point],
         split[v] = (on_x, c[idx[m]], build(idx[:m], v), build(idx[m:], v))
         return v
 
-    build(list(range(n)), -1)
+    build(list(range(len(xs))), -1)
     keep = 1.0 - 1e-12
     order: list[int] = []
     px, py = origin
@@ -376,22 +381,24 @@ def _nearest_start_tour(entries: list[Point], exits: list[Point],
             if (dx if dx > dy else dy) * keep > best_d:
                 continue
             if split[v] is None:
-                for i in bucket[v]:
-                    d = hypot(xs[i] - px, ys[i] - py)
+                for j in bucket[v]:
+                    d = hypot(xs[j] - px, ys[j] - py)
+                    i = waiting[j][-1]
                     if d < best_d or (d == best_d and i < best_i):
-                        best_d, best_i = d, i
+                        best_d, best_i, best_j = d, i, j
                 continue
             on_x, median, low, high = split[v]
             if (px if on_x else py) < median:
                 todo += (high, low)
             else:
                 todo += (low, high)
-        order.append(best_i)
-        v = leaf_of[best_i]
-        bucket[v].remove(best_i)
-        while v >= 0:
-            live[v] -= 1
-            v = parent[v]
+        order.append(waiting[best_j].pop())
+        if not waiting[best_j]:
+            v = leaf_of[best_j]
+            bucket[v].remove(best_j)
+            while v >= 0:
+                live[v] -= 1
+                v = parent[v]
         px, py = exits[best_i]
     return tuple(order)
 
@@ -461,7 +468,7 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
                                     pressure_g=pressure_g))
             actions.append(Lift())
     return Toolpath(actions=tuple(actions), drawing_id=drawing.drawing_id,
-                    policy=pol.describe(), settings=settings)
+                    policy=pol.describe())
 
 
 @dataclass(frozen=True)

@@ -68,24 +68,19 @@ class SimulationResult:
 
 
 def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
-             width_source: str = "physics",
              width_model: "EmpiricalWidthModel | None" = None) -> SimulationResult:
     """Execute a toolpath and predict the deposited traces.
 
-    width_source selects the width predictor: "physics" uses the wetting/
-    flux chain, "empirical" uses a fitted EmpiricalWidthModel (flux and
-    creep still come from the physics chain either way, so volume totals
-    are unaffected). Risk flags per segment: corner-risk when the path
-    turns sharper than the policy threshold at either end, slip-risk when
-    |creep| exceeds s_max (full slip included), speed-warning when the
-    commanded speed exceeds the preferred machine limit.
+    Widths come from width_model, a fitted EmpiricalWidthModel, when one is
+    given (width_source "empirical"), and from the wetting/flux chain
+    otherwise ("physics"). Flux and creep come from the physics chain
+    either way, so volume totals are unaffected. Risk flags per segment:
+    corner-risk when the path turns sharper than the policy threshold at
+    either end, slip-risk when |creep| exceeds s_max (full slip included),
+    speed-warning when the commanded speed exceeds the preferred machine
+    limit.
     """
     env = environment if environment is not None else DEFAULT_ENVIRONMENT
-    if width_source not in ("physics", "empirical"):
-        raise ConfigError(f"unknown width source {width_source!r}")
-    if width_source == "empirical" and width_model is None:
-        raise ConfigError("width_source='empirical' requires a width_model")
-
     time_s, volume_mm3, drawn, taps, lifts, state = _walk(toolpath, env)
     threshold = env.policy.threshold_angle
     traces = []
@@ -104,7 +99,7 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
         if sharp_start or sharp_end:
             flags.add(FLAG_CORNER)
         sharp_start = sharp_end
-        if width_source == "empirical":
+        if width_model is not None:
             width_m = width_model.predict(move.speed_mm_s, move.pressure_g)
         else:
             width_m = phys.width_m
@@ -127,7 +122,7 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
         tap_count=taps,
         lift_count=lifts,
         flag_counts=counts,
-        width_source=width_source,
+        width_source="physics" if width_model is None else "empirical",
         final_state=state,
     )
 

@@ -26,8 +26,8 @@ import pytest
 import scipy.ndimage
 from scipy.integrate import quad
 
-from lmprint import MachineSettings, extract_nets, get_sample, plan, \
-    rasterize, simulate
+from conftest import sample
+from lmprint import MachineSettings, extract_nets, plan, rasterize, simulate
 from lmprint.cli import main as cli_main
 from lmprint.contact import BeadGeometry, ContactLoad, SubstrateProperties, \
     contact_pressure, indentation, sr_fr_curve
@@ -173,7 +173,7 @@ def test_criterion_08_grid_antenna_pipeline():
     with _verdict(8, "grid antenna plans, simulates, renders and "
                      "extracts one net"):
         started = time.perf_counter()
-        drawing = get_sample("grid-antenna")
+        drawing = sample("grid-antenna")
         toolpath = plan(drawing, SETTINGS)
         result = simulate(toolpath)
         image = rasterize(result.traces, 0.05)
@@ -198,7 +198,7 @@ def test_criterion_09_volume_conservation():
     with _verdict(9, "raster volume matches flux integral within 2% "
                      "on the sample corpus"):
         for name, scale in scales.items():
-            toolpath = plan(get_sample(name), SETTINGS)
+            toolpath = plan(sample(name), SETTINGS)
             result = simulate(toolpath)
             # identical settings everywhere -> one shared film thickness
             thickness = {t.cross_section_m2 / t.width_m

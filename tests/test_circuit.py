@@ -10,8 +10,8 @@ import scipy.ndimage
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lmprint import MachineSettings, extract_nets, get_sample, plan, \
-    rasterize, simulate
+from conftest import sample
+from lmprint import MachineSettings, extract_nets, plan, rasterize, simulate
 from lmprint import circuit
 from lmprint.circuit import CircuitNets, Contact, DrcResult, DrcViolation, \
     Net, ResistanceEstimate, _candidate_pairs, _capsules, _closest_points, \
@@ -253,16 +253,16 @@ def test_check_connectivity_pairs():
 
 
 def test_grid_antenna_is_one_net_matching_flood_fill():
-    tp = plan(get_sample("grid-antenna"), MachineSettings(10.0, 30.0))
+    tp = plan(sample("grid-antenna"), MachineSettings(10.0, 30.0))
     result = simulate(tp)
     nets = extract_nets(result.traces, 0.05,
-                        pads=get_sample("grid-antenna").pads)
+                        pads=sample("grid-antenna").pads)
     assert len(nets.nets) == 1
     assert _flood_count(result.traces, 0.05) == 1
 
 
 def test_ic_sketch_has_seven_nets():
-    drawing = get_sample("ic-sketch")
+    drawing = sample("ic-sketch")
     tp = plan(drawing, MachineSettings(10.0, 30.0))
     result = simulate(tp)
     nets = extract_nets(result.traces, 0.05, pads=drawing.pads)

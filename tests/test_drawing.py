@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SAMPLES
 from lmprint import VectorDrawing, parse_drawing, serialize_drawing
 from lmprint.drawing import flatten_cubic
 from lmprint.errors import (DrawingFormatError, NonVectorContentError,
@@ -28,6 +29,16 @@ def test_native_round_trip_is_identity():
     assert parse_drawing(blob) == d
     # serialization is canonical: a second pass is byte-identical
     assert serialize_drawing(parse_drawing(blob)) == blob
+
+
+# every shipped drawing; samples/config.json is a config, not a drawing
+SHIPPED = sorted(p.stem for p in SAMPLES.glob("*.json") if p.stem != "config")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_samples_are_canonical(name):
+    raw = (SAMPLES / f"{name}.json").read_bytes()
+    assert serialize_drawing(parse_drawing(raw)) == raw
 
 
 def test_serialization_bytes_equal_json_dumps():

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ANTENNA = ["--drawing", "samples/grid-antenna.json", "--speed", "10",
            "--pressure", "30"]
 
-# the names lmprint/__init__.py re-exported when it imported every submodule
+# the package's public names, grouped by the submodule that defines them
 EXPORTS = {
     "circuit": ["CircuitNets", "DrcResult", "DrcViolation", "Net",
                 "ResistanceEstimate", "check_connectivity", "drc",
@@ -57,7 +57,6 @@ EXPORTS = {
                 "plan", "step_head"],
     "raster": ["RasterImage", "read_pgm", "write_pgm"],
     "report": ["make_report", "read_report", "write_report"],
-    "samples": ["SAMPLE_BUILDERS", "get_sample", "grid_antenna", "ic_sketch"],
     "simulator": ["EmpiricalWidthModel", "SimulationResult", "TraceSegment",
                   "fit_width_model", "rasterize", "simulate"],
     "wetting": ["BeadWettingPair", "LineEstimate", "SurfaceTensionTriple",
@@ -107,13 +106,12 @@ CASES = {
     # id: argv, modules it must not load, modules it must load
     "plan": (["plan", *ANTENNA, *OUT],
              {"lmprint.circuit", "lmprint.simulator", "lmprint.raster",
-              "lmprint.config", "lmprint.samples", "lmprint.nnls",
-              "xml.etree", "csv"},
+              "lmprint.config", "lmprint.nnls", "xml.etree", "csv"},
              {"lmprint.planner", "lmprint.report"}),
     "check": (["check", *ANTENNA, "--pairs", "feed:tip",
                "--resistivity", "2.9e-7", *OUT],
-              {"lmprint.raster", "lmprint.config", "lmprint.samples",
-               "lmprint.nnls", "xml.etree", "csv"},
+              {"lmprint.raster", "lmprint.config", "lmprint.nnls",
+               "xml.etree", "csv"},
               {"lmprint.circuit", "lmprint.simulator"}),
     "simulate": (["simulate", *ANTENNA, *OUT],
                  {"lmprint.circuit", "lmprint.raster", "lmprint.config",

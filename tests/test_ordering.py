@@ -100,6 +100,18 @@ def crowded(n, seed):
     return VectorDrawing(strokes=tuple(strokes), closed_flags=(False,) * n)
 
 
+def one_start(n, seed):
+    """n one-segment strokes that all start at (5, 5) and end on the unit
+    circle around it: a fan-out from one via, where every start ties."""
+    rng = random.Random(seed)
+    strokes = []
+    for _ in range(n):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        strokes.append(((5.0, 5.0), (5.0 + math.cos(angle),
+                                     5.0 + math.sin(angle))))
+    return VectorDrawing(strokes=tuple(strokes), closed_flags=(False,) * n)
+
+
 # coordinates on a half-millimetre lattice make equal distances, shared
 # entries and entries on box edges and split medians common; finite floats
 # cover the rest
@@ -117,6 +129,11 @@ LATTICE += [(1.0, 1.0), (3.0, 3.0), (5.0, 5.0), (7.0, 7.0), (4.0, 1.0),
             (1.0, 4.0), (4.0, 7.0)]
 ON_EDGES = [(p, (p[0] + 4.0, p[1]) if p[0] <= 4.0 else (p[0], p[1] - 4.0),
              False) for p in LATTICE]
+# starts shared by several strokes beside distinct ones, with 0.0 and -0.0
+# in the same coordinate: one point in the tree, the same distance to each
+SHARED = [((0.0, 1.0), (2.0, 2.0), False), ((-0.0, 1.0), (0.0, 3.0), True),
+          ((1.0, 1.0), (0.0, 1.0), False), ((-0.0, 1.0), (-0.0, 1.0), False),
+          ((2.0, 2.0), (-0.0, 1.0), False), ((0.0, 1.0), (1.0, 1.0), True)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,6 +150,11 @@ ON_EDGES = [(p, (p[0] + 4.0, p[1]) if p[0] <= 4.0 else (p[0], p[1] - 4.0),
 @example(ON_EDGES, (4.0, 4.0))
 @example(ON_EDGES, (-1e6, 5e5))
 @example(SQUARE_RING * 3, (1e9, -1e9))
+@example(SHARED * 3, (0.0, 0.0))
+@example(SHARED * 2, (-0.0, 1.0))
+@example(SHARED + ON_EDGES + SHARED, (3.0, -0.0))
+@example([((2.0, 2.0), (float(k % 3), 0.0), False) for k in range(12)]
+         + [((float(k), 2.0), (2.0, 2.0), False) for k in range(5)], (0.0, 0.0))
 def test_order_matches_the_plain_scan(strokes, origin):
     drawing = drawing_of(strokes)
     assert greedy_of(drawing, origin) == oracle_greedy(drawing, origin)
@@ -168,7 +190,7 @@ class CountingMath:
         return math.hypot(*args)
 
 
-@pytest.mark.parametrize("strokes", [scattered, crowded])
+@pytest.mark.parametrize("strokes", [scattered, crowded, one_start])
 def test_distance_evaluations_grow_near_linearly(monkeypatch, strokes):
     counts = []
     for n in (1000, 2000, 4000, 8000):

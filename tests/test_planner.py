@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
-    estimate, get_sample, plan
+    estimate, plan
 from lmprint.environment import CornerPolicy
 from lmprint.errors import IllegalActionError, PlanError
 from lmprint.planner import HeadState, Lift, Move, Tap, \
@@ -84,7 +85,7 @@ def test_closed_square_lift_and_retap_gives_four_runs():
 
 
 def test_closed_square_lift_and_retap_plans_four_taps():
-    tp = plan(get_sample("square"), _settings())
+    tp = plan(sample("square"), _settings())
     taps = [a for a in tp.actions if isinstance(a, Tap)]
     lifts = [a for a in tp.actions if isinstance(a, Lift)]
     assert len(taps) == 4 and len(lifts) == 4
@@ -249,7 +250,7 @@ def test_plan_rejects_limit_violations():
 
 def test_plan_outputs_walk_the_head_state_machine():
     for name in ("straight-line", "square", "grid-antenna", "ic-sketch"):
-        tp = plan(get_sample(name), _settings())
+        tp = plan(sample(name), _settings())
         state = HeadState.SEALED
         for action in tp.actions:
             state = step_head(state, action)
@@ -260,8 +261,8 @@ def test_plan_outputs_walk_the_head_state_machine():
 
 def test_plan_is_deterministic():
     settings = _settings()
-    a = plan(get_sample("ic-sketch"), settings)
-    b = plan(get_sample("ic-sketch"), settings)
+    a = plan(sample("ic-sketch"), settings)
+    b = plan(sample("ic-sketch"), settings)
     assert a.actions == b.actions
     assert a.policy == b.policy
 
@@ -275,7 +276,7 @@ def test_estimate_time_for_plain_run():
 
 
 def test_estimate_counts_dwell():
-    tp = plan(get_sample("square"), _settings())
+    tp = plan(sample("square"), _settings())
     est = estimate(tp)  # default environment: 0.1 s per tap and per lift
     assert est.print_time_s == pytest.approx(80.0 / 40.0 + 8 * 0.1,
                                              rel=1e-12)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
-    estimate, fit_width_model, get_sample, plan, rasterize, simulate
+    estimate, fit_width_model, plan, rasterize, simulate
 from lmprint.core import grams_to_newtons
 from lmprint.environment import segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
@@ -97,7 +98,7 @@ def test_simulate_single_segment_matches_physics():
 
 def test_simulate_volume_agrees_with_estimate():
     for name in ("straight-line", "square", "grid-antenna", "ic-sketch"):
-        tp = plan(get_sample(name), SETTINGS)
+        tp = plan(sample(name), SETTINGS)
         est = estimate(tp, QUIET)
         sim = simulate(tp, QUIET)
         assert sim.ink_volume_mm3 == pytest.approx(est.ink_volume_mm3,
@@ -164,7 +165,7 @@ def test_corner_flags_equal_the_per_end_test(runs):
 
 
 def test_no_corner_risk_across_lift():
-    tp = plan(get_sample("square"), SETTINGS)  # lift-and-retap splits
+    tp = plan(sample("square"), SETTINGS)  # lift-and-retap splits
     result = simulate(tp, QUIET)
     assert result.flag_counts[FLAG_CORNER] == 0
 
@@ -188,18 +189,26 @@ def test_slip_risk_flag():
 
 def test_empirical_width_source():
     model = EmpiricalWidthModel(a=2e-4, b=0.0, c=0.0, residual=0.0)
-    result = simulate(_line_toolpath(), QUIET, width_source="empirical",
-                      width_model=model)
+    result = simulate(_line_toolpath(), QUIET, width_model=model)
     assert result.width_source == "empirical"
     assert result.traces[0].width_m == pytest.approx(2e-4, rel=1e-12)
     # physics-only fields still come from the physics chain
     phys = segment_physics(40.0, 94.0, QUIET)
     assert result.traces[0].flux_m3_s == phys.flux_m3_s
 
-    with pytest.raises(ConfigError):
-        simulate(_line_toolpath(), QUIET, width_source="empirical")
-    with pytest.raises(ConfigError):
-        simulate(_line_toolpath(), QUIET, width_source="guess")
+
+def test_a_width_model_alone_sets_every_width():
+    model = EmpiricalWidthModel(a=3e-4, b=0.25, c=0.5, residual=0.0)
+    tp = plan(sample("ic-sketch"), SETTINGS)
+    physics = simulate(tp, QUIET)
+    result = simulate(tp, QUIET, width_model=model)
+    assert result.width_source == "empirical"
+    assert [t.width_m for t in result.traces] == [
+        model.predict(t.speed_mm_s, t.pressure_g) for t in result.traces]
+    assert all(t.width_m != p.width_m
+               for t, p in zip(result.traces, physics.traces))
+    assert [t.flux_m3_s for t in result.traces] == \
+        [t.flux_m3_s for t in physics.traces]
 
 
 class TestRasterize:
@@ -251,7 +260,7 @@ class TestRasterize:
 
     def test_deterministic_bytes(self):
         from lmprint import write_pgm
-        tp = plan(get_sample("square"), SETTINGS)
+        tp = plan(sample("square"), SETTINGS)
         result = simulate(tp, QUIET)
         first = write_pgm(rasterize(result.traces, 0.05))
         second = write_pgm(rasterize(simulate(tp, QUIET).traces, 0.05))

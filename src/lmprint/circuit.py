@@ -13,10 +13,10 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
+from .core import Record
 from .drawing import _point_segment_distance
 from .errors import CircuitError, ConfigError, UnknownPadError
 
@@ -197,8 +197,7 @@ def _contacts(traces, reach: float, points=()):
     return contacts, near_points
 
 
-@dataclass(frozen=True)
-class Net:
+class Net(Record):
     """Segments that share a potential, with the pads they touch.
 
     edges lists the touching member pairs (i, j), i < j, in sorted order:
@@ -219,21 +218,21 @@ class Net:
         raise UnknownPadError(f"pad {name!r} does not touch net {self.net_id}")
 
 
-@dataclass(frozen=True)
-class CircuitNets:
+class CircuitNets(Record):
     """Nets, and the contacts of the pass that found them.
 
     contacts lists every segment pair whose outline gap is at most
     contact_reach, the larger of the touch tolerance and the clearance
     the nets were extracted for; drc reads them instead of a second pass
-    when its traces are the ones kept here.
+    when its traces are the ones kept here. traces is not a field: it
+    takes no part in equality, hash or repr, and extract_nets sets it.
     """
 
     nets: tuple[Net, ...]
     touch_tolerance: float
     contact_reach: float = 0.0
     contacts: tuple[Contact, ...] = ()
-    traces: tuple | None = field(default=None, compare=False, repr=False)
+    traces = None  # the traces the contacts were found on, if known
 
     @cached_property
     def _by_segment(self) -> dict[int, Net]:
@@ -340,9 +339,10 @@ def extract_nets(traces, touch_tolerance: float,
             pads=tuple(name for name, _ in touching[nid]),
             edges=tuple(net_edges[nid]), pad_segments=tuple(touching[nid]))
         for nid, seg_ids in enumerate(members))
-    return CircuitNets(nets=nets, touch_tolerance=touch_tolerance,
-                       contact_reach=reach, contacts=tuple(contacts),
-                       traces=traces)
+    result = CircuitNets(nets=nets, touch_tolerance=touch_tolerance,
+                         contact_reach=reach, contacts=tuple(contacts))
+    object.__setattr__(result, "traces", traces)
+    return result
 
 
 def check_connectivity(nets: CircuitNets,
@@ -356,8 +356,7 @@ def check_connectivity(nets: CircuitNets,
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class ResistanceEstimate:
+class ResistanceEstimate(Record):
     ohms: float
     path: tuple[int, ...]
     approximate: bool
@@ -377,11 +376,14 @@ def estimate_resistance(net: Net, pad_a: str, pad_b: str,
     Each member segment contributes rho * length / cross_section, lengths
     in metres. On a branched or looping net the single-path model ignores
     parallel branches, so the estimate carries approximate=True there.
+    A pad paired with itself is 0 ohm along the empty path.
     """
     if not 0.0 < resistivity < math.inf:
         raise CircuitError("resistivity must be finite and > 0")
     traces = tuple(traces)
     starts = net.segments_for_pad(pad_a)
+    if pad_a == pad_b:
+        return ResistanceEstimate(ohms=0.0, path=(), approximate=False)
     targets = set(net.segments_for_pad(pad_b))
     members = net.segments
     res = {i: _segment_resistance(traces[i], resistivity) for i in members}
@@ -411,16 +413,14 @@ def estimate_resistance(net: Net, pad_a: str, pad_b: str,
         f"{net.net_id}")
 
 
-@dataclass(frozen=True)
-class DrcViolation:
+class DrcViolation(Record):
     kind: str                 # "min-width" or "clearance-short-risk"
     location: Point           # mm
     measured: float
     limit: float
 
 
-@dataclass(frozen=True)
-class DrcResult:
+class DrcResult(Record):
     violations: tuple[DrcViolation, ...]
 
     @property

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import _SUBMODULE_OF, __version__
 from .contact import ContactLoad, indentation, sliding_ratio, static_slip_check
-from .core import MachineSettings
+from .core import MachineSettings, replace
 from .drawing import parse_drawing
 from .environment import Environment
 from .errors import FullSlipError, LmprintError
@@ -25,7 +25,6 @@ from .planner import Lift, Move, Tap, estimate, plan
 from .report import make_report, write_report
 from .wetting import line_width_profile, stable_line_width
 
-import dataclasses
 import math
 
 _cli = sys.modules[__name__]
@@ -44,7 +43,12 @@ REFERENCE_CONDITIONS = (40.0, 0.0656, 40.0)  # theta deg, Q mm^3/s, V mm/s
 
 
 def _g(x: float) -> str:
-    return f"{float(x) + 0.0:.9g}"  # +0.0 folds -0.0 into 0.0
+    """A result to 9 significant digits; a handler formats every line
+    before it prints one, so a non-finite result prints only the error."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise LmprintError(f"result is not finite ({x})")
+    return f"{x + 0.0:.9g}"  # +0.0 folds -0.0 into 0.0
 
 
 def _point(p) -> list[float]:
@@ -274,8 +278,7 @@ def _cmd_calibrate_flux(args) -> int:
     env = _load_env(args)
     if args.anchor:
         observations = [(ANCHOR_CONDITIONS,
-                         dataclasses.replace(env.bead,
-                                             gap_width=ANCHOR_GAP_WIDTH),
+                         replace(env.bead, gap_width=ANCHOR_GAP_WIDTH),
                          ANCHOR_FLUX_M3_S)]
     else:
         if not args.observations:
@@ -288,12 +291,12 @@ def _cmd_calibrate_flux(args) -> int:
             cond = FlowConditions(pressure_drop=r["pressure_drop_pa"],
                                   rotation=(0.0, r["omega_y_rad_s"], 0.0),
                                   head_velocity=0.0)
-            bead = dataclasses.replace(env.bead, gap_width=r["gap_width_m"])
+            bead = replace(env.bead, gap_width=r["gap_width_m"])
             observations.append((cond, bead, r["flux_mm3_s"] * 1e-9))
     fit = calibrate_flux(observations, ink=env.ink)
-    print(f"kappa_pressure = {_g(fit.params.kappa_pressure)}")
-    print(f"kappa_couette = {_g(fit.params.kappa_couette)}")
-    print(f"residual_m3_s = {_g(fit.residual)}")
+    print(f"kappa_pressure = {_g(fit.params.kappa_pressure)}\n"
+          f"kappa_couette = {_g(fit.params.kappa_couette)}\n"
+          f"residual_m3_s = {_g(fit.residual)}")
     return 0
 
 
@@ -301,10 +304,8 @@ def _cmd_fit_width(args) -> int:
     rows = _read_csv(args.samples, ("speed_mm_s", "pressure_g", "width_m"))
     model = _cli.fit_width_model(
         [(r["speed_mm_s"], r["pressure_g"], r["width_m"]) for r in rows])
-    print(f"a = {_g(model.a)}")
-    print(f"b = {_g(model.b)}")
-    print(f"c = {_g(model.c)}")
-    print(f"residual_log = {_g(model.residual)}")
+    print(f"a = {_g(model.a)}\nb = {_g(model.b)}\nc = {_g(model.c)}\n"
+          f"residual_log = {_g(model.residual)}")
     return 0
 
 
@@ -324,10 +325,9 @@ def _cmd_flux_table(args) -> int:
                           head_velocity=0.0)
     table = flux_table(pressures, gap_widths, cond, env.flux_params,
                        env.bead, env.ink)
-    print("pressure_pa,gap_width_m,flux_mm3_s")
-    for i, p in enumerate(pressures):
-        for j, gw in enumerate(gap_widths):
-            print(f"{_g(p)},{_g(gw)},{_g(table[i, j] * 1e9)}")
+    print("\n".join(["pressure_pa,gap_width_m,flux_mm3_s"] + [
+        f"{_g(p)},{_g(gw)},{_g(table[i, j] * 1e9)}"
+        for i, p in enumerate(pressures) for j, gw in enumerate(gap_widths)]))
     return 0
 
 
@@ -341,19 +341,18 @@ def _cmd_line_width(args) -> int:
         lo, hi = args.theta_min, args.theta_max
         thetas = [lo + (hi - lo) * k / (n - 1) if n > 1 else lo
                   for k in range(n)]
-        # the whole profile is computed before any row is printed, so a
-        # bad input prints nothing but the error
         profile = line_width_profile(thetas, q_m3_s, v_m_s)
         print("\n".join(["theta_deg,width_um"] + [
             f"{_g(theta)},{_g(width * 1e6)}" for theta, width in profile]))
         return 0
     est = stable_line_width(math.radians(args.theta_deg), q_m3_s, v_m_s)
-    print(f"width_um = {_g(est.width * 1e6)}")
-    print(f"cross_section_mm2 = {_g(est.cross_section_area * 1e6)}")
+    lines = [f"width_um = {_g(est.width * 1e6)}",
+             f"cross_section_mm2 = {_g(est.cross_section_area * 1e6)}"]
     if (args.theta_deg, args.q_mm3s, args.v_mms) == REFERENCE_CONDITIONS:
         dev = 100.0 * (est.width * 1e6 - REFERENCE_WIDTH_UM) / REFERENCE_WIDTH_UM
-        print(f"reference_width_um = {_g(REFERENCE_WIDTH_UM)}")
-        print(f"deviation_pct = {_g(dev)}")
+        lines += [f"reference_width_um = {_g(REFERENCE_WIDTH_UM)}",
+                  f"deviation_pct = {_g(dev)}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -364,8 +363,6 @@ def _cmd_contact_probe(args) -> int:
                        tangential_angle=math.radians(args.tangential_angle_deg))
     sol = indentation(load, env.bead, env.substrate,
                       literal_s4=args.literal_s4)
-    # every line is computed before any is printed, so a bad input prints
-    # nothing but the error
     lines = [f"indentation_m = {_g(sol.indentation_depth)}",
              f"contact_radius_m = {_g(sol.contact_radius)}",
              f"contact_area_m2 = {_g(sol.contact_area)}"]

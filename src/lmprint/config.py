@@ -9,7 +9,6 @@ unknown keys are rejected so a typo cannot silently fall back to one.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from .core import (DEFAULT_BEAD, GAIN245, SUBSTRATE_PRESETS, BeadGeometry,
@@ -59,12 +58,12 @@ def _schema(field, record, keys=None, **supplied):
     """The Environment field a section fills (None: its own fields), its
     record, JSON key -> (field, reader, what), the required keys and the
     supplied defaults. An annotation with no reader fails at import."""
-    fields = {f.name: f for f in dataclasses.fields(record)}
-    keys = keys or {name: name for name in fields}
-    readers = {key: (name, *_READERS[fields[name].type])
+    types = record.__annotations__  # a Record's fields, in order
+    keys = keys or {name: name for name in record._fields}
+    readers = {key: (name, *_READERS[types[name]])
                for key, name in keys.items()}
-    required = [key for key, name in keys.items() if name not in supplied
-                and fields[name].default is dataclasses.MISSING]
+    required = [key for key, name in keys.items()
+                if name not in supplied and name not in record._defaults]
     return field, record, readers, required, supplied
 
 

@@ -8,16 +8,14 @@ creep magnitude feeds the printing-failure checks downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import math
 
-from .core import BeadGeometry, SubstrateProperties
+from .core import BeadGeometry, Record, SubstrateProperties
 from .errors import ConfigError, FullSlipError, OutOfContactError
 
 
-@dataclass(frozen=True)
-class ContactLoad:
+class ContactLoad(Record):
     """External load on the bead.
 
     force in N. normal_angle (rad) is the tilt of the force away from the
@@ -38,8 +36,7 @@ class ContactLoad:
             raise ConfigError("normal_angle must be in [0, pi/2)")
 
 
-@dataclass(frozen=True)
-class ContactSolution:
+class ContactSolution(Record):
     """Indentation depth h, contact radius a = sqrt(R h), area pi a^2 (SI)."""
 
     indentation_depth: float
@@ -47,8 +44,7 @@ class ContactSolution:
     contact_area: float
 
 
-@dataclass(frozen=True)
-class SlidingState:
+class SlidingState(Record):
     """Creep of the rolling bead.
 
     creep is the signed ratio s = 1 - R*omega/V; negative s means the bead

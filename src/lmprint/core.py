@@ -3,11 +3,11 @@
 All stored quantities are SI unless the field name says otherwise; machine
 units (dimensionless speed/pressure dials), mm/s, grams-force and degrees
 appear only at interface boundaries. Everything here is immutable and pure.
+`Record` is the base of every record class in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import math
@@ -15,6 +15,85 @@ import math
 from .errors import ConfigError, InvalidSettingError
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
+
+class Record:
+    """An immutable record: its fields are its class's own annotations, in
+    order, and a class attribute of a field's name is its default.
+
+    A record takes its fields by position or keyword and runs __post_init__,
+    which may store normalised values with object.__setattr__. It equals a
+    record of its own type with equal fields, hashes and prints as a frozen
+    dataclass does, and refuses assignment. Defining one compiles no code.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _fieldset: frozenset[str] = frozenset()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields, cls._fieldset = tuple(own), frozenset(own)
+        cls._defaults = {n: cls.__dict__[n] for n in own if n in cls.__dict__}
+
+    def __init__(self, /, *args, **kwargs):
+        fields = self._fields
+        if args and not kwargs and len(args) == len(fields):
+            i = 0
+            for value in args:  # cheaper than dict(zip(...)) here
+                kwargs[fields[i]] = value
+                i += 1
+        elif (args or len(kwargs) != len(fields)
+              or not self._fieldset.issuperset(kwargs)):
+            kwargs = _bind(type(self), args, kwargs)
+        object.__setattr__(self, "__dict__", kwargs)  # a fresh dict
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> dict:
+    """A record's values from a call that leaves a field to its default or
+    mixes positions and keywords; TypeError for a call that omits, repeats
+    or invents a field."""
+    fields = cls._fields
+    values = {**cls._defaults, **kwargs}
+    if args:
+        values.update(zip(fields, args))
+    if (len(values) != len(fields) or len(args) > len(fields)
+            or not cls._fieldset.issuperset(kwargs)
+            or not kwargs.keys().isdisjoint(fields[:len(args)])):
+        raise TypeError(f"{cls.__qualname__}() takes {', '.join(fields)}; "
+                        f"got {len(args)} by position and {list(kwargs)}")
+    return values
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A copy of record with the named fields changed."""
+    return type(record)(**dict(zip(record._fields, record._values()),
+                               **changes))
 
 
 def grams_to_newtons(grams: float) -> float:
@@ -25,8 +104,7 @@ def newtons_to_grams(newtons: float) -> float:
     return newtons / (1e-3 * STANDARD_GRAVITY)
 
 
-@dataclass(frozen=True)
-class InkProperties:
+class InkProperties(Record):
     """Liquid-metal ink constants.
 
     density in kg/m^3, kinematic_viscosity in m^2/s, surface_tension_lm_air
@@ -53,8 +131,7 @@ def dynamic_viscosity(ink: InkProperties) -> float:
     return ink.density * ink.kinematic_viscosity
 
 
-@dataclass(frozen=True)
-class SubstrateProperties:
+class SubstrateProperties(Record):
     """Elastic, frictional and wetting description of a printing substrate.
 
     youngs_modulus in Pa, poisson_ratio dimensionless in (0, 0.5),
@@ -91,8 +168,7 @@ class SubstrateProperties:
             raise ConfigError(f"{self.name}: angle_table angles must be strictly decreasing")
 
 
-@dataclass(frozen=True)
-class BeadGeometry:
+class BeadGeometry(Record):
     """Roller-bead and seat-gap geometry, metres.
 
     channel_width_eff / channel_length_eff are the unrolled-gap channel
@@ -118,8 +194,7 @@ class BeadGeometry:
             raise ConfigError("effective channel dimensions must be > 0")
 
 
-@dataclass(frozen=True)
-class MachineSettings:
+class MachineSettings(Record):
     """Dial values as entered on the machine, both dimensionless."""
 
     speed_setting: float
@@ -133,8 +208,7 @@ class MachineSettings:
                 "pressure setting must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class MachineLimits:
+class MachineLimits(Record):
     """Hard and preferred operating limits, in interface units."""
 
     max_speed: float = 400.0            # mm/s
@@ -148,8 +222,7 @@ class MachineLimits:
             raise ConfigError("max_pressure must be > 0")
 
 
-@dataclass(frozen=True)
-class SpeedCalibration:
+class SpeedCalibration(Record):
     """Linear speed dial map; one dial unit is 4 mm/s (30 -> 120 mm/s)."""
 
     mm_s_per_unit: float = 4.0
@@ -172,8 +245,7 @@ class Force(NamedTuple):
     newtons: float
 
 
-@dataclass(frozen=True)
-class PressureCalibration:
+class PressureCalibration(Record):
     """Pressure dial to contact force, piecewise-linear through anchors.
 
     The true machine curve is unknown beyond one anchor (dial 60 presses
@@ -238,8 +310,7 @@ def pressure_setting_to_force(setting: float,
     return calibration.force(setting)
 
 
-@dataclass(frozen=True)
-class SettingsVerdict:
+class SettingsVerdict(Record):
     """Outcome of validating machine settings against limits."""
 
     ok: bool

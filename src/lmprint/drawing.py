@@ -10,12 +10,12 @@ Everything else is rejected with a named error rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 import json
 import math
 import re
 
+from .core import Record
 from .errors import (DrawingFormatError, NonVectorContentError,
                      UnsupportedSvgFeatureError)
 from .report import canonical_json
@@ -28,15 +28,14 @@ NATIVE_TOP_KEYS = {"version", "id", "units", "strokes", "pads"}
 NATIVE_STROKE_KEYS = {"points", "closed"}
 
 
-@dataclass(frozen=True)
-class VectorDrawing:
+class VectorDrawing(Record):
     """Polyline strokes (mm), per-stroke closed flags and named pads."""
 
     strokes: tuple[tuple[Point, ...], ...]
     closed_flags: tuple[bool, ...]
-    pads: dict[str, Point] = field(default_factory=dict)
+    pads: dict[str, Point] = {}  # __post_init__ stores a fresh dict
     drawing_id: str | None = None
-    bounds: tuple[Point, Point] | None = field(default=None, compare=True)
+    bounds: tuple[Point, Point] | None = None
 
     def __post_init__(self):
         strokes = tuple(tuple((float(x), float(y)) for x, y in s) for s in self.strokes)

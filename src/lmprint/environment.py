@@ -10,20 +10,18 @@ and the simulator share one code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .contact import ContactLoad, indentation, sliding_ratio
 from .core import (DEFAULT_BEAD, DEFAULT_LIMITS, DEFAULT_PRESSURE_CALIBRATION,
                    DEFAULT_SPEED_CALIBRATION, GAIN245, PVC_FILM, BeadGeometry,
-                   InkProperties, MachineLimits, PressureCalibration,
+                   InkProperties, MachineLimits, PressureCalibration, Record,
                    SpeedCalibration, SubstrateProperties, grams_to_newtons)
 from .errors import ConfigError, FullSlipError
 from .flux import FlowConditions, FluxModelParams, default_flux_params, gap_flux
 from .wetting import angle_at_force, stable_line_width
 
 
-@dataclass(frozen=True)
-class CornerPolicy:
+class CornerPolicy(Record):
     """What to do at corners whose interior angle is below threshold_angle.
 
     Strategies: "lift-and-retap" breaks the stroke at the corner (lift,
@@ -63,8 +61,7 @@ class CornerPolicy:
 DEFAULT_POLICY = CornerPolicy()
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Record):
     """Complete context for planning, simulating and checking one run."""
 
     ink: InkProperties = GAIN245
@@ -104,8 +101,7 @@ class Environment:
 DEFAULT_ENVIRONMENT = Environment()
 
 
-@dataclass(frozen=True)
-class SegmentPhysics:
+class SegmentPhysics(Record):
     """Physics of one drawn segment at fixed speed and pressure."""
 
     speed_mm_s: float

@@ -14,10 +14,10 @@ Q = kappa_p * w_eff * GW^3 * dP / (12 mu l_eff)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
-from .core import DEFAULT_BEAD, GAIN245, BeadGeometry, InkProperties, dynamic_viscosity
+from .core import (DEFAULT_BEAD, GAIN245, BeadGeometry, InkProperties, Record,
+                   dynamic_viscosity, replace)
 from .errors import CalibrationError, ConfigError, DomainError
 
 if TYPE_CHECKING:
@@ -26,8 +26,7 @@ if TYPE_CHECKING:
 M3_PER_MM3 = 1e-9
 
 
-@dataclass(frozen=True)
-class FlowConditions:
+class FlowConditions(Record):
     """Boundary conditions for one gap-flow evaluation.
 
     pressure_drop is inlet minus outlet gauge pressure (Pa, >= 0);
@@ -54,8 +53,7 @@ class FlowConditions:
         return self.rotation[1]
 
 
-@dataclass(frozen=True)
-class FluxModelParams:
+class FluxModelParams(Record):
     """Calibration constants of the reduced gap-flux model."""
 
     kappa_pressure: float
@@ -94,8 +92,7 @@ ANCHOR_FLUX_MM3_S = 0.0656
 ANCHOR_FLUX_M3_S = ANCHOR_FLUX_MM3_S * M3_PER_MM3
 
 
-@dataclass(frozen=True)
-class FluxCalibrationResult:
+class FluxCalibrationResult(Record):
     """Fitted constants plus the least-squares residual norm (m^3/s)."""
 
     params: FluxModelParams

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .core import MachineSettings, grams_to_newtons, validate_settings
+from .core import MachineSettings, Record, grams_to_newtons, validate_settings
 from .drawing import VectorDrawing
 from .environment import (DEFAULT_ENVIRONMENT, CornerPolicy, Environment,
                           segment_physics)
@@ -23,8 +22,7 @@ from .errors import DomainError, IllegalActionError, PlanError
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Tap:
+class Tap(Record):
     """Seal the nozzle against the substrate at `at` with force_n newtons."""
 
     at: Point
@@ -34,8 +32,7 @@ class Tap:
         object.__setattr__(self, "at", (float(self.at[0]), float(self.at[1])))
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(Record):
     """Draw a straight segment to `to` at speed_mm_s under pressure_g grams."""
 
     to: Point
@@ -48,16 +45,14 @@ class Move:
             raise DomainError("move speed must be > 0")
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(Record):
     """Raise the head, ending the current trace."""
 
 
 Action = Tap | Move | Lift
 
 
-@dataclass(frozen=True)
-class Toolpath:
+class Toolpath(Record):
     actions: tuple[Action, ...]
     drawing_id: str | None = None
     policy: str = ""
@@ -471,8 +466,7 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
                     policy=pol.describe())
 
 
-@dataclass(frozen=True)
-class PlanEstimate:
+class PlanEstimate(Record):
     print_time_s: float
     ink_volume_mm3: float
 

@@ -9,17 +9,16 @@ dimensions round-trip bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .core import Record
 from .errors import ConfigError, DrawingFormatError
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class RasterImage:
+class RasterImage(Record):
     """Occupancy grid: cells is a (height, width) uint8 array, scale mm/px."""
 
     width: int

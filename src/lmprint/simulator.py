@@ -11,9 +11,9 @@ the alternative, measurement-driven width predictor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .core import Record
 from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
@@ -26,8 +26,7 @@ FLAG_SLIP = "slip-risk"
 FLAG_SPEED = "speed-warning"
 
 
-@dataclass(frozen=True)
-class TraceSegment:
+class TraceSegment(Record):
     """One deposited straight segment with its predicted physics."""
 
     start: Point
@@ -54,8 +53,7 @@ class TraceSegment:
         return self.flux_m3_s / (self.speed_mm_s * 1e-3)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     traces: tuple[TraceSegment, ...]
     print_time_s: float
     ink_volume_mm3: float
@@ -302,8 +300,7 @@ def _paint(starts, stops, n):
 # empirical width model (measurement-driven alternative to the physics chain)
 
 
-@dataclass(frozen=True)
-class EmpiricalWidthModel:
+class EmpiricalWidthModel(Record):
     """Power law w = a * F_g^b / v^c fitted to measured line widths.
 
     Speeds in mm/s, forces in grams, widths in metres. b, c >= 0 so the

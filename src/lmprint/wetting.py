@@ -9,20 +9,18 @@ flattens it onto the surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import bisect
 import math
 import warnings
 
-from .core import SubstrateProperties
+from .core import Record, SubstrateProperties
 from .errors import ConfigError, NoEquilibriumError, WettingDomainError
 from .flux import cross_section_area
 
 
-@dataclass(frozen=True)
-class SurfaceTensionTriple:
+class SurfaceTensionTriple(Record):
     """Substrate/air, substrate/liquid-metal and liquid-metal/air tensions (N/m)."""
 
     gamma_sub_air: float
@@ -34,8 +32,7 @@ class SurfaceTensionTriple:
             raise ConfigError("gamma_lm_air must be > 0")
 
 
-@dataclass(frozen=True)
-class LineEstimate:
+class LineEstimate(Record):
     """Predicted stable line: width (m), cross-section area (m^2), angle (rad)."""
 
     width: float
@@ -43,8 +40,7 @@ class LineEstimate:
     contact_angle: float
 
 
-@dataclass(frozen=True)
-class BeadWettingPair:
+class BeadWettingPair(Record):
     """Liquid-metal tension on the substrate vs on the roller-bead (N/m)."""
 
     gamma_sub_lm: float

@@ -1,8 +1,8 @@
 """Net extraction, connectivity, resistance estimates and design rules."""
 
 import heapq
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from lmprint.circuit import CircuitNets, Contact, DrcResult, DrcViolation, \
     _point_segment_distance, _segment_resistance, _UnionFind, \
     check_connectivity, drc, estimate_resistance, outline_clearance
 from lmprint.cli import main
+from lmprint.core import replace
 from lmprint.errors import CircuitError, ConfigError, UnknownPadError
 from lmprint.simulator import TraceSegment
 
@@ -116,6 +117,8 @@ def _brute_drc(traces, min_width, min_clearance, nets) -> DrcResult:
 def _brute_resistance(net, pad_a, pad_b, resistivity, traces,
                       touch_tolerance) -> ResistanceEstimate:
     starts = net.segments_for_pad(pad_a)
+    if pad_a == pad_b:  # no trace lies between a pad and itself
+        return ResistanceEstimate(ohms=0.0, path=(), approximate=False)
     targets = set(net.segments_for_pad(pad_b))
     members = net.segments
     res = {i: _segment_resistance(traces[i], resistivity) for i in members}
@@ -348,6 +351,35 @@ class TestResistance:
                 if nxt not in path:
                     stack.append((nxt, path + (nxt,), acc + cost(nxt)))
         assert est.ohms == pytest.approx(best, rel=1e-9)
+
+    def test_a_pad_paired_with_itself_is_zero_ohm(self):
+        traces = [_trace((0.0, 0.0), (10.0, 0.0)),
+                  _trace((10.0, 0.0), (10.0, 10.0))]
+        nets = extract_nets(traces, 0.0,
+                            pads={"A": (0.0, 0.0), "B": (10.0, 10.0)})
+        est = estimate_resistance(nets.nets[0], "A", "A", 1e-7, traces)
+        assert est == ResistanceEstimate(ohms=0.0, path=(),
+                                         approximate=False)
+
+    def test_a_pad_paired_with_itself_must_touch_the_net(self):
+        traces = [_trace((0.0, 0.0), (10.0, 0.0)),
+                  _trace((0.0, 5.0), (10.0, 5.0))]
+        nets = extract_nets(traces, 0.0,
+                            pads={"A": (0.0, 0.0), "B": (10.0, 5.0)})
+        with pytest.raises(UnknownPadError):
+            estimate_resistance(nets.net_of_pad("A"), "B", "B", 1.0, traces)
+
+    def test_check_reports_a_pad_paired_with_itself_as_zero_ohm(
+            self, tmp_path):
+        out = tmp_path / "check.json"
+        assert main(["check", "--drawing", "samples/straight-line.json",
+                     "--speed", "10", "--pressure", "30", "--pairs",
+                     "A:B,A:A", "--resistivity", "1e-7",
+                     "--out", str(out)]) == 0
+        ab, aa = json.loads(out.read_bytes())["checks"]["resistance"]
+        assert ab["ohms"] > 0.0 and ab["path"] == [0]
+        assert aa == {"pads": ["A", "A"], "connected": True, "ohms": 0.0,
+                      "path": [], "approximate": False}
 
     def test_zero_area_segment_rejected(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0), flux=0.0)]

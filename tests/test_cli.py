@@ -232,6 +232,20 @@ def test_non_finite_physics_inputs_are_domain_errors(run, argv, value):
     assert "finite" in err
 
 
+
+# finite inputs whose answers overflow: the handler formats every line
+# before it prints one, so only the error is printed
+@pytest.mark.parametrize("argv", [
+    ["contact-probe", "--force-n", "1e308"],
+    ["line-width", "--q-mm3s", "1e308", "--v-mms", "1e-308"],
+    ["line-width", "--q-mm3s", "1e308", "--v-mms", "1e-308", "--sweep"],
+], ids=["contact-probe", "line-width", "line-width-sweep"])
+def test_non_finite_results_are_domain_errors(run, argv):
+    rc, out, err = run(argv)
+    assert rc == 1 and out == "" and err.startswith("error:")
+    assert "not finite" in err
+
+
 def test_flux_table_anchor_cell(run):
     rc, out, _ = run(["flux-table", "--pressures", "1",
                       "--gap-widths", "5e-5", "--omega-y", "60"])

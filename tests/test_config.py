@@ -1,6 +1,5 @@
 """Run configuration JSON: the documented keys, nulls and malformed values."""
 
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -12,7 +11,8 @@ from lmprint.cli import main
 from lmprint.config import load_config
 from lmprint.core import (GAIN245, PVC_FILM, STAINLESS_STEEL, BeadGeometry,
                           InkProperties, MachineLimits, PressureCalibration,
-                          SpeedCalibration, SubstrateProperties)
+                          Record, SpeedCalibration, SubstrateProperties,
+                          replace)
 from lmprint.environment import CornerPolicy, Environment
 from lmprint.flux import FluxModelParams
 
@@ -78,7 +78,7 @@ def _expected(section: str, spec: dict) -> Environment:
 
 
 def test_readme_config_builds_the_documented_environment():
-    assert load_config(json.dumps(README_DOC)) == dataclasses.replace(
+    assert load_config(json.dumps(README_DOC)) == replace(
         Environment(), ink=GAIN245, substrate=PVC_FILM,
         bead=BeadGeometry(bead_radius=3.5e-4, gap_width=5e-5),
         limits=MachineLimits(max_speed=400.0, preferred_max_speed=200.0,
@@ -142,12 +142,11 @@ def test_presets_are_case_insensitive():
 
 
 def test_an_annotation_without_a_reader_fails():
-    @dataclasses.dataclass
-    class Record:
+    class Listed(Record):
         values: list
 
     with pytest.raises(KeyError):
-        config._schema("record", Record)
+        config._schema("record", Listed)
 
 
 SUBSTRATE = {"youngs_modulus": 1e9, "poisson_ratio": 0.3,

@@ -1,6 +1,5 @@
 """Reduced gap-flux model: basis terms, calibration, grids."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from lmprint import (DEFAULT_BEAD, DEFAULT_FLUX_PARAMS, GAIN245,
                      BeadGeometry, FlowConditions, FluxModelParams,
                      calibrate_flux, cross_section_area, default_flux_params,
                      flux_table, gap_flux)
+from lmprint.core import replace
 from lmprint.flux import (ANCHOR_CONDITIONS, ANCHOR_FLUX_M3_S,
                           ANCHOR_GAP_WIDTH, couette_term, pressure_term)
 from lmprint.errors import CalibrationError, ConfigError, DomainError
@@ -28,7 +28,7 @@ def test_basis_terms_match_oracle():
 
 
 def test_closed_gap_passes_nothing():
-    bead = dataclasses.replace(DEFAULT_BEAD, gap_width=0.0)
+    bead = replace(DEFAULT_BEAD, gap_width=0.0)
     cond = FlowConditions(pressure_drop=100.0, rotation=(0, 500, 0),
                           head_velocity=0.1)
     assert gap_flux(bead, cond, DEFAULT_FLUX_PARAMS, GAIN245) == 0.0
@@ -53,7 +53,7 @@ def test_transverse_rotation_sign_irrelevant():
 
 
 def test_default_params_reproduce_anchor_exactly():
-    bead = dataclasses.replace(DEFAULT_BEAD, gap_width=ANCHOR_GAP_WIDTH)
+    bead = replace(DEFAULT_BEAD, gap_width=ANCHOR_GAP_WIDTH)
     q = gap_flux(bead, ANCHOR_CONDITIONS, DEFAULT_FLUX_PARAMS, GAIN245)
     assert q == pytest.approx(ANCHOR_FLUX_M3_S, rel=1e-12)
     assert DEFAULT_FLUX_PARAMS.kappa_pressure == pytest.approx(
@@ -64,7 +64,7 @@ def test_default_params_reproduce_anchor_exactly():
 
 def test_single_anchor_nnls_lands_on_dominant_term():
     fit = calibrate_flux([(ANCHOR_CONDITIONS,
-                           dataclasses.replace(DEFAULT_BEAD,
+                           replace(DEFAULT_BEAD,
                                                gap_width=ANCHOR_GAP_WIDTH),
                            ANCHOR_FLUX_M3_S)])
     # the Couette column dominates the single-row system
@@ -72,7 +72,7 @@ def test_single_anchor_nnls_lands_on_dominant_term():
     assert fit.params.kappa_couette == pytest.approx(ORACLE_COUETTE_ONLY,
                                                      rel=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-18)
-    bead = dataclasses.replace(DEFAULT_BEAD, gap_width=ANCHOR_GAP_WIDTH)
+    bead = replace(DEFAULT_BEAD, gap_width=ANCHOR_GAP_WIDTH)
     q = gap_flux(bead, ANCHOR_CONDITIONS, fit.params, GAIN245)
     assert q == pytest.approx(ANCHOR_FLUX_M3_S, rel=1e-12)
 
@@ -92,7 +92,7 @@ def test_two_point_calibration_recovers_both_constants():
 def test_calibration_errors():
     with pytest.raises(CalibrationError):
         calibrate_flux([])
-    closed = dataclasses.replace(DEFAULT_BEAD, gap_width=0.0)
+    closed = replace(DEFAULT_BEAD, gap_width=0.0)
     cond = FlowConditions(pressure_drop=1.0, rotation=(0, 60, 0))
     with pytest.raises(CalibrationError):
         calibrate_flux([(cond, closed, 1e-12)])
@@ -139,6 +139,6 @@ def test_default_params_scale_with_bead():
     params = default_flux_params(small, GAIN245)
     assert params.kappa_pressure == params.kappa_couette > 0
     # anchor is still reproduced: the anchor bead overrides the gap width
-    bead = dataclasses.replace(small, gap_width=ANCHOR_GAP_WIDTH)
+    bead = replace(small, gap_width=ANCHOR_GAP_WIDTH)
     q = gap_flux(bead, ANCHOR_CONDITIONS, params, GAIN245)
     assert q == pytest.approx(ANCHOR_FLUX_M3_S, rel=1e-12)

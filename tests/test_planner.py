@@ -1,6 +1,5 @@
 """Toolpath planning: corner policies, stroke ordering and estimates."""
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -11,12 +10,13 @@ import pytest
 from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
     estimate, plan
+from lmprint.core import replace
 from lmprint.environment import CornerPolicy
 from lmprint.errors import IllegalActionError, PlanError
 from lmprint.planner import HeadState, Lift, Move, Tap, \
     apply_corner_policy, interior_angle_deg, order_strokes, step_head
 
-QUIET = dataclasses.replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
+QUIET = replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
 SQUARE = [(0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0)]
 
 

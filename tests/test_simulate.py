@@ -1,6 +1,5 @@
 """Print simulation: head state machine, traces, rasters, width model."""
 
-import dataclasses
 import math
 import warnings
 
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
     estimate, fit_width_model, plan, rasterize, simulate
-from lmprint.core import grams_to_newtons
+from lmprint.core import grams_to_newtons, replace
 from lmprint.environment import segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
@@ -22,7 +21,7 @@ from lmprint.raster import RasterImage
 from lmprint.simulator import FLAG_CORNER, FLAG_SLIP, FLAG_SPEED, \
     EmpiricalWidthModel, HeadState, TraceSegment
 
-QUIET = dataclasses.replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
+QUIET = replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
 SETTINGS = MachineSettings(10.0, 30.0)  # 40 mm/s, 94 g
 
 TAP = Tap((0.0, 0.0), grams_to_newtons(94.0))
@@ -180,7 +179,7 @@ def test_speed_warning_flag():
 
 
 def test_slip_risk_flag():
-    tilted = dataclasses.replace(QUIET, tangential_angle=0.08, s_max=0.001)
+    tilted = replace(QUIET, tangential_angle=0.08, s_max=0.001)
     result = simulate(_line_toolpath(), tilted)
     assert result.flag_counts[FLAG_SLIP] == 1
     calm = simulate(_line_toolpath(), QUIET)

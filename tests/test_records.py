@@ -84,6 +84,9 @@ def test_a_record_behaves_as_its_frozen_dataclass_twin(cls, data):
         ta, **changes)) == repr(rb)
     assert replace(ra, **changes) == rb
     assert ra != ta and ta != ra and ra != tuple(a.values())
+    # another class on the same fields is another type
+    assert ra != _bare.__wrapped__(cls)(**a)
+    assert ta != _twin.__wrapped__(cls)(**a)
 
     values = [a[n] for n in names]
     assert bare(*values) == ra and repr(twin(*values)) == repr(ra)

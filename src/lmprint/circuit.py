@@ -225,7 +225,8 @@ class CircuitNets(Record):
     contact_reach, the larger of the touch tolerance and the clearance
     the nets were extracted for; drc reads them instead of a second pass
     when its traces are the ones kept here. traces is not a field: it
-    takes no part in equality, hash or repr, and extract_nets sets it.
+    takes no part in equality, hash or repr, only extract_nets sets it,
+    and a copy from core.replace has none, so drc finds its contacts anew.
     """
 
     nets: tuple[Net, ...]

@@ -43,10 +43,8 @@ REFERENCE_CONDITIONS = (40.0, 0.0656, 40.0)  # theta deg, Q mm^3/s, V mm/s
 
 
 def _g(x: float) -> str:
-    """A result to 9 significant digits; a handler formats every line
-    before it prints one, so a non-finite result prints only the error."""
-    x = float(x)
-    if not math.isfinite(x):
+    """A result to 9 significant digits; handlers format all before printing."""
+    if not math.isfinite(x := float(x)):
         raise LmprintError(f"result is not finite ({x})")
     return f"{x + 0.0:.9g}"  # +0.0 folds -0.0 into 0.0
 

@@ -58,9 +58,8 @@ def _schema(field, record, keys=None, **supplied):
     """The Environment field a section fills (None: its own fields), its
     record, JSON key -> (field, reader, what), the required keys and the
     supplied defaults. An annotation with no reader fails at import."""
-    types = record.__annotations__  # field -> annotation string
     keys = keys or {name: name for name in record._fields}
-    readers = {key: (name, *_READERS[types[name]])
+    readers = {key: (name, *_READERS[record._fields[name]])
                for key, name in keys.items()}
     required = [key for key, name in keys.items()
                 if name not in supplied and name not in record._defaults]

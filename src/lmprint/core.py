@@ -3,7 +3,6 @@
 All stored quantities are SI unless the field name says otherwise; machine
 units (dimensionless speed/pressure dials), mm/s, grams-force and degrees
 appear only at interface boundaries. Everything here is immutable and pure.
-`Record` is the base of every record class in the package.
 """
 
 from __future__ import annotations
@@ -16,36 +15,29 @@ from .errors import ConfigError, InvalidSettingError
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
+
 class Record:
-    """An immutable record: its fields are its class's own annotations, in
-    order, and a class attribute of a field's name is its default.
-
-    A record takes its fields by position or keyword and runs __post_init__,
-    which may store normalised values with object.__setattr__. It equals a
-    record of its own type with equal fields, hashes and prints as a frozen
-    dataclass does, and refuses assignment. Defining one compiles no code.
-    """
-
-    _fields: tuple[str, ...] = ()
-    _fieldset: frozenset[str] = frozenset()
-    _defaults: dict = {}
+    """An immutable record whose fields are its class's own annotations, in
+    order; a class attribute of a field's name is its default. It compiles no
+    code per class and behaves as a frozen dataclass: __post_init__ may store
+    normalised values with object.__setattr__."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__.get("__annotations__", {})
-        cls._fields, cls._fieldset = tuple(own), frozenset(own)
+        # field name -> annotation, in order; field name -> default
+        cls._fields = own = cls.__dict__.get("__annotations__", {})
         cls._defaults = {n: cls.__dict__[n] for n in own if n in cls.__dict__}
 
     def __init__(self, /, *args, **kwargs):
         fields = self._fields
-        if args and not kwargs and len(args) == len(fields):
-            i = 0
-            for value in args:  # cheaper than dict(zip(...)) here
-                kwargs[fields[i]] = value
-                i += 1
-        elif (args or len(kwargs) != len(fields)
-              or not self._fieldset.issuperset(kwargs)):
-            kwargs = _bind(type(self), args, kwargs)
+        if args or kwargs.keys() != fields.keys():
+            given = dict(zip(fields, args))
+            values = {**self._defaults, **given, **kwargs}
+            if (len(given) < len(args) or values.keys() != fields.keys()
+                    or not given.keys().isdisjoint(kwargs)):
+                raise TypeError(f"{type(self).__qualname__} takes {', '.join(fields)}; "
+                                f"got {len(args)} by position, {list(kwargs)} by keyword")
+            kwargs = values
         object.__setattr__(self, "__dict__", kwargs)  # a fresh dict
         self.__post_init__()
 
@@ -56,9 +48,8 @@ class Record:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
 
     def __hash__(self):
         return hash(self._values())
@@ -67,33 +58,15 @@ class Record:
         fields = map("{}={!r}".format, self._fields, self._values())
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _bind(cls, args: tuple, kwargs: dict) -> dict:
-    """A record's values from a call that leaves a field to its default or
-    mixes positions and keywords; TypeError for a call that omits, repeats
-    or invents a field."""
-    fields = cls._fields
-    values = {**cls._defaults, **kwargs}
-    if args:
-        values.update(zip(fields, args))
-    if (len(values) != len(fields) or len(args) > len(fields)
-            or not cls._fieldset.issuperset(kwargs)
-            or not kwargs.keys().isdisjoint(fields[:len(args)])):
-        raise TypeError(f"{cls.__qualname__}() takes {', '.join(fields)}; "
-                        f"got {len(args)} by position and {list(kwargs)}")
-    return values
+    __delattr__ = __setattr__
 
 
 def replace(record: Record, /, **changes) -> Record:
     """A copy of record with the named fields changed."""
-    return type(record)(**dict(zip(record._fields, record._values()),
-                               **changes))
+    return type(record)(**dict(zip(record._fields, record._values()), **changes))
 
 
 def grams_to_newtons(grams: float) -> float:

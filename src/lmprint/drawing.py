@@ -10,7 +10,6 @@ Everything else is rejected with a named error rather than guessed at.
 
 from __future__ import annotations
 
-
 import json
 import math
 import re

@@ -53,7 +53,7 @@ def _bare(cls):
 def test_every_record_is_public_and_counted():
     assert len(RECORDS) == 35
     for cls in RECORDS:
-        assert cls._fields == tuple(vars(cls).get("__annotations__", ()))
+        assert cls._fields == vars(cls).get("__annotations__", {})
         assert [f.name for f in dataclasses.fields(_twin(cls))] \
             == list(cls._fields)
 
@@ -68,7 +68,7 @@ VALUES = st.one_of(st.none(), st.booleans(), st.integers(),
 @given(data=st.data())
 def test_a_record_behaves_as_its_frozen_dataclass_twin(cls, data):
     bare, twin = _bare(cls), _twin(cls)
-    names = cls._fields
+    names = tuple(cls._fields)
     a = {n: data.draw(VALUES, label=n) for n in names}
     changes = {n: data.draw(VALUES, label=f"new {n}")
                for n in data.draw(st.sets(st.sampled_from(names))
@@ -169,4 +169,21 @@ def test_circuit_nets_keep_their_traces_out_of_the_fields():
     assert bare.traces is None
     assert bare == nets and hash(bare) == hash(nets)
     assert "traces" not in repr(nets)
+
+
+def test_circuit_nets_drop_their_traces_on_replace_and_refuse_them_built():
+    drawing = sample("straight-line")
+    env = lmprint.DEFAULT_ENVIRONMENT
+    traces = lmprint.simulate(lmprint.plan(
+        drawing, lmprint.MachineSettings(10.0, 30.0), environment=env),
+        env).traces
+    nets = lmprint.extract_nets(traces, 0.0, pads=drawing.pads)
+    copy = replace(nets)
+    assert copy == nets and copy.traces is None
+    # drc finds the contacts again and reports the same result
+    assert lmprint.drc(traces, 0.1, 0.1, copy) \
+        == lmprint.drc(traces, 0.1, 0.1, nets)
+    with pytest.raises(TypeError, match="traces"):
+        lmprint.CircuitNets(nets=nets.nets, touch_tolerance=0.0,
+                            traces=traces)
 

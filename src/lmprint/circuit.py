@@ -176,27 +176,6 @@ class Contact(NamedTuple):
     point_j: Point
 
 
-def _contacts(traces, reach: float, points=()):
-    """The contact pass: one broad phase, one exact distance per pair.
-
-    Returns the contacts (i, j), i < j, in sorted order, of every segment
-    pair whose outline gap is at most reach, and the candidate pairs
-    (segment, point index) of the points, which the caller decides.
-    """
-    capsules = _capsules(traces)
-    n = len(capsules)
-    contacts = []
-    near_points = []
-    for i, j in _candidate_pairs(capsules, reach, points):
-        if j >= n:
-            near_points.append((i, j - n))
-            continue
-        gap, pi, pj = _outline_gap(traces[i], traces[j])
-        if gap <= reach:
-            contacts.append(Contact(i, j, gap, pi, pj))
-    return contacts, near_points
-
-
 class Net(Record):
     """Segments that share a potential, with the pads they touch.
 
@@ -207,9 +186,13 @@ class Net(Record):
 
     net_id: int
     segments: tuple[int, ...]
-    pads: tuple[str, ...] = ()
     edges: tuple[tuple[int, int], ...] = ()
     pad_segments: tuple[tuple[str, tuple[int, ...]], ...] = ()
+
+    @property
+    def pads(self) -> tuple[str, ...]:
+        """The names of the pads that touch the net, in name order."""
+        return tuple(pad for pad, _ in self.pad_segments)
 
     def segments_for_pad(self, name: str) -> tuple[int, ...]:
         for pad, segs in self.pad_segments:
@@ -219,29 +202,20 @@ class Net(Record):
 
 
 class CircuitNets(Record):
-    """Nets, and the contacts of the pass that found them.
+    """Trace segments, their nets and the contacts of the pass that found
+    them: what every circuit query takes.
 
-    contacts lists every segment pair whose outline gap is at most
-    contact_reach, the larger of the touch tolerance and the clearance
-    the nets were extracted for; drc reads them instead of a second pass
-    when its traces are the ones kept here. traces is not a field: it
-    takes no part in equality, hash or repr, only extract_nets sets it,
-    and a copy from core.replace has none, so drc finds its contacts anew.
+    Nets index into traces. contacts lists every segment pair whose
+    outline gap is at most contact_reach, the larger of the touch
+    tolerance and the clearance the nets were extracted for; drc reads
+    them.
     """
 
     nets: tuple[Net, ...]
     touch_tolerance: float
+    traces: tuple  # of simulator.TraceSegment
     contact_reach: float = 0.0
     contacts: tuple[Contact, ...] = ()
-    traces = None  # the traces the contacts were found on, if known
-
-    @cached_property
-    def _by_segment(self) -> dict[int, Net]:
-        lookup: dict[int, Net] = {}
-        for net in self.nets:
-            for k in net.segments:
-                lookup.setdefault(k, net)
-        return lookup
 
     @cached_property
     def _by_pad(self) -> dict[str, Net]:
@@ -250,12 +224,6 @@ class CircuitNets(Record):
             for name in net.pads:
                 lookup.setdefault(name, net)
         return lookup
-
-    def net_of_segment(self, index: int) -> Net:
-        try:
-            return self._by_segment[index]
-        except KeyError:
-            raise CircuitError(f"segment {index} belongs to no net") from None
 
     def net_of_pad(self, name: str) -> Net:
         """The first net, in id order, that the pad touches."""
@@ -289,34 +257,39 @@ def extract_nets(traces, touch_tolerance: float,
     Net ids are assigned in order of each net's lowest member index, so
     the result is deterministic and invariant to how unions are
     discovered. A pad belongs to a net when it lies within the tolerance
-    of a member segment's stroked outline. The contacts are kept up to
-    the larger of the tolerance and clearance, so a drc at a minimum
-    clearance up to that needs no pass of its own.
+    of a member segment's stroked outline. The contact pass is one broad
+    phase and one exact distance per candidate pair; its contacts are kept
+    up to the larger of the tolerance and clearance, so a drc at a minimum
+    clearance up to that reads them.
     """
     if not 0.0 <= touch_tolerance < math.inf:
         raise ConfigError("touch tolerance must be finite and >= 0")
     if not 0.0 <= clearance < math.inf:
         raise ConfigError("clearance must be finite and >= 0")
     traces = tuple(traces)
+    capsules = _capsules(traces)
     n = len(traces)
     pad_items = sorted((pads or {}).items())
     reach = max(touch_tolerance, clearance)
+    uf = _UnionFind(n)
+    contacts = []
+    edges = []
+    pad_hits: list[list[int]] = [[] for _ in pad_items]
     # pads join the broad phase as points, so each pad is tested only
     # against the segments near it
-    contacts, near_pads = _contacts(traces, reach,
-                                    [p for _, p in pad_items])
-    uf = _UnionFind(n)
-    edges = []
-    for c in contacts:
-        if c.gap <= touch_tolerance:
-            uf.union(c.i, c.j)
-            edges.append((c.i, c.j))
-    pad_hits: list[list[int]] = [[] for _ in pad_items]
-    for i, k in near_pads:
-        if (_point_segment_distance(pad_items[k][1], traces[i].start,
-                                    traces[i].end)
-                <= 0.5e3 * traces[i].width_m + touch_tolerance):
-            pad_hits[k].append(i)
+    for i, j in _candidate_pairs(capsules, reach, [p for _, p in pad_items]):
+        if j >= n:
+            if (_point_segment_distance(pad_items[j - n][1], traces[i].start,
+                                        traces[i].end)
+                    <= 0.5e3 * traces[i].width_m + touch_tolerance):
+                pad_hits[j - n].append(i)
+            continue
+        gap, pi, pj = _outline_gap(traces[i], traces[j])
+        if gap <= reach:
+            contacts.append(Contact(i, j, gap, pi, pj))
+            if gap <= touch_tolerance:
+                uf.union(i, j)
+                edges.append((i, j))
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
@@ -337,13 +310,11 @@ def extract_nets(traces, touch_tolerance: float,
             touching[nid].append((name, tuple(ks)))
     nets = tuple(
         Net(net_id=nid, segments=tuple(seg_ids),
-            pads=tuple(name for name, _ in touching[nid]),
             edges=tuple(net_edges[nid]), pad_segments=tuple(touching[nid]))
         for nid, seg_ids in enumerate(members))
-    result = CircuitNets(nets=nets, touch_tolerance=touch_tolerance,
-                         contact_reach=reach, contacts=tuple(contacts))
-    object.__setattr__(result, "traces", traces)
-    return result
+    return CircuitNets(nets=nets, touch_tolerance=touch_tolerance,
+                       traces=traces, contact_reach=reach,
+                       contacts=tuple(contacts))
 
 
 def check_connectivity(nets: CircuitNets,
@@ -370,9 +341,10 @@ def _segment_resistance(trace, resistivity: float) -> float:
     return resistivity * trace.length_mm * 1e-3 / area
 
 
-def estimate_resistance(net: Net, pad_a: str, pad_b: str,
-                        resistivity: float, traces) -> ResistanceEstimate:
-    """Series resistance along the least-resistance path between two pads.
+def estimate_resistance(nets: CircuitNets, pad_a: str, pad_b: str,
+                        resistivity: float) -> ResistanceEstimate:
+    """Series resistance along the least-resistance path between two pads,
+    on the net that pad_a touches (net_of_pad).
 
     Each member segment contributes rho * length / cross_section, lengths
     in metres. On a branched or looping net the single-path model ignores
@@ -381,7 +353,8 @@ def estimate_resistance(net: Net, pad_a: str, pad_b: str,
     """
     if not 0.0 < resistivity < math.inf:
         raise CircuitError("resistivity must be finite and > 0")
-    traces = tuple(traces)
+    traces = nets.traces
+    net = nets.net_of_pad(pad_a)
     starts = net.segments_for_pad(pad_a)
     if pad_a == pad_b:
         return ResistanceEstimate(ohms=0.0, path=(), approximate=False)
@@ -429,37 +402,36 @@ class DrcResult(Record):
         return not self.violations
 
 
-def drc(traces, min_width: float, min_clearance: float,
-        nets: CircuitNets) -> DrcResult:
-    """Design-rule check: minimum width and inter-net clearance, in mm.
+def drc(nets: CircuitNets, min_width: float,
+        min_clearance: float) -> DrcResult:
+    """Design-rule check of the nets' traces: minimum width and inter-net
+    clearance, in mm.
 
     Width violations flag individual segments narrower than min_width.
     Clearance violations flag pairs of segments on distinct nets whose
-    stroked outlines come closer than min_clearance (short risk); nets
-    must hold every segment, or CircuitError is raised. The pairs come
-    from the contacts kept on nets when they were extracted from these
-    traces at a reach of at least min_clearance, else from a contact pass
-    of drc's own. Violations are sorted by location for deterministic
-    output.
+    stroked outlines come closer than min_clearance (short risk). The
+    pairs are the contacts kept on nets, so min_clearance may not exceed
+    their contact_reach. Violations are sorted by location for
+    deterministic output.
     """
     if not (0.0 < min_width < math.inf and 0.0 < min_clearance < math.inf):
         raise ConfigError("DRC limits must be finite and > 0")
-    traces = tuple(traces)
-    net_ids = [nets.net_of_segment(k).net_id for k in range(len(traces))]
+    if min_clearance > nets.contact_reach:
+        raise ConfigError(
+            f"clearance {min_clearance} mm is above the contact reach "
+            f"{nets.contact_reach} mm of these nets; extract them with "
+            f"extract_nets(..., clearance={min_clearance})")
+    net_id = {k: net.net_id for net in nets.nets for k in net.segments}
     violations = []
-    for k, t in enumerate(traces):
+    for t in nets.traces:
         width_mm = t.width_m * 1e3
         if width_mm < min_width:
             mid = ((t.start[0] + t.end[0]) / 2.0, (t.start[1] + t.end[1]) / 2.0)
             violations.append(DrcViolation(kind="min-width", location=mid,
                                            measured=width_mm,
                                            limit=min_width))
-    if nets.contact_reach >= min_clearance and nets.traces == traces:
-        contacts = nets.contacts
-    else:
-        contacts, _ = _contacts(traces, min_clearance)
-    for i, j, gap, pi, pj in contacts:
-        if gap < min_clearance and net_ids[i] != net_ids[j]:
+    for i, j, gap, pi, pj in nets.contacts:
+        if gap < min_clearance and net_id[i] != net_id[j]:
             loc = ((pi[0] + pj[0]) / 2.0, (pi[1] + pj[1]) / 2.0)
             violations.append(DrcViolation(kind="clearance-short-risk",
                                            location=loc, measured=gap,

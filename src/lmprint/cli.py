@@ -78,12 +78,12 @@ def _load_drawing(args, env: Environment):
 
 
 def _drawing_section(drawing) -> dict:
-    (x0, y0), (x1, y1) = drawing.bounds
+    bounds = drawing.bounds  # None for a drawing with no strokes
     return {
         "id": drawing.drawing_id,
         "strokes": len(drawing.strokes),
         "pads": sorted(drawing.pads),
-        "bounds_mm": [[x0, y0], [x1, y1]],
+        "bounds_mm": bounds and [_point(p) for p in bounds],
     }
 
 
@@ -232,14 +232,12 @@ def _cmd_check(args) -> int:
                 if not ok:
                     entries.append({"pads": [a, b], "connected": False})
                     continue
-                net = nets.net_of_pad(a)
-                r = _cli.estimate_resistance(net, a, b, resistivity,
-                                             result.traces)
+                r = _cli.estimate_resistance(nets, a, b, resistivity)
                 entries.append({"pads": [a, b], "connected": True,
                                 "ohms": r.ohms, "path": list(r.path),
                                 "approximate": r.approximate})
             checks["resistance"] = entries
-    verdict = _cli.drc(result.traces, args.min_width, args.min_clearance, nets)
+    verdict = _cli.drc(nets, args.min_width, args.min_clearance)
     checks["drc"] = {
         "passed": verdict.passed,
         "violations": [

@@ -34,7 +34,6 @@ class VectorDrawing(Record):
     closed_flags: tuple[bool, ...]
     pads: dict[str, Point] = {}  # __post_init__ stores a fresh dict
     drawing_id: str | None = None
-    bounds: tuple[Point, Point] | None = None
 
     def __post_init__(self):
         strokes = tuple(tuple((float(x), float(y)) for x, y in s) for s in self.strokes)
@@ -62,21 +61,21 @@ class VectorDrawing(Record):
                 raise DrawingFormatError(f"pad {name!r}: non-finite coordinate")
         if not (self.drawing_id is None or isinstance(self.drawing_id, str)):
             raise DrawingFormatError("drawing 'id' must be a string or null")
-        object.__setattr__(self, "bounds", _bounds(strokes))
+
+    @property
+    def bounds(self) -> tuple[Point, Point] | None:
+        """((x min, y min), (x max, y max)) of the strokes' vertices, or
+        None for a drawing with no strokes."""
+        if not self.strokes:
+            return None
+        xs = [x for s in self.strokes for x, _ in s]
+        ys = [y for s in self.strokes for _, y in s]
+        return ((min(xs), min(ys)), (max(xs), max(ys)))
 
     def stroke_vertices(self, index: int) -> tuple[Point, ...]:
         """Vertices of a stroke with the closing vertex appended if closed."""
         s = self.strokes[index]
         return s + (s[0],) if self.closed_flags[index] else s
-
-
-def _bounds(strokes) -> tuple[Point, Point] | None:
-    pts = [p for s in strokes for p in s]
-    if not pts:
-        return None
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return ((min(xs), min(ys)), (max(xs), max(ys)))
 
 
 # --- native JSON ------------------------------------------------------------

@@ -427,7 +427,6 @@ def order_strokes(drawing: VectorDrawing,
 
 
 def plan(drawing: VectorDrawing, settings: MachineSettings,
-         policy: CornerPolicy | None = None,
          environment: Environment | None = None, *,
          reorder: bool = True) -> Toolpath:
     """Turn a drawing into a toolpath at the given machine settings.
@@ -435,10 +434,10 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
     Settings are validated against the machine limits first; hard
     violations raise PlanError (quality warnings do not stop planning, the
     simulator flags them per segment). Each stroke becomes Tap, Moves and
-    a final Lift, with corners resolved by the policy.
+    a final Lift, with corners resolved by the environment's policy, the
+    one simulate flags corners by.
     """
     env = environment if environment is not None else DEFAULT_ENVIRONMENT
-    pol = policy if policy is not None else env.policy
     verdict = validate_settings(settings, env.limits, env.speed_calibration,
                                 env.pressure_calibration)
     if verdict.violations:
@@ -455,7 +454,7 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
         verts = list(drawing.strokes[idx])
         closed = drawing.closed_flags[idx]
         for points, factors in apply_corner_policy(
-                verts, closed, pol, env.chord_tolerance_mm):
+                verts, closed, env.policy, env.chord_tolerance_mm):
             actions.append(Tap(at=points[0], force_n=force_n))
             for k in range(1, len(points)):
                 actions.append(Move(to=points[k],
@@ -463,7 +462,7 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
                                     pressure_g=pressure_g))
             actions.append(Lift())
     return Toolpath(actions=tuple(actions), drawing_id=drawing.drawing_id,
-                    policy=pol.describe())
+                    policy=env.policy.describe())
 
 
 class PlanEstimate(Record):

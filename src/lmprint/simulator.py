@@ -116,7 +116,7 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
         traces=tuple(traces),
         print_time_s=time_s,
         ink_volume_mm3=volume_mm3,
-        trace_length_mm=sum(t.length_mm for t in traces),
+        trace_length_mm=sum((t.length_mm for t in traces), 0.0),
         tap_count=taps,
         lift_count=lifts,
         flag_counts=counts,

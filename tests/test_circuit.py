@@ -79,15 +79,15 @@ def _brute_nets(traces, touch_tolerance, pads=None,
             if hit:
                 touching.append((name, hit))
         nets.append(Net(net_id=nid, segments=tuple(seg_ids),
-                        pads=tuple(name for name, _ in touching),
                         edges=tuple(e for e in edges if e[0] in seg_ids),
                         pad_segments=tuple(touching)))
     return CircuitNets(nets=tuple(nets), touch_tolerance=touch_tolerance,
-                       contact_reach=reach, contacts=tuple(contacts))
+                       traces=traces, contact_reach=reach,
+                       contacts=tuple(contacts))
 
 
-def _brute_drc(traces, min_width, min_clearance, nets) -> DrcResult:
-    traces = tuple(traces)
+def _brute_drc(nets, min_width, min_clearance) -> DrcResult:
+    traces = nets.traces
     net_of = {k: net.net_id for net in nets.nets for k in net.segments}
     violations = []
     for t in traces:
@@ -193,7 +193,6 @@ def test_net_ids_use_lowest_member_index():
     nets = extract_nets(traces, 0.0)
     assert [(n.net_id, n.segments) for n in nets.nets] == \
         [(0, (0,)), (1, (1, 2))]
-    assert nets.net_of_segment(2).net_id == 1
 
 
 def test_partition_is_permutation_invariant():
@@ -283,7 +282,7 @@ class TestResistance:
         traces = [_trace((0.0, 0.0), (1000.0, 0.0), flux=0.04, speed=40.0)]
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (1000.0, 0.0)})
-        est = estimate_resistance(nets.nets[0], "A", "B", 1.0, traces)
+        est = estimate_resistance(nets, "A", "B", 1.0)
         assert est.ohms == pytest.approx(1.0, rel=1e-12)
         assert est.path == (0,)
         assert est.approximate is False
@@ -293,7 +292,7 @@ class TestResistance:
                   _trace((1000.0, 0.0), (2000.0, 0.0), flux=0.04)]
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (2000.0, 0.0)})
-        est = estimate_resistance(nets.nets[0], "A", "B", 1.0, traces)
+        est = estimate_resistance(nets, "A", "B", 1.0)
         assert est.ohms == pytest.approx(2.0, rel=1e-12)
         assert est.path == (0, 1)
 
@@ -301,8 +300,8 @@ class TestResistance:
         traces = [_trace((0.0, 0.0), (60.0, 0.0))]
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (60.0, 0.0)})
-        r1 = estimate_resistance(nets.nets[0], "A", "B", 1e-7, traces).ohms
-        r2 = estimate_resistance(nets.nets[0], "A", "B", 3e-7, traces).ohms
+        r1 = estimate_resistance(nets, "A", "B", 1e-7).ohms
+        r2 = estimate_resistance(nets, "A", "B", 3e-7).ohms
         assert r2 == pytest.approx(3.0 * r1, rel=1e-12)
 
     def test_branched_net_flags_approximate(self):
@@ -311,7 +310,7 @@ class TestResistance:
                   _trace((10.0, 0.0), (10.0, 10.0))]  # spur off the middle
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (20.0, 0.0)})
-        est = estimate_resistance(nets.nets[0], "A", "B", 1.0, traces)
+        est = estimate_resistance(nets, "A", "B", 1.0)
         assert est.approximate is True
         assert est.path == (0, 1)  # spur not part of the shortest path
 
@@ -328,7 +327,7 @@ class TestResistance:
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (20.0, 10.0)})
         net = nets.nets[0]
-        est = estimate_resistance(net, "A", "B", 1.0, traces)
+        est = estimate_resistance(nets, "A", "B", 1.0)
         assert est.approximate is True
 
         def cost(i):
@@ -357,17 +356,16 @@ class TestResistance:
                   _trace((10.0, 0.0), (10.0, 10.0))]
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (10.0, 10.0)})
-        est = estimate_resistance(nets.nets[0], "A", "A", 1e-7, traces)
+        est = estimate_resistance(nets, "A", "A", 1e-7)
         assert est == ResistanceEstimate(ohms=0.0, path=(),
                                          approximate=False)
 
     def test_a_pad_paired_with_itself_must_touch_the_net(self):
-        traces = [_trace((0.0, 0.0), (10.0, 0.0)),
-                  _trace((0.0, 5.0), (10.0, 5.0))]
+        traces = [_trace((0.0, 0.0), (10.0, 0.0))]
         nets = extract_nets(traces, 0.0,
-                            pads={"A": (0.0, 0.0), "B": (10.0, 5.0)})
+                            pads={"A": (0.0, 0.0), "X": (50.0, 50.0)})
         with pytest.raises(UnknownPadError):
-            estimate_resistance(nets.net_of_pad("A"), "B", "B", 1.0, traces)
+            estimate_resistance(nets, "X", "X", 1.0)
 
     def test_check_reports_a_pad_paired_with_itself_as_zero_ohm(
             self, tmp_path):
@@ -386,7 +384,7 @@ class TestResistance:
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (10.0, 0.0)})
         with pytest.raises(CircuitError):
-            estimate_resistance(nets.nets[0], "A", "B", 1.0, traces)
+            estimate_resistance(nets, "A", "B", 1.0)
 
     def test_pad_on_other_net_rejected(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0)),
@@ -394,22 +392,22 @@ class TestResistance:
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (10.0, 5.0)})
         with pytest.raises(UnknownPadError):
-            estimate_resistance(nets.net_of_pad("A"), "A", "B", 1.0, traces)
+            estimate_resistance(nets, "A", "B", 1.0)
 
 
 class TestDrc:
     def test_clean_layout_passes(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0), width_mm=0.2),
                   _trace((0.0, 5.0), (10.0, 5.0), width_mm=0.2)]
-        nets = extract_nets(traces, 0.0)
-        result = drc(traces, 0.1, 0.1, nets)
+        nets = extract_nets(traces, 0.0, clearance=0.1)
+        result = drc(nets, 0.1, 0.1)
         assert result.passed
         assert result.violations == ()
 
     def test_min_width_violation(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0), width_mm=0.08)]
-        nets = extract_nets(traces, 0.0)
-        result = drc(traces, 0.1, 0.1, nets)
+        nets = extract_nets(traces, 0.0, clearance=0.1)
+        result = drc(nets, 0.1, 0.1)
         assert not result.passed
         assert len(result.violations) == 1
         v = result.violations[0]
@@ -421,9 +419,9 @@ class TestDrc:
     def test_clearance_violation_between_nets(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0), width_mm=0.2),
                   _trace((0.0, 0.25), (10.0, 0.25), width_mm=0.2)]
-        nets = extract_nets(traces, 0.0)
+        nets = extract_nets(traces, 0.0, clearance=0.1)
         assert len(nets.nets) == 2
-        result = drc(traces, 0.1, 0.1, nets)
+        result = drc(nets, 0.1, 0.1)
         assert len(result.violations) == 1
         v = result.violations[0]
         assert v.kind == "clearance-short-risk"
@@ -432,32 +430,37 @@ class TestDrc:
     def test_same_net_proximity_is_fine(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0)),
                   _trace((10.0, 0.0), (10.0, 0.25))]
-        nets = extract_nets(traces, 0.0)
+        nets = extract_nets(traces, 0.0, clearance=0.5)
         assert len(nets.nets) == 1
-        assert drc(traces, 0.1, 0.5, nets).passed
+        assert drc(nets, 0.1, 0.5).passed
 
     def test_violations_sorted_and_deterministic(self):
         traces = [_trace((20.0, 0.0), (30.0, 0.0), width_mm=0.05),
                   _trace((0.0, 0.0), (10.0, 0.0), width_mm=0.06),
                   _trace((0.0, 0.22), (10.0, 0.22), width_mm=0.06)]
-        nets = extract_nets(traces, 0.0)
-        result = drc(traces, 0.1, 0.2, nets)
+        nets = extract_nets(traces, 0.0, clearance=0.2)
+        result = drc(nets, 0.1, 0.2)
         keys = [(v.location[0], v.location[1], v.kind, v.measured)
                 for v in result.violations]
         assert keys == sorted(keys)
-        again = drc(list(reversed(traces)), 0.1, 0.2,
-                    extract_nets(list(reversed(traces)), 0.0))
+        again = drc(extract_nets(list(reversed(traces)), 0.0, clearance=0.2),
+                    0.1, 0.2)
         assert [(v.kind, v.measured) for v in again.violations] == \
             [(v.kind, v.measured) for v in result.violations]
 
-    def test_segment_in_no_net_is_rejected(self):
-        # two parallel traces 0.05 mm apart: a clearance risk unless both
-        # sit in one net; nets built for fewer traces must not hide it
+    def test_clearance_above_the_kept_reach_is_rejected(self):
+        # two parallel traces 0.05 mm apart: nets kept to a smaller reach
+        # hold no contact to find the clearance risk in
         traces = [_trace((0.0, 0.0), (10.0, 0.0)),
                   _trace((0.0, 0.25), (10.0, 0.25))]
-        for known in (traces[:1], []):
-            with pytest.raises(CircuitError, match="belongs to no net"):
-                drc(traces, 0.1, 0.1, extract_nets(known, 0.0))
+        for nets in (extract_nets(traces, 0.0),
+                     extract_nets(traces, 0.02, clearance=0.05)):
+            with pytest.raises(ConfigError,
+                               match=r"extract_nets\(\.\.\., clearance="):
+                drc(nets, 0.1, 0.1)
+        nets = extract_nets(traces, 0.0, clearance=0.1)
+        assert [v.kind for v in drc(nets, 0.1, 0.1).violations] == \
+            ["clearance-short-risk"]
 
 
 def test_random_layouts_match_flood_fill():
@@ -596,18 +599,23 @@ def test_grid_paths_equal_all_pairs_oracles(layout):
     # one contact pass serves nets and DRC, as in check
     nets = extract_nets(traces, tolerance, pads=pads, clearance=clearance)
     assert nets == _brute_nets(traces, tolerance, pads, clearance)
-    expected = _brute_drc(traces, 0.1, clearance, nets)
-    assert drc(traces, 0.1, clearance, nets) == expected
-    # nets kept to the tolerance alone: drc makes its own pass
+    expected = _brute_drc(nets, 0.1, clearance)
+    assert drc(nets, 0.1, clearance) == expected
+    # nets kept to the tolerance alone hold the contacts for a clearance
+    # up to the tolerance only
     alone = extract_nets(traces, tolerance, pads=pads)
     assert alone == _brute_nets(traces, tolerance, pads)
-    assert drc(traces, 0.1, clearance, alone) == expected
+    if clearance > tolerance:
+        with pytest.raises(ConfigError):
+            drc(alone, 0.1, clearance)
+    else:
+        assert drc(alone, 0.1, clearance) == expected
     for a in sorted(pads):
         for b in sorted(pads):
             net = _outcome(nets.net_of_pad, a)
             if not isinstance(net, Net):
                 continue
-            assert _outcome(estimate_resistance, net, a, b, 1e-7, traces) \
+            assert _outcome(estimate_resistance, nets, a, b, 1e-7) \
                 == _outcome(_brute_resistance, net, a, b, 1e-7, traces,
                             tolerance)
 
@@ -687,10 +695,10 @@ def test_large_layouts_stay_linear(traces, net_count, edge_count,
     capsules = _capsules(traces)
     for reach in (0.0, 0.1):
         assert len(_candidate_pairs(capsules, reach)) <= 3 * len(traces)
-    nets = extract_nets(traces, 0.0)
+    nets = extract_nets(traces, 0.0, clearance=0.1)
     assert len(nets.nets) == net_count
     assert sum(len(net.edges) for net in nets.nets) == edge_count
-    result = drc(traces, 0.1, 0.1, nets)
+    result = drc(nets, 0.1, 0.1)
     assert len(result.violations) == violations
     assert all(v.kind == "clearance-short-risk" for v in result.violations)
 
@@ -736,16 +744,6 @@ def test_check_makes_one_contact_pass(monkeypatch, tmp_path, extra, reach):
     assert reaches == [reach]
 
 
-def test_drc_does_not_reuse_contacts_of_other_traces():
-    far = [_trace((0.0, 0.0), (10.0, 0.0)), _trace((0.0, 5.0), (10.0, 5.0))]
-    near = [far[0], _trace((0.0, 0.4), (10.0, 0.4))]
-    nets = extract_nets(far, 0.0, clearance=0.5)
-    assert nets.contacts == ()
-    result = drc(near, 0.1, 0.5, nets)
-    assert [v.kind for v in result.violations] == ["clearance-short-risk"]
-    assert result == _brute_drc(near, 0.1, 0.5, nets)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
 def test_non_finite_or_negative_limits_rejected(value):
     traces = [_trace((0.0, 0.0), (10.0, 0.0))]
@@ -754,13 +752,13 @@ def test_non_finite_or_negative_limits_rejected(value):
     with pytest.raises(ConfigError):
         extract_nets(traces, 0.0, clearance=value)
     nets = extract_nets(traces, 0.0, pads={"A": (0.0, 0.0),
-                                           "B": (10.0, 0.0)})
-    with pytest.raises(ConfigError):
-        drc(traces, value, 0.1, nets)
-    with pytest.raises(ConfigError):
-        drc(traces, 0.1, value, nets)
+                                           "B": (10.0, 0.0)}, clearance=0.1)
+    with pytest.raises(ConfigError, match="DRC limits"):
+        drc(nets, value, 0.1)
+    with pytest.raises(ConfigError, match="DRC limits"):
+        drc(nets, 0.1, value)
     with pytest.raises(CircuitError):
-        estimate_resistance(nets.nets[0], "A", "B", value, traces)
+        estimate_resistance(nets, "A", "B", value)
 
 
 def test_non_finite_trace_geometry_rejected():

@@ -366,6 +366,26 @@ def test_svg_input_by_extension(run, tmp_path):
                                                 ["actions"][0][2]]
 
 
+@pytest.mark.parametrize("name, text", [
+    ("empty.json", '{"version": 1, "units": "mm", "strokes": []}'),
+    ("empty.svg", '<svg xmlns="http://www.w3.org/2000/svg"></svg>'),
+])
+@pytest.mark.parametrize("command", ["plan", "simulate", "check"])
+def test_drawing_with_no_strokes_has_null_bounds(run, tmp_path, name, text,
+                                                  command):
+    drawing = tmp_path / name
+    drawing.write_text(text)
+    out_path = tmp_path / "report.json"
+    rc, out, err = run([command, "--drawing", str(drawing), "--speed", "10",
+                        "--pressure", "30", "--out", str(out_path)])
+    assert (rc, out, err) == (0, "", "")
+    report = read_report(out_path.read_bytes())
+    assert report["drawing"]["strokes"] == 0
+    assert report["drawing"]["bounds_mm"] is None
+    if command != "plan":  # a float, as for any other drawing
+        assert b'"trace_length_mm": 0.0,' in out_path.read_bytes()
+
+
 def test_simulate_report_and_pgm(run, tmp_path):
     out_path = tmp_path / "sim.json"
     pgm_path = tmp_path / "sim.pgm"

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import SAMPLES
 from lmprint import VectorDrawing, parse_drawing, serialize_drawing
+from lmprint.core import replace
 from lmprint.drawing import flatten_cubic
 from lmprint.errors import (DrawingFormatError, NonVectorContentError,
                             UnsupportedSvgFeatureError)
@@ -104,6 +105,19 @@ def test_stroke_vertices_appends_closure():
 
 def test_bounds():
     assert _drawing().bounds == ((0.0, 0.0), (10.0, 5.0))
+    assert VectorDrawing(strokes=(), closed_flags=()).bounds is None
+
+
+def test_bounds_are_derived_not_given():
+    d = _drawing()
+    assert "bounds" not in VectorDrawing._fields
+    with pytest.raises(TypeError, match="bounds"):
+        VectorDrawing(strokes=d.strokes, closed_flags=d.closed_flags,
+                      bounds=((5.0, 5.0), (6.0, 6.0)))
+    with pytest.raises(TypeError, match="bounds"):
+        replace(d, bounds=((5.0, 5.0), (6.0, 6.0)))
+    with pytest.raises(AttributeError):
+        d.bounds = ((5.0, 5.0), (6.0, 6.0))
 
 
 def test_svg_basic_path_commands():

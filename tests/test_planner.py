@@ -58,7 +58,8 @@ def test_lift_and_retap_splits_open_polyline_once():
     d = VectorDrawing(
         strokes=(((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)),),
         closed_flags=(False,))
-    tp = plan(d, _settings(), policy=pol)
+    tp = plan(d, _settings(),
+              environment=replace(DEFAULT_ENVIRONMENT, policy=pol))
     kinds = [type(a) for a in tp.actions]
     assert kinds == [Tap, Move, Lift, Tap, Move, Lift]
     # the retap happens exactly at the sharp corner
@@ -70,7 +71,8 @@ def test_gentle_corner_is_not_split():
     d = VectorDrawing(
         strokes=(((0.0, 0.0), (10.0, 0.0), (20.0, 1.0)),),
         closed_flags=(False,))
-    tp = plan(d, _settings(), policy=pol)
+    tp = plan(d, _settings(),
+              environment=replace(DEFAULT_ENVIRONMENT, policy=pol))
     assert [type(a) for a in tp.actions] == [Tap, Move, Move, Lift]
 
 
@@ -121,7 +123,8 @@ def test_slowdown_plan_carries_reduced_speeds():
     d = VectorDrawing(
         strokes=(((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)),),
         closed_flags=(False,))
-    tp = plan(d, _settings(), policy=pol)
+    tp = plan(d, _settings(),
+              environment=replace(DEFAULT_ENVIRONMENT, policy=pol))
     moves = [a for a in tp.actions if isinstance(a, Move)]
     assert [m.speed_mm_s for m in moves] == [20.0, 20.0]
 

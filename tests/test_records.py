@@ -121,11 +121,12 @@ def _sample_records():
     toolpath = lmprint.plan(drawing, lmprint.MachineSettings(10.0, 30.0),
                             environment=env)
     result = lmprint.simulate(toolpath, env)
-    nets = lmprint.extract_nets(result.traces, 0.0, pads=drawing.pads)
+    nets = lmprint.extract_nets(result.traces, 0.0, pads=drawing.pads,
+                                clearance=0.1)
     return [drawing, env, env.policy, env.substrate, toolpath,
             *toolpath.actions[:3], lmprint.estimate(toolpath, env), result,
             *result.traces[:2], nets, *nets.nets[:2],
-            lmprint.drc(result.traces, 0.1, 0.1, nets),
+            lmprint.drc(nets, 0.1, 0.1),
             lmprint.segment_physics(10.0, 30.0, env)]
 
 
@@ -156,34 +157,28 @@ def test_replace_runs_post_init_and_rejects_unknown_fields():
     assert (narrow.gap_width, narrow.bead_radius) == (1e-5, bead.bead_radius)
 
 
-def test_circuit_nets_keep_their_traces_out_of_the_fields():
+def _straight_line_nets():
     drawing = sample("straight-line")
     env = lmprint.DEFAULT_ENVIRONMENT
     result = lmprint.simulate(lmprint.plan(
         drawing, lmprint.MachineSettings(10.0, 30.0), environment=env), env)
-    nets = lmprint.extract_nets(result.traces, 0.0, pads=drawing.pads)
-    assert nets.traces == result.traces
-    assert "traces" not in lmprint.CircuitNets._fields
-    bare = lmprint.CircuitNets(nets=nets.nets, touch_tolerance=0.0,
-                               contacts=nets.contacts)
-    assert bare.traces is None
-    assert bare == nets and hash(bare) == hash(nets)
-    assert "traces" not in repr(nets)
+    return result.traces, lmprint.extract_nets(
+        result.traces, 0.0, pads=drawing.pads, clearance=0.1)
 
 
-def test_circuit_nets_drop_their_traces_on_replace_and_refuse_them_built():
-    drawing = sample("straight-line")
-    env = lmprint.DEFAULT_ENVIRONMENT
-    traces = lmprint.simulate(lmprint.plan(
-        drawing, lmprint.MachineSettings(10.0, 30.0), environment=env),
-        env).traces
-    nets = lmprint.extract_nets(traces, 0.0, pads=drawing.pads)
+def test_circuit_nets_keep_their_traces_as_a_field():
+    traces, nets = _straight_line_nets()
+    assert "traces" in lmprint.CircuitNets._fields
+    assert nets.traces == traces
+    built = lmprint.CircuitNets(nets=nets.nets, touch_tolerance=0.0,
+                                traces=traces, contact_reach=0.1,
+                                contacts=nets.contacts)
+    assert built == nets and hash(built) == hash(nets)
+    assert built != replace(nets, traces=())
+
+
+def test_replace_keeps_the_traces_of_circuit_nets_and_their_drc():
+    traces, nets = _straight_line_nets()
     copy = replace(nets)
-    assert copy == nets and copy.traces is None
-    # drc finds the contacts again and reports the same result
-    assert lmprint.drc(traces, 0.1, 0.1, copy) \
-        == lmprint.drc(traces, 0.1, 0.1, nets)
-    with pytest.raises(TypeError, match="traces"):
-        lmprint.CircuitNets(nets=nets.nets, touch_tolerance=0.0,
-                            traces=traces)
-
+    assert copy == nets and copy.traces == traces
+    assert lmprint.drc(copy, 0.1, 0.1) == lmprint.drc(nets, 0.1, 0.1)

@@ -12,7 +12,7 @@ from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
     estimate, fit_width_model, plan, rasterize, simulate
 from lmprint.core import grams_to_newtons, replace
-from lmprint.environment import segment_physics
+from lmprint.environment import CornerPolicy, segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
 from lmprint.planner import Lift, Move, Tap, Toolpath, _walk, \
@@ -167,6 +167,20 @@ def test_no_corner_risk_across_lift():
     tp = plan(sample("square"), SETTINGS)  # lift-and-retap splits
     result = simulate(tp, QUIET)
     assert result.flag_counts[FLAG_CORNER] == 0
+
+
+def test_plan_and_simulate_judge_corners_by_one_policy():
+    # at a 60 degree threshold a 90 degree corner stays inside the stroke,
+    # and simulate, reading the same policy, does not flag it
+    env = replace(QUIET, policy=CornerPolicy(threshold_angle=60.0))
+    d = VectorDrawing(strokes=(((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)),),
+                      closed_flags=(False,))
+    tp = plan(d, SETTINGS, environment=env)
+    assert [type(a) for a in tp.actions] == [Tap, Move, Move, Lift]
+    assert simulate(tp, env).flag_counts[FLAG_CORNER] == 0
+    assert simulate(tp, QUIET).flag_counts[FLAG_CORNER] == 2
+    with pytest.raises(TypeError):
+        plan(d, SETTINGS, policy=env.policy)
 
 
 def test_speed_warning_flag():

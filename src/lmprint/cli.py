@@ -53,7 +53,7 @@ def _point(p) -> list[float]:
     return [p[0], p[1]]
 
 
-def _write_bytes(path: str, *chunks):
+def _write_bytes(path: str, chunks):
     if path == "-":
         sys.stdout.buffer.writelines(chunks)
     else:
@@ -151,6 +151,7 @@ def _pipeline(args):
 
 
 def _pgm_parts(args, env: Environment, result):
+    """Rasterize now; the parts of the PGM are made as they are written."""
     from .raster import pgm_parts
     return pgm_parts(_cli.rasterize(result.traces, args.scale,
                                     max_pixels=env.max_raster_pixels))
@@ -164,11 +165,14 @@ def _cmd_plan(args) -> int:
     est = estimate(toolpath, env)
     report = make_report(drawing=_drawing_section(drawing),
                          toolpath=_toolpath_section(toolpath, est))
-    _write_bytes(args.out, write_report(report))
+    _write_bytes(args.out, [write_report(report)])
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    if args.pgm == "-" and args.out == "-":
+        raise LmprintError("--pgm - needs --out to name a file: the report "
+                           "and the PGM would share stdout")
     env, drawing, toolpath = _pipeline(args)
     result = _cli.simulate(toolpath, env)
     report = write_report(make_report(
@@ -178,16 +182,16 @@ def _cmd_simulate(args) -> int:
         totals=_totals_section(result)))
     # rasterize before writing anything, so a raster error leaves no report
     pgm = _pgm_parts(args, env, result) if args.pgm else None
-    _write_bytes(args.out, report)
+    _write_bytes(args.out, [report])
     if pgm is not None:
-        _write_bytes(args.pgm, *pgm)
+        _write_bytes(args.pgm, pgm)
     return 0
 
 
 def _cmd_render(args) -> int:
     env, drawing, toolpath = _pipeline(args)
     _write_bytes(args.pgm,
-                 *_pgm_parts(args, env, _cli.simulate(toolpath, env)))
+                 _pgm_parts(args, env, _cli.simulate(toolpath, env)))
     return 0
 
 
@@ -249,7 +253,7 @@ def _cmd_check(args) -> int:
     report = make_report(drawing=_drawing_section(drawing),
                          totals=_totals_section(result),
                          checks=checks)
-    _write_bytes(args.out, write_report(report))
+    _write_bytes(args.out, [write_report(report)])
     return 0
 
 

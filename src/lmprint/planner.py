@@ -106,13 +106,14 @@ def interior_angle_deg(a: Point, p: Point, b: Point) -> float:
     """Interior angle at p for the polyline a -> p -> b, in degrees.
 
     180 means collinear (no corner); small values mean a hairpin.
-    Degenerate zero-length edges count as straight.
+    Degenerate edges count as straight: zero-length ones, and pairs so
+    short that the product of their lengths underflows to zero.
     """
     ux, uy = p[0] - a[0], p[1] - a[1]
     wx, wy = b[0] - p[0], b[1] - p[1]
     nu = math.hypot(ux, uy)
     nw = math.hypot(wx, wy)
-    if nu == 0.0 or nw == 0.0:
+    if nu * nw == 0.0:
         return 180.0
     c = (ux * wx + uy * wy) / (nu * nw)
     c = max(-1.0, min(1.0, c))

@@ -3,12 +3,14 @@
 The raster is georeferenced: origin_mm is the (x, y) of the top-left pixel
 corner, rows run toward decreasing y (image convention). PGM carries no
 scale, so reading one back needs the scale repeated; pixel content and
-dimensions round-trip bit-exactly.
+dimensions round-trip bit-exactly. rasterize returns a RunRaster, which
+holds run lengths and writes its PGM in bands without a canvas.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .core import Record
@@ -16,6 +18,17 @@ from .errors import ConfigError, DrawingFormatError
 
 if TYPE_CHECKING:
     import numpy as np
+
+# pixels per PGM body chunk of a run raster: each chunk is painted from the
+# runs it crosses and written before the next, so no canvas is held
+_PGM_BAND = 1 << 20
+
+
+def _check_grid(image) -> None:
+    if image.width < 1 or image.height < 1:
+        raise ConfigError("raster dimensions must be >= 1")
+    if not (0 < image.scale < math.inf):
+        raise ConfigError("raster scale must be finite and > 0")
 
 
 class RasterImage(Record):
@@ -28,10 +41,7 @@ class RasterImage(Record):
     origin_mm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("raster dimensions must be >= 1")
-        if not (0 < self.scale < math.inf):
-            raise ConfigError("raster scale must be finite and > 0")
+        _check_grid(self)
         import numpy as np
         cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
         if cells.shape != (self.height, self.width):
@@ -53,14 +63,73 @@ class RasterImage(Record):
         import numpy as np
         return float(np.count_nonzero(self.cells)) * self.scale * self.scale
 
+    def _pgm_body(self):
+        return (self.cells.data,)
 
-def pgm_parts(image: RasterImage) -> tuple[bytes, memoryview]:
-    """The PGM header and the cells' own buffer, which follows it.
 
-    Writing the two in turn writes the PGM without a copy of the canvas.
+class RunRaster(RasterImage):
+    """A binary raster held as run lengths, row-major over width * height
+    pixels: runs alternates 0 and 255, background first. cells is built on
+    first read and kept; the PGM body and the area need only the runs."""
+
+    width: int
+    height: int
+    scale: float
+    runs: np.ndarray
+    origin_mm: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        _check_grid(self)
+        import numpy as np
+        runs = np.ascontiguousarray(self.runs, dtype=np.int64)
+        if runs.ndim != 1 or (runs < 0).any() \
+                or runs.sum() != self.width * self.height:
+            raise ConfigError("runs must be nonnegative lengths that sum "
+                              "to width * height")
+        object.__setattr__(self, "runs", runs)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        import numpy as np
+        return np.repeat(_shades(self.runs.size), self.runs).reshape(
+            self.height, self.width)
+
+    def occupied_area_mm2(self) -> float:
+        return float(self.runs[1::2].sum()) * self.scale * self.scale
+
+    def _pgm_body(self):
+        import numpy as np
+        runs, shades = self.runs, _shades(self.runs.size)
+        ends = np.cumsum(runs)
+        n = self.width * self.height
+        for p in range(0, n, _PGM_BAND):
+            q = min(p + _PGM_BAND, n)
+            # runs i..j cross pixels p..q-1: i is the first run to end
+            # beyond p, j the first to end beyond q - 1
+            i, j = np.searchsorted(ends, (p, q - 1), side="right")
+            lengths = runs[i:j + 1].copy()
+            lengths[0] = ends[i] - p
+            lengths[-1] -= ends[j] - q
+            yield np.repeat(shades[i:j + 1], lengths)
+
+
+def _shades(count: int):
+    """The values of count runs: 0 and 255 alternately, 0 first."""
+    import numpy as np
+    shades = np.zeros(count, dtype=np.uint8)
+    shades[1::2] = 255
+    return shades
+
+
+def pgm_parts(image: RasterImage):
+    """The PGM header, then the body in chunks the image supplies.
+
+    A canvas image's body is its cells' own buffer; a run raster's is
+    bands of at most _PGM_BAND pixels. Writing the parts in turn writes
+    the PGM without copying a canvas or, for a run raster, holding one.
     """
-    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    return header, image.cells.data
+    yield f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
+    yield from image._pgm_body()
 
 
 def write_pgm(image: RasterImage) -> bytes:

@@ -18,7 +18,7 @@ from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
 if TYPE_CHECKING:
-    from .raster import RasterImage
+    from .raster import RunRaster
 
 
 FLAG_CORNER = "corner-risk"
@@ -131,7 +131,7 @@ _SPAN_CHUNK = 1 << 12
 
 
 def rasterize(traces, scale: float, *,
-              max_pixels: int = 50_000_000) -> RasterImage:
+              max_pixels: int = 50_000_000) -> RunRaster:
     """Stamp traces into a binary occupancy raster at scale mm/pixel.
 
     Each segment is stroked at its predicted width with round caps; a
@@ -146,18 +146,18 @@ def rasterize(traces, scale: float, *,
     row that grazes the band edge of a segment some 1e7 half-widths
     long). All (trace, row) pairs are batched: each span's ends come from
     where the row meets the capsule's outline, then are settled with the
-    per-pixel rule itself. The spans are merged and the canvas is built in
-    one pass of alternating 0/255 runs.
+    per-pixel rule itself. The merged spans are the result: a RunRaster
+    of alternating 0/255 run lengths, whose canvas is built only when its
+    cells are read.
     """
     if not (0.0 < scale < math.inf):
         raise ConfigError("raster scale must be finite and > 0")
     import numpy as np
-    from .raster import RasterImage
+    from .raster import RunRaster
     traces = tuple(traces)
     if not traces:
-        return RasterImage(width=1, height=1, scale=scale,
-                           cells=np.zeros((1, 1), dtype=np.uint8),
-                           origin_mm=(0.0, 0.0))
+        return RunRaster(width=1, height=1, scale=scale, runs=[1],
+                         origin_mm=(0.0, 0.0))
     geom = np.array([(t.start[0], t.start[1], t.end[0], t.end[1], t.width_m)
                      for t in traces], dtype=np.float64)
     if not np.isfinite(geom).all():
@@ -197,7 +197,9 @@ def rasterize(traces, scale: float, *,
     last = np.cumsum(rows)
 
     total = int(last[-1]) if last.size else 0
-    starts, stops = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    # at most one span per pair; m spans are written so far
+    starts, stops = np.empty(total, np.int64), np.empty(total, np.int64)
+    m = 0
     for p0 in range(0, total, _SPAN_CHUNK):
         p = np.arange(p0, min(p0 + _SPAN_CHUNK, total))
         k = np.searchsorted(last, p, side="right")
@@ -225,13 +227,14 @@ def rasterize(traces, scale: float, *,
             b[live] = np.where(b_in, np.where(b_end, bl, bl + 1), bl - 1)
             live = live[~(a_in & b_in & a_end & b_end)
                         & (a[live] <= b[live])]
-        full = a <= b
+        full = np.flatnonzero(a <= b)
         base = row[full] * wpx
-        starts.append(base + a[full])
-        stops.append(base + b[full] + 1)
-    cells = _paint(starts, stops, wpx * hpx)
-    return RasterImage(width=wpx, height=hpx, scale=scale,
-                       cells=cells.reshape(hpx, wpx), origin_mm=(ox, oy))
+        np.add(base, a[full], out=starts[m:m + full.size])
+        np.add(base, b[full] + 1, out=stops[m:m + full.size])
+        m += full.size
+    return RunRaster(width=wpx, height=hpx, scale=scale,
+                     runs=_runs(starts[:m], stops[:m], wpx * hpx),
+                     origin_mm=(ox, oy))
 
 
 def _capsule_row(ry, dx, dy, r):
@@ -273,27 +276,28 @@ def _ink(col, ox, scale, ry, sx, dx, dy, hw):
     return (rx - s * dx) ** 2 + (ry - s * dy) ** 2 <= hw * hw
 
 
-def _paint(starts, stops, n):
-    """uint8 array of n pixels, 255 on the union of the spans
-    [starts, stops), given as lists of flat-index arrays."""
+def _runs(starts, stops, n):
+    """Run lengths of n pixels, alternately 0 and 255 and background
+    first, with ink on the union of the spans [starts, stops), which are
+    flat-index arrays of equal size and are sorted in place."""
     import numpy as np
-    starts, stops = np.concatenate(starts), np.concatenate(stops)
     if not starts.size:
-        return np.zeros(n, dtype=np.uint8)
-    order = np.argsort(starts, kind="stable")
-    starts, stops = starts[order], stops[order]
-    np.maximum.accumulate(stops, out=stops)  # ink reached so far
-    cut = np.flatnonzero(starts[1:] > stops[:-1]) + 1  # spans after a gap
-    first = starts[np.append(0, cut)]
-    end = stops[np.append(cut - 1, stops.size - 1)]
-    del order, starts, stops, cut  # freed before the canvas is allocated
-    runs = np.empty(2 * first.size + 1, dtype=np.int64)
-    runs[0:-1:2] = first - np.append(0, end[:-1])
-    runs[1::2] = end - first
-    runs[-1] = n - end[-1]
-    values = np.zeros(runs.size, dtype=np.uint8)
-    values[1::2] = 255
-    return np.repeat(values, runs)
+        return np.array([n], dtype=np.int64)
+    starts.sort()
+    stops.sort()
+    # with both sorted, stop i closes a run exactly when start i + 1 lies
+    # beyond it: starts and stops 0..i have all passed there, so no span
+    # covers it unless a later start does
+    cut = np.flatnonzero(starts[1:] > stops[:-1])
+    runs = np.empty(2 * cut.size + 3, dtype=np.int64)
+    runs[0], runs[-1] = starts[0], n - stops[-1]
+    ink = runs[1::2]  # each ink run's end, then its length
+    ink[:-1], ink[-1] = stops[cut], stops[-1]
+    cut += 1  # the spans that start the ink runs after the first
+    runs[2:-1:2] = starts[cut] - ink[:-1]
+    ink[0] -= starts[0]
+    ink[1:] -= starts[cut]
+    return runs
 
 
 # --------------------------------------------------------------------------

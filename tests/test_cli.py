@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -432,6 +433,41 @@ def test_render_pgm_to_stdout_is_write_pgm(capsysbinary):
                     MachineSettings(10, 30))
     image = rasterize(simulate(toolpath).traces, 0.05)
     assert capsysbinary.readouterr().out == write_pgm(image)
+
+
+@pytest.mark.parametrize("drawing", [SQUARE, "missing.json"])
+def test_simulate_refuses_report_and_pgm_both_on_stdout(capsysbinary,
+                                                         drawing):
+    # refused before any work: reading a missing drawing would exit 2
+    rc = main(["simulate", "--drawing", drawing, "--speed", "10",
+               "--pressure", "30", "--pgm", "-", "--scale", "0.05"])
+    out, err = capsysbinary.readouterr()
+    assert (rc, out) == (1, b"")
+    assert err.startswith(b"error: --pgm -")
+
+
+def test_render_holds_no_canvas(tmp_path):
+    # two crossing strokes over 180 mm: about 36 Mpx at 0.03 mm/px, yet
+    # tracemalloc, which sees numpy's buffers, finds no canvas-sized peak
+    drawing = tmp_path / "cross.json"
+    drawing.write_text(json.dumps({"version": 1, "units": "mm", "strokes": [
+        {"closed": False, "points": [[0.0, 0.0], [180.0, 180.0]]},
+        {"closed": False, "points": [[0.0, 180.0], [180.0, 0.0]]}]}))
+    pgm_path = tmp_path / "cross.pgm"
+    # a first render loads what render imports, which the peak would count
+    assert main(["render", *PIPELINE, "--pgm", str(pgm_path)]) == 0
+    tracemalloc.start()
+    try:
+        rc = main(["render", "--drawing", str(drawing), "--speed", "10",
+                   "--pressure", "30", "--pgm", str(pgm_path),
+                   "--scale", "0.03"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    canvas = pgm_path.stat().st_size
+    assert canvas > 35_000_000
+    assert peak < canvas / 4
 
 
 @pytest.mark.parametrize("command", ["simulate", "render"])

@@ -6,7 +6,7 @@ import pytest
 from lmprint import RasterImage, make_report, read_pgm, read_report, \
     write_pgm, write_report
 from lmprint.errors import ConfigError, DrawingFormatError
-from lmprint.raster import pgm_parts
+from lmprint.raster import RunRaster, pgm_parts
 
 
 def test_minimal_pgm_is_canonical_12_bytes():
@@ -24,6 +24,19 @@ def test_pgm_parts_are_the_header_and_the_canvas_itself():
     assert header == b"P5\n4 3\n255\n"
     assert body.obj is img.cells  # the canvas's buffer, not a copy
     assert header + bytes(body) == write_pgm(img)
+
+
+def test_run_raster_paints_its_runs():
+    # background 1, ink 3, background 0, ink 2, background 2
+    img = RunRaster(width=4, height=2, scale=0.5, runs=[1, 3, 0, 2, 2])
+    assert img.occupied_area_mm2() == 5 * 0.25
+    assert "cells" not in vars(img)
+    assert img.cells.tolist() == [[0, 255, 255, 255], [255, 255, 0, 0]]
+    canvas = RasterImage(width=4, height=2, scale=0.5, cells=img.cells)
+    assert write_pgm(img) == write_pgm(canvas) and img == canvas
+    for runs in ([1, 3, 0, 2, 1], [9, -1], [[8]]):
+        with pytest.raises(ConfigError, match="runs"):
+            RunRaster(width=4, height=2, scale=0.5, runs=runs)
 
 
 def test_pgm_round_trip():

@@ -5,21 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
-    estimate, fit_width_model, plan, rasterize, simulate
+    estimate, fit_width_model, plan, raster, rasterize, simulate
 from lmprint.core import grams_to_newtons, replace
 from lmprint.environment import CornerPolicy, segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
 from lmprint.planner import Lift, Move, Tap, Toolpath, _walk, \
     interior_angle_deg, step_head
-from lmprint.raster import RasterImage
+from lmprint.raster import RasterImage, pgm_parts, write_pgm
 from lmprint.simulator import FLAG_CORNER, FLAG_SLIP, FLAG_SPEED, \
-    EmpiricalWidthModel, HeadState, TraceSegment
+    EmpiricalWidthModel, HeadState, TraceSegment, _runs
 
 QUIET = replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
 SETTINGS = MachineSettings(10.0, 30.0)  # 40 mm/s, 94 g
@@ -151,6 +151,7 @@ _run = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=8)
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_run, min_size=1, max_size=6))
+@example([[(0.0, 0.0), (0.0, 3e-260), (0.0, 0.0)]])  # lengths' product is 0
 def test_corner_flags_equal_the_per_end_test(runs):
     actions = []
     for points in runs:
@@ -272,7 +273,6 @@ class TestRasterize:
             rasterize([trace], 0.001, max_pixels=10_000)
 
     def test_deterministic_bytes(self):
-        from lmprint import write_pgm
         tp = plan(sample("square"), SETTINGS)
         result = simulate(tp, QUIET)
         first = write_pgm(rasterize(result.traces, 0.05))
@@ -407,7 +407,83 @@ def test_spans_equal_per_pixel_oracle(layout):
     slow = _brute_rasterize(traces, scale)
     assert (fast.width, fast.height) == (slow.width, slow.height)
     assert fast.origin_mm == slow.origin_mm
+    # the area is counted from the runs, without building the canvas
+    assert fast.occupied_area_mm2() == slow.occupied_area_mm2()
+    assert "cells" not in vars(fast)
     assert np.array_equal(fast.cells, slow.cells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_raster_layouts())
+@example(([], 0.05))
+@example(([_trace((0.0, 0.0), (0.5, 0.0), 0.2)], 0.05))  # under 4096 px
+@example(([_trace((0.0, 0.0), (1.13, 0.0), 0.3)], 0.01))  # a run ends at 4096
+def test_pgm_bands_equal_the_canvas_oracle(layout):
+    traces, scale = layout
+    image = rasterize(traces, scale)
+    expected = write_pgm(_brute_rasterize(traces, scale))
+    for band in (1, 7, 4096):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "_PGM_BAND", band)
+            assert b"".join(pgm_parts(image)) == expected
+    assert "cells" not in vars(image)
+
+
+# --- run-length merge against the argsort merge it replaced
+
+
+def _merge_oracle(starts, stops, n):
+    """Run lengths of the union of spans [starts, stops) over n pixels, by
+    a stable argsort of the starts and a running max of the stops."""
+    if not starts.size:
+        return np.array([n])
+    order = np.argsort(starts, kind="stable")
+    starts, stops = starts[order], stops[order]
+    np.maximum.accumulate(stops, out=stops)  # ink reached so far
+    cut = np.flatnonzero(starts[1:] > stops[:-1]) + 1  # spans after a gap
+    first = starts[np.append(0, cut)]
+    end = stops[np.append(cut - 1, stops.size - 1)]
+    runs = np.empty(2 * first.size + 1, dtype=np.int64)
+    runs[0:-1:2] = first - np.append(0, end[:-1])
+    runs[1::2] = end - first
+    runs[-1] = n - end[-1]
+    return runs
+
+
+@st.composite
+def _span_sets(draw):
+    """n pixels and spans (start, stop) over them, in random order, each
+    free or single-pixel, or touching, nested in or equal to the last."""
+    n = draw(st.integers(1, 300))
+    spans = []
+    kinds = ("free", "pixel", "touching", "nested", "duplicate")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        a, b = spans[-1] if spans else (0, 0)
+        if kind == "touching" and 0 < b < n:
+            spans.append((b, draw(st.integers(b + 1, n))))
+        elif kind == "nested" and spans:
+            lo = draw(st.integers(a, b - 1))
+            spans.append((lo, draw(st.integers(lo + 1, b))))
+        elif kind == "duplicate" and spans:
+            spans.append((a, b))
+        else:
+            lo = draw(st.integers(0, n - 1))
+            hi = lo + 1 if kind == "pixel" else draw(st.integers(lo + 1, n))
+            spans.append((lo, hi))
+    return n, draw(st.permutations(spans))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_sets())
+@example((5, []))
+@example((1, [(0, 1)]))  # one span over every pixel
+@example((9, [(4, 5)]))
+def test_merge_equals_argsort_oracle(case):
+    n, spans = case
+    starts = np.array([a for a, _ in spans], dtype=np.int64)
+    stops = np.array([b for _, b in spans], dtype=np.int64)
+    expected = _merge_oracle(starts.copy(), stops.copy(), n)
+    assert np.array_equal(_runs(starts, stops, n), expected)
 
 
 def test_capsule_row_is_the_exact_crossing():

@@ -227,11 +227,11 @@ def rasterize(traces, scale: float, *,
             b[live] = np.where(b_in, np.where(b_end, bl, bl + 1), bl - 1)
             live = live[~(a_in & b_in & a_end & b_end)
                         & (a[live] <= b[live])]
-        full = np.flatnonzero(a <= b)
+        full = a <= b
         base = row[full] * wpx
-        np.add(base, a[full], out=starts[m:m + full.size])
-        np.add(base, b[full] + 1, out=stops[m:m + full.size])
-        m += full.size
+        starts[m:m + base.size] = base + a[full]
+        stops[m:m + base.size] = base + b[full] + 1
+        m += base.size
     return RunRaster(width=wpx, height=hpx, scale=scale,
                      runs=_runs(starts[:m], stops[:m], wpx * hpx),
                      origin_mm=(ox, oy))

@@ -9,9 +9,7 @@ each segment as a uniform conductor of its simulated cross-section.
 
 from __future__ import annotations
 
-import bisect
 import heapq
-import itertools
 import math
 from functools import cached_property
 from typing import NamedTuple
@@ -27,37 +25,48 @@ def _closest_points(p1: Point, p2: Point, q1: Point, q2: Point):
     """Closest points between segments p1p2 and q1q2, with their distance.
 
     Clamped-parametric method; returns (distance, point_on_p, point_on_q).
+    Of five (s, t) candidates the first nearest wins. Each clamp to [0, 1]
+    gives what min(1.0, max(0.0, x)) gives, NaN included.
     """
-    px, py = p2[0] - p1[0], p2[1] - p1[1]
-    qx, qy = q2[0] - q1[0], q2[1] - q1[1]
-    wx, wy = p1[0] - q1[0], p1[1] - q1[1]
+    x0, y0 = p1
+    u0, v0 = q1
+    px, py = p2[0] - x0, p2[1] - y0
+    qx, qy = q2[0] - u0, q2[1] - v0
+    wx, wy = x0 - u0, y0 - v0
     a = px * px + py * py
     b = px * qx + py * qy
     c = qx * qx + qy * qy
     d = px * wx + py * wy
     e = qx * wx + qy * wy
     den = a * c - b * b
-    candidates = []
+    best = -1.0                     # below any squared distance: none yet
     if den > 1e-14 * max(a, c, 1.0):
         s = (b * e - c * d) / den
         t = (a * e - b * d) / den
-        candidates.append((min(1.0, max(0.0, s)), min(1.0, max(0.0, t))))
+        bs = (s if s < 1.0 else 1.0) if s > 0.0 else 0.0
+        bt = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
+        gx = x0 + bs * px - (u0 + bt * qx)
+        gy = y0 + bs * py - (v0 + bt * qy)
+        best = gx * gx + gy * gy
     # end-clamped cases; also cover degenerate (point-like) segments
     for t in (0.0, 1.0):
         s = (-d + b * t) / a if a > 0 else 0.0
-        candidates.append((min(1.0, max(0.0, s)), t))
+        s = (s if s < 1.0 else 1.0) if s > 0.0 else 0.0
+        gx = x0 + s * px - (u0 + t * qx)
+        gy = y0 + s * py - (v0 + t * qy)
+        d2 = gx * gx + gy * gy
+        if best < 0.0 or d2 < best:
+            best, bs, bt = d2, s, t
     for s in (0.0, 1.0):
         t = (e + b * s) / c if c > 0 else 0.0
-        candidates.append((s, min(1.0, max(0.0, t))))
-    best = None
-    for s, t in candidates:
-        gx = p1[0] + s * px - (q1[0] + t * qx)
-        gy = p1[1] + s * py - (q1[1] + t * qy)
+        t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
+        gx = x0 + s * px - (u0 + t * qx)
+        gy = y0 + s * py - (v0 + t * qy)
         d2 = gx * gx + gy * gy
-        if best is None or d2 < best[0]:
-            best = (d2, (p1[0] + s * px, p1[1] + s * py),
-                    (q1[0] + t * qx, q1[1] + t * qy))
-    return math.sqrt(best[0]), best[1], best[2]
+        if d2 < best:
+            best, bs, bt = d2, s, t
+    return (math.sqrt(best), (x0 + bs * px, y0 + bs * py),
+            (u0 + bt * qx, v0 + bt * qy))
 
 
 def _outline_gap(t1, t2) -> tuple[float, Point, Point]:
@@ -86,79 +95,103 @@ def _capsules(traces) -> list[tuple[Point, Point, float]]:
     return capsules
 
 
-def _cell_size(capsules, reach: float) -> float:
-    """Grid cell of the broad phase: the largest half width plus half the
-    reach, never below a quarter of the mean capsule length."""
-    lengths = sum(math.hypot(b[0] - a[0], b[1] - a[1])
-                  for a, b, _ in capsules)
-    # zero only for bare points with no reach, where any cell will do
-    return max(max(hw for _, _, hw in capsules) + 0.5 * reach,
-               lengths / (4 * len(capsules))) or 1.0
+# a capsule goes to the least level whose bands are at least 1/_SLACK of
+# its grown height
+_SLACK = 4
 
 
 def _candidate_pairs(capsules, reach: float,
                      points=()) -> list[tuple[int, int]]:
     """Sorted pairs (i, j), i < j, whose outlines may come within reach.
 
-    Uniform-grid broad phase (Ericson, Real-Time Collision Detection,
-    2004, ch. 7). Each capsule is entered row by row. Its outline is
-    grown by half the reach and a rounding margin; in every row of cells
-    the grown outline meets, the part of the centreline within that
-    distance of the row spans an x interval, and the capsule is entered in
-    the cells of that interval widened by the same distance. Two outlines
-    within reach of each other both reach a point midway across their
-    gap, so they share its cell and the pair is a candidate; the caller
-    decides each candidate with the exact distance.
-
-    The cell is the largest half width plus half the reach, so a grown
-    row band is about three cells high at most. It is never below a
-    quarter of the mean capsule length, so the mean capsule crosses a few
-    cells a side at most when widths are tiny next to lengths.
-
-    points join the grid as zero-width capsules numbered after the
-    capsules. They never set the cell: a pad is a point, and counting it
-    as a zero-length capsule would shrink the cell and multiply the cells
-    every long capsule is entered in. Pairs of two points are left out.
+    A multi-level row-band sweep: a hierarchical grid (Ericson, Real-Time
+    Collision Detection, 2004, 7.2) of bands swept along x (Cohen et al.,
+    I-COLLIDE, 1995). Outlines are grown by half the reach and a rounding
+    margin; level L has bands h0 * 2**L high, h0 the least grown height
+    of a capsule. A capsule enters each band of its level that it meets,
+    and each occupied band of every coarser level as a guest, with the x
+    interval of its centreline within the grown distance of the band,
+    widened by that distance. A band pairs its entries whose intervals
+    overlap unless both are guests. Two outlines within reach both reach
+    the point midway across their gap, which lies in a band of the
+    coarser capsule's level where both intervals hold its x. The caller
+    decides each candidate with the exact distance. points are
+    zero-width guests numbered after the capsules: they never set h0,
+    and two points never pair.
     """
     n = len(capsules)
     if not capsules or n + len(points) < 2:
         return []
-    cell = _cell_size(capsules, reach)
     items = list(capsules) + [(p, p, 0.0) for p in points]
     extent = max(max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
                  for a, b, _ in items)
-    margin = 1e-9 * (extent + cell)
-    floor = math.floor
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i, ((x0, y0), (x1, y1), hw) in enumerate(items):
-        grow = hw + 0.5 * reach + margin
+    margin = 1e-9 * (extent + max(hw for _, _, hw in capsules) + 0.5 * reach)
+    rows = []                       # (x0, y0, x1, y1, grow) with y0 <= y1
+    for (x0, y0), (x1, y1), hw in items:
         if y0 > y1:
             x0, y0, x1, y1 = x1, y1, x0, y0
-        dx, dy = x1 - x0, y1 - y0
-        for cy in range(floor((y0 - grow) / cell),
-                        floor((y1 + grow) / cell) + 1):
-            if dy > 0.0:
-                # the centreline's x at the grown band's edges, clamped
-                # to the segment's ends
-                low = cy * cell - grow - y0
-                xa = x0 + dx * min(1.0, max(0.0, low / dy))
-                xb = x0 + dx * min(1.0, max(0.0, (low + cell + 2.0 * grow)
-                                            / dy))
-            else:
-                xa, xb = x0, x1
-            for cx in range(floor((min(xa, xb) - grow) / cell),
-                            floor((max(xa, xb) + grow) / cell) + 1):
-                grid.setdefault((cx, cy), []).append(i)
+        rows.append((x0, y0, x1, y1, hw + 0.5 * reach + margin))
+    heights = [y1 - y0 + 2.0 * grow for _, y0, _, y1, grow in rows[:n]]
+    # zero only for bare points with no reach, where any height will do
+    h0 = min(heights) or 1.0
+    levels: dict[int, list[int]] = {}
+    for i, height in enumerate(heights):
+        level = 0
+        while height > math.ldexp(_SLACK * h0, level):
+            level += 1
+        levels.setdefault(level, []).append(i)
+    floor = math.floor
     pairs = set()
-    for members in grid.values():
-        if len(members) < 2:
-            continue
-        # members were appended in increasing index order, so the
-        # segments come first and the points after them
-        split = bisect.bisect_left(members, n)
-        segments = members[:split]
-        pairs.update(itertools.combinations(segments, 2))
-        pairs.update(itertools.product(segments, members[split:]))
+    add = pairs.add
+    guests = list(range(n, len(items)))
+    for level in sorted(levels):
+        h = math.ldexp(h0, level)
+        bands: dict[int, list] = {}
+        # this level's capsules enter as i, guests as ~i
+        for members, own in ((levels[level], True), (guests, False)):
+            for i in members:
+                x0, y0, x1, y1, grow = rows[i]
+                first = floor((y0 - grow) / h)
+                last = floor((y1 + grow) / h)
+                for k in range(first, last + 1):
+                    band = bands.get(k)
+                    if band is None:
+                        if not own:
+                            continue
+                        band = bands[k] = []
+                    xa, xb = x0, x1
+                    if first < last and y0 < y1:
+                        # the centreline's x at the grown band's edges,
+                        # clamped to the segment's ends
+                        low = (k * h - grow - y0) / (y1 - y0)
+                        high = low + (h + 2.0 * grow) / (y1 - y0)
+                        if low > 0.0:
+                            xa = x0 + (x1 - x0) * low if low < 1.0 else x1
+                        if high < 1.0:
+                            xb = x0 + (x1 - x0) * high if high > 0.0 else x0
+                    if xa > xb:
+                        xa, xb = xb, xa
+                    band.append((xa - grow, xb + grow, i if own else ~i))
+        for band in bands.values():
+            band.sort()
+            waiting = []        # guests that a later capsule may overlap
+            for a, (lo, hi, i) in enumerate(band):
+                if i < 0:
+                    waiting.append(band[a])
+                    continue
+                if waiting:
+                    waiting = [g for g in waiting if g[1] >= lo]
+                    for g in waiting:
+                        j = ~g[2]
+                        add((j, i) if j < i else (i, j))
+                for b in range(a + 1, len(band)):
+                    lo_b, _, j = band[b]
+                    if lo_b > hi:
+                        break
+                    if j < 0:
+                        j = ~j
+                    add((j, i) if j < i else (i, j))
+        guests += levels[level]
     return sorted(pairs)
 
 

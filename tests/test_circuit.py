@@ -41,8 +41,52 @@ def _flood_count(traces, scale):
 # --- all-pairs oracles: the obvious quadratic versions of the fast paths
 
 
+def _closest_points_oracle(p1, p2, q1, q2):
+    """Closest points between segments p1p2 and q1q2, with their distance.
+
+    Clamped-parametric method; returns (distance, point_on_p, point_on_q).
+    circuit._closest_points as it stood before it was written without its
+    candidate list, kept verbatim as the oracle of that lean version.
+    """
+    px, py = p2[0] - p1[0], p2[1] - p1[1]
+    qx, qy = q2[0] - q1[0], q2[1] - q1[1]
+    wx, wy = p1[0] - q1[0], p1[1] - q1[1]
+    a = px * px + py * py
+    b = px * qx + py * qy
+    c = qx * qx + qy * qy
+    d = px * wx + py * wy
+    e = qx * wx + qy * wy
+    den = a * c - b * b
+    candidates = []
+    if den > 1e-14 * max(a, c, 1.0):
+        s = (b * e - c * d) / den
+        t = (a * e - b * d) / den
+        candidates.append((min(1.0, max(0.0, s)), min(1.0, max(0.0, t))))
+    # end-clamped cases; also cover degenerate (point-like) segments
+    for t in (0.0, 1.0):
+        s = (-d + b * t) / a if a > 0 else 0.0
+        candidates.append((min(1.0, max(0.0, s)), t))
+    for s in (0.0, 1.0):
+        t = (e + b * s) / c if c > 0 else 0.0
+        candidates.append((s, min(1.0, max(0.0, t))))
+    best = None
+    for s, t in candidates:
+        gx = p1[0] + s * px - (q1[0] + t * qx)
+        gy = p1[1] + s * py - (q1[1] + t * qy)
+        d2 = gx * gx + gy * gy
+        if best is None or d2 < best[0]:
+            best = (d2, (p1[0] + s * px, p1[1] + s * py),
+                    (q1[0] + t * qx, q1[1] + t * qy))
+    return math.sqrt(best[0]), best[1], best[2]
+
+
+def _oracle_gap(t1, t2):
+    d, pi, pj = _closest_points_oracle(t1.start, t1.end, t2.start, t2.end)
+    return d - 0.5e3 * (t1.width_m + t2.width_m), pi, pj
+
+
 def segments_touch(t1, t2, tolerance: float) -> bool:
-    return outline_clearance(t1, t2) <= tolerance
+    return _oracle_gap(t1, t2)[0] <= tolerance
 
 
 def _brute_nets(traces, touch_tolerance, pads=None,
@@ -57,9 +101,7 @@ def _brute_nets(traces, touch_tolerance, pads=None,
             if segments_touch(traces[i], traces[j], touch_tolerance):
                 uf.union(i, j)
                 edges.append((i, j))
-            d, pi, pj = _closest_points(traces[i].start, traces[i].end,
-                                        traces[j].start, traces[j].end)
-            gap = d - 0.5e3 * (traces[i].width_m + traces[j].width_m)
+            gap, pi, pj = _oracle_gap(traces[i], traces[j])
             if gap <= reach:
                 contacts.append(Contact(i, j, gap, pi, pj))
     groups: dict[int, list[int]] = {}
@@ -101,9 +143,7 @@ def _brute_drc(nets, min_width, min_clearance) -> DrcResult:
         for j in range(i + 1, len(traces)):
             if net_of.get(i) == net_of.get(j):
                 continue
-            d, pi, pj = _closest_points(traces[i].start, traces[i].end,
-                                        traces[j].start, traces[j].end)
-            gap = d - 0.5e3 * (traces[i].width_m + traces[j].width_m)
+            gap, pi, pj = _oracle_gap(traces[i], traces[j])
             if gap < min_clearance:
                 loc = ((pi[0] + pj[0]) / 2.0, (pi[1] + pj[1]) / 2.0)
                 violations.append(DrcViolation(kind="clearance-short-risk",
@@ -504,7 +544,7 @@ CLEARANCES_MM = (0.05, 0.1, 0.3)    # tolerance <, = and > clearance
 def _layouts(draw):
     """Traces, pads and limits with the cases a grid could get wrong.
 
-    Zero-length and duplicate segments, long diagonals across many cells,
+    Zero-length and duplicate segments, long diagonals across many bands,
     slivers that rise a few ulps over their length, widths 100x apart,
     coordinates offset by 1e4 mm and parallel pairs, across or along the
     rows, whose outline gap is computed as exactly the tolerance or
@@ -627,7 +667,7 @@ def test_grid_paths_equal_all_pairs_oracles(layout):
        length=st.floats(0.1, 20.0), s=st.floats(0.0, 1.0),
        side=st.sampled_from((-1.0, 1.0)), turn=st.floats(0.1, 3.0),
        b_len=st.floats(0.0, 10.0), filler_len=st.floats(0.0, 80.0))
-# a shallow segment whose contact lies just above a cell row's top edge
+# a shallow segment whose contact lies just above a band's top edge
 @example(w_a=0.005, w_b=0.005, reach=0.0, x=0.0, y=0.0, theta=0.015625,
          length=1.0, s=0.1015625, side=-1.0, turn=1.0, b_len=0.0,
          filler_len=0.0)
@@ -637,7 +677,7 @@ def test_broad_phase_keeps_every_pair_within_reach(
     """A segment end, and a pad, placed just at reach of segment a.
 
     The closest approach is one point of a, at any slope and any place
-    against the cell rows. A far filler segment moves the cell size.
+    against the bands. A far filler segment moves h0 and the levels.
     """
     a = _trace((x, y), (x + length * math.cos(theta),
                         y + length * math.sin(theta)), width_mm=w_a)
@@ -656,6 +696,53 @@ def test_broad_phase_keeps_every_pair_within_reach(
         assert (0, 1) in pairs
     if _point_segment_distance(pad, a.start, a.end) <= 0.5 * w_a + reach:
         assert (0, 3) in pairs
+
+
+@st.composite
+def _segment_pairs(draw):
+    """Two segments at a scale from 1e-150 to 1e150: in general position,
+    parallel, collinear and overlapping, of zero length, crossing, or one
+    touching the other."""
+    scale = draw(st.sampled_from((1e-150, 1e-3, 1.0, 1e3, 1e150)))
+    coord = st.floats(-10.0, 10.0)
+    p1, p2, q1 = [(draw(coord), draw(coord)) for _ in range(3)]
+    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+    kind = draw(st.sampled_from(("general", "parallel", "collinear",
+                                 "zero-length", "crossing", "touching")))
+    along = st.floats(-1.0, 2.0)
+    if kind == "general":
+        q2 = (draw(coord), draw(coord))
+    elif kind == "parallel":
+        k = draw(along)
+        q2 = (q1[0] + k * dx, q1[1] + k * dy)
+    elif kind == "collinear":
+        u, v = draw(along), draw(along)
+        q1 = (p1[0] + u * dx, p1[1] + u * dy)
+        q2 = (p1[0] + v * dx, p1[1] + v * dy)
+    elif kind == "zero-length":
+        q2 = q1
+        if draw(st.booleans()):
+            p2 = p1
+    else:
+        s = draw(st.floats(0.0, 1.0))
+        m = (p1[0] + s * dx, p1[1] + s * dy)
+        if kind == "crossing":
+            q1, q2 = (2 * m[0] - q1[0], 2 * m[1] - q1[1]), q1
+        else:
+            q1, q2 = m, q1
+    return tuple((x * scale, y * scale) for x, y in (p1, p2, q1, q2))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_segment_pairs())
+@example(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)))
+@example(((-0.0, -0.0), (-0.0, -0.0), (-0.0, 1.0), (-0.0, 1.0)))
+# the nearest candidate clamps s from -0.0, and p1 has x = -0.0
+@example(((-0.0, -0.0), (1.0, 0.0), (-0.0, 1.0), (-1.0, 1.0)))
+def test_closest_points_equal_the_verbatim_oracle(segments):
+    """Same distance and points, to the last bit and the sign of zero."""
+    assert repr(_closest_points(*segments)) == \
+        repr(_closest_points_oracle(*segments))
 
 
 # --- scaling: candidate pairs grow with the segment count, not its square
@@ -686,6 +773,143 @@ def _bus(n):
     return traces
 
 
+def _crowded(n, cols=32):
+    """n dashes 0.1 mm long at 0.5 mm pitch, cols to a row, none touching,
+    and a square frame of side 0.25 * n**1.5 mm around them."""
+    traces = [_trace((0.5 * (k % cols), 0.5 * (k // cols)),
+                     (0.5 * (k % cols) + 0.1, 0.5 * (k // cols)),
+                     width_mm=TRACE_WIDTH_MM) for k in range(n)]
+    side = 0.25 * n ** 1.5
+    corners = [(-1.0, -1.0), (side - 1.0, -1.0), (side - 1.0, side - 1.0),
+               (-1.0, side - 1.0)]
+    return traces + [_trace(p, q, width_mm=TRACE_WIDTH_MM)
+                     for p, q in zip(corners, corners[1:] + corners[:1])]
+
+
+def _scattered(n):
+    """n segments 0.5-5 mm long at random angles, as densely as 8000 over
+    200 x 200 mm."""
+    rng = np.random.default_rng(8000)
+    side = 200.0 * math.sqrt(n / 8000)
+    traces = []
+    for x, y, ang, length in zip(rng.uniform(0.0, side, n),
+                                 rng.uniform(0.0, side, n),
+                                 rng.uniform(0.0, 2 * math.pi, n),
+                                 rng.uniform(0.5, 5.0, n)):
+        traces.append(_trace((float(x), float(y)),
+                             (float(x + length * math.cos(ang)),
+                              float(y + length * math.sin(ang))),
+                             width_mm=TRACE_WIDTH_MM))
+    return traces
+
+
+def _zigzag(n):
+    """One chain of n segments, 0.5 mm across and 1 mm up or down."""
+    points = [(0.5 * k, float(k % 2)) for k in range(n + 1)]
+    return [_trace(p, q, width_mm=TRACE_WIDTH_MM)
+            for p, q in zip(points, points[1:])]
+
+
+def _mesh(rows):
+    """A grid of 1 mm cells, 32 wide and rows high, each side a segment."""
+    traces = []
+    for r in range(rows + 1):
+        for c in range(32):
+            traces.append(_trace((float(c), float(r)), (c + 1.0, float(r)),
+                                 width_mm=TRACE_WIDTH_MM))
+    for c in range(33):
+        for r in range(rows):
+            traces.append(_trace((float(c), float(r)), (float(c), r + 1.0),
+                                 width_mm=TRACE_WIDTH_MM))
+    return traces
+
+
+# --- the broad phase against the brute force
+
+
+def _brute_candidates(capsules, reach, points):
+    """Every pair the broad phase must keep: segment pairs whose outlines
+    come within reach, and pads within reach of a segment's outline."""
+    n = len(capsules)
+    must = set()
+    for i, (a0, a1, ha) in enumerate(capsules):
+        for j in range(i + 1, n):
+            b0, b1, hb = capsules[j]
+            if _closest_points_oracle(a0, a1, b0, b1)[0] - ha - hb <= reach:
+                must.add((i, j))
+        for k, p in enumerate(points):
+            if _point_segment_distance(p, a0, a1) <= ha + reach:
+                must.add((i, n + k))
+    return must
+
+
+@st.composite
+def _broad_phase_inputs(draw):
+    """Capsules of every slope and size, widths 100x apart and coordinates
+    offset by 1e4 mm, with ends and pads placed exactly at the reach of
+    an earlier capsule's outline."""
+    offset = draw(st.sampled_from((0.0, 1e4)))
+    reach = draw(st.sampled_from(TOLERANCES_MM))
+    coord = st.floats(0.0, 10.0)
+    capsules, points = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        hw = 0.5 * draw(st.sampled_from(WIDTHS_MM))
+        x, y = draw(coord) + offset, draw(coord) + offset
+        ang = draw(st.sampled_from((0.0, 0.5 * math.pi))
+                   | st.floats(0.0, 2 * math.pi))
+        length = draw(st.sampled_from((0.0, 0.1, 40.0))
+                      | st.floats(0.0, 10.0))
+        if capsules and draw(st.booleans()):
+            # a pad, or this capsule's start, just at reach of a point on
+            # an earlier capsule
+            (a0x, a0y), (a1x, a1y), ha = draw(st.sampled_from(capsules))
+            s = draw(st.floats(0.0, 1.0))
+            phi = draw(st.floats(0.0, 2 * math.pi))
+            pad = draw(st.booleans())
+            rise = ha + reach + (0.0 if pad else hw)
+            x = a0x + s * (a1x - a0x) + rise * math.cos(phi)
+            y = a0y + s * (a1y - a0y) + rise * math.sin(phi)
+            if pad:
+                points.append((x, y))
+                continue
+        capsules.append(((x, y), (x + length * math.cos(ang),
+                                  y + length * math.sin(ang)), hw))
+    return capsules, points, reach
+
+
+@settings(max_examples=500, deadline=None)
+@given(_broad_phase_inputs())
+# the crowded family: small dashes and one large frame
+@example((_capsules(_crowded(12, cols=4)), [(0.0, 0.0), (-1.0, -1.0)],
+          0.1))
+# every segment horizontal (dy == 0), gaps computed as exactly the reach
+@example(([((0.0, 0.0), (1.0, 0.0), 0.25), ((0.5, 0.75), (2.0, 0.75), 0.25),
+           ((2.25, 0.75), (3.0, 0.75), 0.0), ((9.0, 0.0), (9.0, 0.0), 0.0)],
+          [(0.5, 1.25), (3.25, 0.75)], 0.25))
+# a pad on y = 0, an edge of the bands of every level
+@example(([((0.0, -0.5), (1.0, -0.5), 0.25), ((3.0, -4.0), (3.0, 4.0), 0.25),
+           ((3.5, -0.25), (3.5, 0.25), 0.0)],
+          [(0.5, 0.0), (3.5, 0.0), (3.25, 0.0)], 0.25))
+# a single segment with pads
+@example(([((0.0, 0.0), (2.0, 1.0), 0.05)],
+          [(0.0, 0.0), (2.0, 1.0), (1.0, 0.5), (2.15, 1.0), (5.0, 5.0)],
+          0.1))
+# no reach: outlines that just touch, cross or overlap
+@example(([((0.0, 0.0), (1.0, 0.0), 0.25), ((0.0, 0.5), (1.0, 0.5), 0.25),
+           ((0.5, -1.0), (0.5, 2.0), 0.0), ((1.5, 0.0), (1.5, 0.0), 0.25)],
+          [(1.0, 0.25), (1.75, 0.0)], 0.0))
+# points at the origin with no width and no reach: no rounding margin
+@example(([((0.0, 0.0), (0.0, 0.0), 0.0), ((0.0, 0.0), (0.0, 0.0), 0.0)],
+          [(0.0, 0.0)], 0.0))
+def test_candidate_pairs_hold_every_contact(inputs):
+    capsules, points, reach = inputs
+    pairs = _candidate_pairs(capsules, reach, points)
+    assert pairs == sorted(set(pairs))
+    n = len(capsules)
+    assert all(i < j and i < n for i, j in pairs)
+    assert _brute_candidates(capsules, reach, points) <= set(pairs)
+
+
 @pytest.mark.parametrize("traces, net_count, edge_count, violations", [
     (_serpentine(4000), 1, 3999, 0),
     (_bus(1000), 1000, 0, 99),
@@ -703,24 +927,45 @@ def test_large_layouts_stay_linear(traces, net_count, edge_count,
     assert all(v.kind == "clearance-short-risk" for v in result.violations)
 
 
-def test_pads_leave_the_grid_unchanged(monkeypatch):
-    traces = _bus(1000)
+@pytest.mark.parametrize("family, n", [
+    (_crowded, 1024), (_scattered, 2000), (_zigzag, 2000), (_mesh, 30),
+    (_bus, 2000),
+], ids=["crowded", "scattered", "zigzag", "mesh", "bus"])
+def test_candidates_grow_with_segments_and_contacts(family, n):
+    """Candidate pairs stay within 3 (segments + contacts) and grow at
+    most 2.2x when the layout doubles (the mesh doubles its rows)."""
+    counts = []
+    for size in (n, 2 * n):
+        traces = family(size)
+        candidates = len(_candidate_pairs(_capsules(traces), 0.1))
+        contacts = len(extract_nets(traces, 0.0, clearance=0.1).contacts)
+        assert candidates <= 3 * (len(traces) + contacts)
+        counts.append(candidates)
+    assert counts[1] <= 2.2 * counts[0]
+
+
+def test_pads_leave_the_segment_pairs_and_h0_unchanged(monkeypatch):
+    """Pads neither add nor remove segment pairs, and never set h0: the
+    band heights of the sweep, h0 * 2**level, stay the same."""
+    traces = _bus(1000) + _serpentine(200) + _mesh(4)
     capsules = _capsules(traces)
     pads = [p for t in traces[::2] for p in (t.start, t.end)]
-    assert len(pads) == 1000
-    cells = []
-    real = circuit._cell_size
+    heights = []
+    real = math.ldexp
 
-    def recorded(*args):
-        cells.append(real(*args))
-        return cells[-1]
-    monkeypatch.setattr(circuit, "_cell_size", recorded)
+    def recorded(x, i):
+        heights.append(real(x, i))
+        return heights[-1]
+    monkeypatch.setattr(circuit.math, "ldexp", recorded)
     bare = _candidate_pairs(capsules, 0.1)
+    seen = heights[:]
+    heights.clear()
     padded = _candidate_pairs(capsules, 0.1, pads)
-    assert len(cells) == 2 and cells[0] == cells[1]
+    monkeypatch.undo()
+    assert seen and heights == seen
     n = len(traces)
     assert [(i, j) for i, j in padded if j < n] == bare
-    assert len(padded) > len(bare)      # the pads did join the grid
+    assert len(padded) > len(bare)      # the pads did join the sweep
 
 
 @pytest.mark.parametrize("extra, reach", [

@@ -81,12 +81,14 @@ class RunRaster(RasterImage):
     def __post_init__(self):
         _check_grid(self)
         import numpy as np
-        runs = np.ascontiguousarray(self.runs, dtype=np.int64)
-        if runs.ndim != 1 or (runs < 0).any() \
-                or runs.sum() != self.width * self.height:
-            raise ConfigError("runs must be nonnegative lengths that sum "
-                              "to width * height")
-        object.__setattr__(self, "runs", runs)
+        runs = np.asarray(self.runs)
+        # a float length would be truncated by a cast, so none is taken
+        if runs.dtype.kind not in "iu" or runs.ndim != 1 \
+                or (runs < 0).any() or runs.sum() != self.width * self.height:
+            raise ConfigError("runs must be nonnegative integer lengths "
+                              "that sum to width * height")
+        object.__setattr__(self, "runs",
+                           np.ascontiguousarray(runs, dtype=np.int64))
 
     @cached_property
     def cells(self) -> np.ndarray:

@@ -144,10 +144,14 @@ def rasterize(traces, scale: float, *,
     A trace crosses each row of its window in one span of pixels, since a
     capsule is convex (the rule's rounding could split a span only on a
     row that grazes the band edge of a segment some 1e7 half-widths
-    long). All (trace, row) pairs are batched: each span's ends come from
-    where the row meets the capsule's outline, then are settled with the
-    per-pixel rule itself. The merged spans are the result: a RunRaster
-    of alternating 0/255 run lengths, whose canvas is built only when its
+    long). All (trace, row) pairs are batched, and each span's ends come
+    from where the row meets two outlines of the capsule, an outer one at
+    half-width hw + eps and an inner one at hw - eps. Where both outlines
+    put each end on the same pixel, the per-pixel rule is certain to
+    agree and is not evaluated; only the other pairs (grazing rows, ends
+    within eps of a pixel centre) are settled with the rule itself (see
+    _spans for eps). The merged spans are the result: a RunRaster of
+    alternating 0/255 run lengths, whose canvas is built only when its
     cells are read.
     """
     if not (0.0 < scale < math.inf):
@@ -176,7 +180,60 @@ def rasterize(traces, scale: float, *,
     if wpx * hpx > max_pixels:
         raise RasterSizeError(
             f"raster {wpx}x{hpx} = {wpx * hpx} px exceeds budget {max_pixels}")
+    # the per-trace arrays live in _spans only, so they are gone before
+    # the merge, the peak of the call
+    starts, stops = _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx)
+    return RunRaster(width=wpx, height=hpx, scale=scale,
+                     runs=_runs(starts, stops, wpx * hpx),
+                     origin_mm=(ox, oy))
 
+
+def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
+    """Flat-index starts and stops of each trace's span on each row of its
+    window: exactly the pixels the per-pixel rule (_ink) calls ink.
+
+    The outlines are the row's crossings of the capsule at radii hw + eps
+    and hw - eps, both at the centreline parameters t that _capsule_row
+    picks for the outer one. Take a = ceil and b = floor of the outer
+    ends in pixel columns, clipped to the window. A pair whose inner ends
+    give the same a and b is exact: the centre of a - 1 lies before the
+    outer end, so farther than hw + eps from the segment (or outside the
+    window), and the rule calls it background (b + 1 likewise); the
+    centres of a..b lie between the inner ends, each on the disc of
+    radius hw - eps at its t, so within hw - eps of the segment (the
+    inner capsule is convex), and the rule calls them ink. Both hold up
+    to the roundings below, which eps bounds. The other pairs start from
+    the outer ends and walk them with the rule until it confirms them.
+
+    The margin is eps = 1e-12 (|ox| + |oy| + |sx| + |sy| + |dx| + |dy| +
+    hw + scale) mm, for each trace, and it bounds every rounding between
+    a pixel's index and the rule's answer:
+
+    - The rule (rx = ox + (col + 0.5) scale - sx, its projection and
+      d^2 <= hw^2) and the outlines (in pixel units: t, the crossing, the
+      ceil or floor of an end) each take a few roundings, every one
+      within u = 2^-53 of a magnitude the sum bounds: a window column
+      lies at most |ox| + |sx| + |dx| + hw + 2 scale from the canvas
+      origin, and a row at most |oy| + |sy| + |dy| + hw + 3 scale. An
+      error in x or y moves a distance by no more than itself, so
+      together they move a pixel's distance, or an end, by under 100 u
+      times the sum; 1e-12 is about 9000 u.
+    - The computed t of an outer end may miss the true one by dt, most
+      on a nearly flat segment (dt up to about 20 u (hw + scale + |dy|)
+      / |dy|). The row then meets the band edge, tangent to the disc at
+      the true t, at the segment's own angle; where the disc at the
+      computed t still crosses the row (the inner disc does whenever a
+      pair is certified), it does so within |dt dy| of that edge, so the
+      points before its end are farther than hw + eps - |dt dy| from the
+      segment (2 |dt dy| for an end clamped to a segment end, measured
+      on the segment extended). |dt dy| is a rounding of the sum above.
+    - An inner end needs no such care: it lies on the disc of radius
+      hw - eps at its own t, whatever t is.
+
+    A trace whose eps reaches hw has no inner outline, and its pairs are
+    all settled with the rule.
+    """
+    import numpy as np
     # each trace's window of candidate pixels, as the per-pixel rule has it
     j0 = np.maximum(0, ((np.minimum(sx, ex) - hw - ox) / scale)
                     .astype(np.int64) - 1)
@@ -189,12 +246,23 @@ def rasterize(traces, scale: float, *,
     keep = (hw > 0.0) & (j0 < j1) & (i0 < i1)
     sx, sy, hw, j0, j1, i0 = (v[keep] for v in (sx, sy, hw, j0, j1, i0))
     dx, dy = ex[keep] - sx, ey[keep] - sy
-    # the analytic spans use a radius grown by far more than the rounding
-    # of any coordinate, so they hold every pixel the rule calls ink
-    grown = hw + 1e-12 * (hw + scale + np.abs(sx) + np.abs(sy)
-                          + np.abs(dx) + np.abs(dy))
     rows = i1[keep] - i0
     last = np.cumsum(rows)
+    ll, hw2 = dx * dx + dy * dy, hw * hw
+
+    eps = 1e-12 * (abs(ox) + abs(oy) + np.abs(sx) + np.abs(sy)
+                   + np.abs(dx) + np.abs(dy) + hw + scale)
+    # per trace, in pixel units: the row of pair p is p + shift; the
+    # start's row and column coordinates (pixel centres at integers), the
+    # segment, the parameters of t, the squared radii and the window's
+    # bounds on a and on b
+    px, py = dx / scale, dy / scale
+    r_out = (hw + eps) / scale
+    r_in = np.where(eps < hw, (hw - eps) / scale, np.nan)
+    consts = np.stack((
+        i0 - (last - rows), (oy - sy) / scale - 0.5, (sx - ox) / scale - 0.5,
+        px, py, *_capsule_t(px, py, r_out), r_out * r_out, r_in * r_in,
+        j0, j1, j0 - 1, j1 - 1))
 
     total = int(last[-1]) if last.size else 0
     # at most one span per pair; m spans are written so far
@@ -203,77 +271,106 @@ def rasterize(traces, scale: float, *,
     for p0 in range(0, total, _SPAN_CHUNK):
         p = np.arange(p0, min(p0 + _SPAN_CHUNK, total))
         k = np.searchsorted(last, p, side="right")
-        row = i0[k] + p - (last[k] - rows[k])
-        ry = oy - (row + 0.5) * scale - sy[k]
-        pair = (ry, sx[k], dx[k], dy[k], hw[k])
-        first, final = j0[k], j1[k] - 1
-        lo, hi = _capsule_row(ry, dx[k], dy[k], grown[k])
-        # a row that misses the capsule (lo = inf, hi = -inf) gets a > b
-        a = np.clip(np.ceil((sx[k] + lo - ox) / scale - 0.5),
-                    first, final + 1).astype(np.int64)
-        b = np.clip(np.floor((sx[k] + hi - ox) / scale - 0.5),
-                    first - 1, final).astype(np.int64)
-        # settle both ends with the per-pixel rule: a span is exact when
-        # a-1 is out, a is in, b is in and b+1 is out
-        live = np.flatnonzero(a <= b)
+        shift, cy, cx, tpx, tpy, g, c_lo, c_hi, out2, in2, a0, a1, b0, b1 = \
+            consts.take(k, axis=1)
+        row = shift + p
+        lo, hi, lo_in, hi_in = _capsule_row(cy - row, cx, tpx, tpy, g, c_lo,
+                                            c_hi, out2, in2)
+        # a row that misses the capsule (lo = inf, hi = -inf) gets a > b;
+        # an inner end that is missing (nan) or beyond the window agrees
+        # with no outer one
+        a = np.clip(np.ceil(lo), a0, a1)
+        b = np.clip(np.floor(hi), b0, b1)
+        sure = (np.ceil(lo_in) == a) & (np.floor(hi_in) == b)
+        live = np.flatnonzero(~sure & (a <= b))
+        if live.size:
+            pair = (oy - (row + 0.5) * scale - sy[k], sx[k], dx[k], dy[k],
+                    ll[k], hw2[k])
+        # settle the other ends with the per-pixel rule: a span is exact
+        # when a-1 is out, a is in, b is in and b+1 is out
         while live.size:
             al, bl = a[live], b[live]
             before, a_in, b_in, after = _ink(
                 np.stack((al - 1, al, bl, bl + 1)), ox, scale,
                 *(v[live] for v in pair))
-            a_end = (al == first[live]) | ~before
-            b_end = (bl == final[live]) | ~after
+            a_end = (al == a0[live]) | ~before
+            b_end = (bl == b1[live]) | ~after
             a[live] = np.where(a_in, np.where(a_end, al, al - 1), al + 1)
             b[live] = np.where(b_in, np.where(b_end, bl, bl + 1), bl - 1)
             live = live[~(a_in & b_in & a_end & b_end)
                         & (a[live] <= b[live])]
-        full = a <= b
-        base = row[full] * wpx
-        starts[m:m + base.size] = base + a[full]
-        stops[m:m + base.size] = base + b[full] + 1
-        m += base.size
-    return RunRaster(width=wpx, height=hpx, scale=scale,
-                     runs=_runs(starts[:m], stops[:m], wpx * hpx),
-                     origin_mm=(ox, oy))
+        full = np.flatnonzero(a <= b)
+        base = row * wpx  # exact: the canvas has under 2^53 pixels
+        starts[m:m + full.size] = (base + a)[full]
+        stops[m:m + full.size] = (base + b + 1.0)[full]
+        m += full.size
+    return starts[:m], stops[:m]
 
 
-def _capsule_row(ry, dx, dy, r):
-    """Real x-interval (lo, hi), relative to the segment start, where the
-    row at height ry crosses the capsule of radius r around the segment
-    (0, 0)-(dx, dy); lo > hi when the row misses it.
+def _capsule_t(dx, dy, r):
+    """Per-segment constants (g, c_lo, c_hi) of _capsule_row: on the row
+    at height y, the left end of the crossing of the capsule of radius r
+    around (0, 0)-(dx, dy) is found at t_lo = clip(y g - c_lo, 0, 1) and
+    the right end at t_hi = clip(y g - c_hi, 0, 1).
 
     The disc around the centreline point at parameter t crosses the row on
-    t*dx -+ sqrt(r^2 - (ry - t*dy)^2). The left end is convex and the right
+    t*dx -+ sqrt(r^2 - (y - t*dy)^2). The left end is convex and the right
     end concave in t, so each is extreme where the row meets a band edge,
-    or at the segment end nearest that point; a disc there that misses the
-    row means every disc does.
+    t = (y -+ v) / dy with v = r dx sign(dy) / |d|, or at the segment end
+    nearest that point; a disc there that misses the row means every disc
+    does. A flat segment (dy = 0, or a point) takes each end from the disc
+    at its segment end on that side, whatever y is.
     """
     import numpy as np
     ll = dx * dx + dy * dy
     flat = (dy == 0.0) | (ll == 0.0)  # t does not move the disc off the row
-    with np.errstate(all="ignore"):  # flat rows are masked
-        v = r * dx * np.sign(dy) / np.sqrt(ll)
-        t_lo = np.clip(np.where(flat, dx < 0.0, (ry - v) / dy), 0.0, 1.0)
-        t_hi = np.clip(np.where(flat, dx > 0.0, (ry + v) / dy), 0.0, 1.0)
-    h2_lo = r * r - (ry - t_lo * dy) ** 2
-    h2_hi = r * r - (ry - t_hi * dy) ** 2
+    with np.errstate(all="ignore"):  # flat segments are masked
+        g = 1.0 / dy
+        w = r * dx / (np.sqrt(ll) * np.abs(dy))  # v / dy
+    return (np.where(flat, 0.0, g), np.where(flat, -1.0 * (dx < 0.0), w),
+            np.where(flat, -1.0 * (dx > 0.0), -w))
+
+
+def _capsule_row(y, x0, dx, dy, g, c_lo, c_hi, r2_out, r2_in):
+    """Real x-intervals where the row at height y crosses the capsule
+    around the segment (x0, 0)-(x0 + dx, dy): the outer one (lo, hi) at
+    squared radius r2_out, and the inner ends (lo_in, hi_in) at squared
+    radius r2_in, taken at the same t, those _capsule_t gives for the
+    outer radius (g, c_lo, c_hi).
+
+    (lo, hi) is the exact crossing, and (inf, -inf) when the row misses
+    the capsule. Each inner end lies on the disc of the inner radius at
+    its t, so within that radius of the segment, and inside the outer
+    interval; it is nan where that disc misses the row.
+    """
+    import numpy as np
+    yg = y * g
+    t_lo = np.clip(yg - c_lo, 0.0, 1.0)
+    t_hi = np.clip(yg - c_hi, 0.0, 1.0)
+    q_lo = y - t_lo * dy
+    q_hi = y - t_hi * dy
+    q_lo *= q_lo
+    q_hi *= q_hi
+    x_lo, x_hi = x0 + t_lo * dx, x0 + t_hi * dx
+    h2_lo, h2_hi = r2_out - q_lo, r2_out - q_hi
     miss = np.maximum(h2_lo, h2_hi) < 0.0
-    lo = t_lo * dx - np.sqrt(np.maximum(h2_lo, 0.0))
-    hi = t_hi * dx + np.sqrt(np.maximum(h2_hi, 0.0))
-    return np.where(miss, np.inf, lo), np.where(miss, -np.inf, hi)
+    lo = np.where(miss, np.inf, x_lo - np.sqrt(np.maximum(h2_lo, 0.0)))
+    hi = np.where(miss, -np.inf, x_hi + np.sqrt(np.maximum(h2_hi, 0.0)))
+    with np.errstate(invalid="ignore"):  # no inner crossing: nan
+        return lo, hi, x_lo - np.sqrt(r2_in - q_lo), \
+            x_hi + np.sqrt(r2_in - q_hi)
 
 
-def _ink(col, ox, scale, ry, sx, dx, dy, hw):
+def _ink(col, ox, scale, ry, sx, dx, dy, ll, hw2):
     """The per-pixel rule: is the centre of pixel column col within hw of
     the segment? Same float operations, in the same order, as testing a
-    whole window."""
+    whole window; ll = dx*dx + dy*dy and hw2 = hw*hw come per trace."""
     import numpy as np
     rx = ox + (col + 0.5) * scale - sx
-    ll = dx * dx + dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.clip((rx * dx + ry * dy) / ll, 0.0, 1.0)
     s = np.where(ll == 0.0, 0.0, s)  # a point: the distance to its start
-    return (rx - s * dx) ** 2 + (ry - s * dy) ** 2 <= hw * hw
+    return (rx - s * dx) ** 2 + (ry - s * dy) ** 2 <= hw2
 
 
 def _runs(starts, stops, n):

@@ -225,30 +225,53 @@ def _coil_svg(seed, cells=2, cell_mm=6.0, turns=6, pitch_mm=0.35):
     return f'<svg xmlns="http://www.w3.org/2000/svg">{body}</svg>'
 
 
-def test_coil_raster_bytes(tmp_path):
+def _simulate_coils(tmp_path, svg_text, *extra):
+    """simulate on an SVG of coils with fillet corners; the report's path."""
     svg = tmp_path / "coils.svg"
-    svg.write_text(_coil_svg(seed=11), encoding="utf-8")
-    config = tmp_path / "fillet.json"
-    config.write_text(json.dumps(
-        {"policy": {"strategy": "fillet", "fillet_radius_mm": 0.3}}))
-    pgm = tmp_path / "coils.pgm"
-    rc = main(["simulate", "--config", str(config), "--drawing", str(svg),
-               *PIPELINE, "--out", str(tmp_path / "coils.json"),
-               "--pgm", str(pgm), "--scale", "0.01"])
-    assert rc == 0
-    assert hashlib.sha256(pgm.read_bytes()).hexdigest() == COILS_PGM_SHA256
-
-
-def test_long_coil_report_bytes_equal_json_dumps(tmp_path):
-    # the report writer against its oracle on a report of over 1000 traces
-    svg = tmp_path / "coils.svg"
-    svg.write_text(_coil_svg(seed=5, cells=3, turns=8), encoding="utf-8")
+    svg.write_text(svg_text, encoding="utf-8")
     config = tmp_path / "fillet.json"
     config.write_text(json.dumps(
         {"policy": {"strategy": "fillet", "fillet_radius_mm": 0.3}}))
     out = tmp_path / "coils.json"
     assert main(["simulate", "--config", str(config), "--drawing", str(svg),
-                 *PIPELINE, "--out", str(out)]) == 0
+                 *PIPELINE, "--out", str(out), *extra]) == 0
+    return out
+
+
+def test_coil_raster_bytes(tmp_path):
+    pgm = tmp_path / "coils.pgm"
+    _simulate_coils(tmp_path, _coil_svg(seed=11),
+                    "--pgm", str(pgm), "--scale", "0.01")
+    assert hashlib.sha256(pgm.read_bytes()).hexdigest() == COILS_PGM_SHA256
+
+
+def test_coil_raster_settles_few_pairs(tmp_path, monkeypatch):
+    # the inner and outer outlines certify nearly every span end of the
+    # coils, so the per-pixel rule settles few (trace, row) pairs; the
+    # bytes above would still pass if no end were certified
+    from lmprint import simulator
+    counts = {"pairs": 0, "settled": 0}
+    capsule_row, ink = simulator._capsule_row, simulator._ink
+
+    def counted_row(y, *args):
+        counts["pairs"] += y.size
+        return capsule_row(y, *args)
+
+    def counted_ink(col, ox, scale, ry, *args):
+        counts["settled"] += ry.size  # a pair walked twice counts twice
+        return ink(col, ox, scale, ry, *args)
+
+    monkeypatch.setattr(simulator, "_capsule_row", counted_row)
+    monkeypatch.setattr(simulator, "_ink", counted_ink)
+    _simulate_coils(tmp_path, _coil_svg(seed=11), "--pgm",
+                    str(tmp_path / "coils.pgm"), "--scale", "0.01")
+    assert counts["pairs"] > 10_000
+    assert counts["settled"] <= 0.01 * counts["pairs"]
+
+
+def test_long_coil_report_bytes_equal_json_dumps(tmp_path):
+    # the report writer against its oracle on a report of over 1000 traces
+    out = _simulate_coils(tmp_path, _coil_svg(seed=5, cells=3, turns=8))
     blob = out.read_bytes()
     report = json.loads(blob)
     assert len(report["traces"]) > 1000

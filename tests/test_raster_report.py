@@ -34,7 +34,8 @@ def test_run_raster_paints_its_runs():
     assert img.cells.tolist() == [[0, 255, 255, 255], [255, 255, 0, 0]]
     canvas = RasterImage(width=4, height=2, scale=0.5, cells=img.cells)
     assert write_pgm(img) == write_pgm(canvas) and img == canvas
-    for runs in ([1, 3, 0, 2, 1], [9, -1], [[8]]):
+    # [0.5, 8.7] would read as [0, 8] if cast to integers
+    for runs in ([1, 3, 0, 2, 1], [9, -1], [[8]], [0.5, 8.7], [4.0, 4.0]):
         with pytest.raises(ConfigError, match="runs"):
             RunRaster(width=4, height=2, scale=0.5, runs=runs)
 

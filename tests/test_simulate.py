@@ -429,6 +429,67 @@ def test_pgm_bands_equal_the_canvas_oracle(layout):
     assert "cells" not in vars(image)
 
 
+@st.composite
+def _far_layouts(draw):
+    """Traces near the coordinate origin on a canvas that reaches 1e5 mm
+    to the left or 1e6 mm to the top, at a coarse scale of 2 to 8 mm/px.
+
+    The per-pixel rule rounds each pixel centre at the size of the canvas
+    origin (rx = ox + (col + 0.5) * scale - sx), not of the traces. The
+    grazing traces are axis-aligned at half a width, plus or minus up to
+    1e-10 mm, from a column (or row) of pixel centres, so that rounding
+    decides their edge pixels; others cross at random angles.
+    """
+    scale = draw(st.floats(2.0, 8.0))
+    width_mm = draw(st.floats(0.2, 1.1))
+    hw = 0.5 * width_mm
+    top = draw(st.booleans())
+    far = (0.0, 1e6) if top else (-1e5, 0.0)
+    traces = [_trace(far, far, width_mm)]
+    # the canvas origin as rasterize snaps it: the far point sets one
+    # side, the traces near the origin (|x|, |y| < 12) the other
+    pad = hw + scale
+    ox = math.floor((far[0] - pad if not top else -12.0 - pad) / scale) \
+        * scale
+    oy = math.ceil((far[1] + pad if top else 12.0 + pad) / scale) * scale
+    for _ in range(draw(st.integers(1, 4))):
+        t0 = draw(st.floats(-5.0, 5.0))
+        length = draw(st.floats(0.0, 5.0))
+        if draw(st.booleans()):
+            ang = draw(st.floats(0.0, 2 * math.pi))
+            start = (t0, draw(st.floats(-5.0, 5.0)))
+            end = (start[0] + length * math.cos(ang),
+                   start[1] + length * math.sin(ang))
+        else:
+            off = draw(st.sampled_from((-1, 1))) * (hw - draw(
+                st.floats(-1e-10, 1e-10)))
+            k = draw(st.integers(-3, 3))
+            if top:
+                edge = oy - (round(oy / scale) + k + 0.5) * scale + off
+                start, end = (t0, edge), (t0 + length, edge)
+            else:
+                edge = ox + (round(-ox / scale) + k + 0.5) * scale + off
+                start, end = (edge, t0), (edge, t0 + length)
+        traces.append(_trace(start, end, width_mm))
+    return traces, scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(_far_layouts())
+@example(([_trace((-1e5, 0.0), (-1e5, 0.0), 1.09375),
+           _trace((0.5695768287987448, 0.0), (0.5695768287987448, 2.0),
+                  1.09375)], 2.2329036576140733))
+@example(([_trace((0.0, 1e6), (0.0, 1e6), 0.2),
+           _trace((0.0, -1.1), (1.0, -1.1), 0.2)], 2.0))
+def test_spans_far_from_the_canvas_origin(layout):
+    # a margin built from each trace's own coordinates misses the
+    # rounding at the size of the canvas origin and certifies a wrong edge
+    # pixel: the first example fails by ox, the second by oy
+    traces, scale = layout
+    fast = rasterize(traces, scale)
+    assert np.array_equal(fast.cells, _brute_rasterize(traces, scale).cells)
+
+
 # --- run-length merge against the argsort merge it replaced
 
 
@@ -487,29 +548,43 @@ def test_merge_equals_argsort_oracle(case):
 
 
 def test_capsule_row_is_the_exact_crossing():
-    # the span guesses are the row's true crossing, so the per-pixel rule
-    # only confirms them; a wrong guess would stay exact but walk slowly
+    # the outer ends are the row's true crossing, so a span the rule must
+    # settle only walks from them; the inner ends, taken at the outer
+    # ends' t, lie within the inner radius and inside the outer interval
     from lmprint.circuit import _point_segment_distance
-    from lmprint.simulator import _capsule_row
+    from lmprint.simulator import _capsule_row, _capsule_t
     rng = np.random.default_rng(5)
     n = 4000
     r = rng.uniform(0.01, 1.0, n)
+    r_in = r * np.where(rng.random(n) < 0.5, 1.0 - 1e-12,
+                        rng.uniform(0.3, 1.0, n))
     dx = rng.uniform(-3.0, 3.0, n) * rng.choice((0.0, 1.0, 1.0), n)
     dy = rng.uniform(-3.0, 3.0, n) * rng.choice((0.0, 1.0, 1.0), n)
     ry = rng.uniform(-4.0, 4.0, n)
-    lo, hi = _capsule_row(ry, dx, dy, r)
+    lo, hi, lo_in, hi_in = _capsule_row(
+        ry, 0.0, dx, dy, *_capsule_t(dx, dy, r), r * r, r_in * r_in)
+    hits = inner_ends = 0
     for k in range(n):
         low, high = min(0.0, dy[k]), max(0.0, dy[k])
         gap = max(low - ry[k], ry[k] - high, 0.0)  # row to segment, in y
         if gap > r[k]:
             assert lo[k] > hi[k]
+            assert np.isnan(lo_in[k]) and np.isnan(hi_in[k])
             continue
+        hits += 1
         segment = ((0.0, 0.0), (dx[k], dy[k]))
         for x, out in ((lo[k], -1.0), (hi[k], 1.0)):
             assert _point_segment_distance(
                 (x, ry[k]), *segment) == pytest.approx(r[k], rel=1e-9)
             assert _point_segment_distance(
                 (x + out * 1e-6 * r[k], ry[k]), *segment) > r[k]
+        for x in (lo_in[k], hi_in[k]):
+            if not np.isnan(x):
+                inner_ends += 1
+                assert _point_segment_distance(
+                    (x, ry[k]), *segment) <= r_in[k] * (1 + 1e-12)
+        assert not lo[k] > lo_in[k] and not hi_in[k] > hi[k]
+    assert inner_ends > 1.5 * hits  # most such rows have both
 
 
 class TestWidthModelFit:

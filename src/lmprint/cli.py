@@ -22,7 +22,7 @@ from .errors import FullSlipError, LmprintError
 from .flux import (ANCHOR_CONDITIONS, ANCHOR_FLUX_M3_S, ANCHOR_GAP_WIDTH,
                    FlowConditions, calibrate_flux, flux_table)
 from .planner import Lift, Move, Tap, estimate, plan
-from .report import make_report, write_report
+from .report import Table, make_report, write_report
 from .wetting import line_width_profile, stable_line_width
 
 import math
@@ -87,13 +87,11 @@ def _drawing_section(drawing) -> dict:
     }
 
 
-def _action_json(action) -> list:
-    if isinstance(action, Tap):
-        return ["tap", _point(action.at), action.force_n]
-    if isinstance(action, Move):
-        return ["move", _point(action.to), action.speed_mm_s,
-                action.pressure_g]
-    return ["lift"]
+# report table rows: fields in sorted order, points as their coordinates
+_ACTION_SHAPES = ((0, 2, 0, 0), (0, 2, 0), (0,))  # move, tap, lift
+_TRACE_FIELDS = {"contact_angle_deg": 0, "creep": 0, "end_mm": 2,
+                 "flags": None, "flux_m3_s": 0, "pressure_g": 0,
+                 "speed_mm_s": 0, "start_mm": 2, "width_m": 0}
 
 
 def _toolpath_section(toolpath, est) -> dict:
@@ -105,25 +103,18 @@ def _toolpath_section(toolpath, est) -> dict:
         "action_count": len(toolpath.actions),
         "estimated_time_s": est.print_time_s,
         "estimated_volume_mm3": est.ink_volume_mm3,
-        "actions": [_action_json(a) for a in toolpath.actions],
+        "actions": Table(_ACTION_SHAPES, [
+            ("move", *a.to, a.speed_mm_s, a.pressure_g) if type(a) is Move
+            else ("tap", *a.at, a.force_n) if type(a) is Tap else ("lift",)
+            for a in toolpath.actions]),
     }
 
 
-def _trace_section(result) -> list[dict]:
-    return [
-        {
-            "start_mm": _point(t.start),
-            "end_mm": _point(t.end),
-            "width_m": t.width_m,
-            "flux_m3_s": t.flux_m3_s,
-            "creep": t.creep,
-            "contact_angle_deg": t.contact_angle_deg,
-            "speed_mm_s": t.speed_mm_s,
-            "pressure_g": t.pressure_g,
-            "flags": list(t.flags),
-        }
-        for t in result.traces
-    ]
+def _trace_section(result) -> Table:
+    return Table([_TRACE_FIELDS], [
+        (t.contact_angle_deg, t.creep, *t.end, t.flags, t.flux_m3_s,
+         t.pressure_g, t.speed_mm_s, *t.start, t.width_m)
+        for t in result.traces])
 
 
 def _totals_section(result) -> dict:
@@ -261,15 +252,19 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
     import csv
     import io
     text = Path(path).read_text(encoding="utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or set(reader.fieldnames) != set(columns):
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or sorted(header) != sorted(columns):
         raise LmprintError(
             f"{path}: expected CSV columns {', '.join(columns)}")
     rows = []
-    for i, row in enumerate(reader):
+    for i, fields in enumerate(filter(None, reader)):  # blank lines skipped
+        if len(fields) != len(header):
+            raise LmprintError(f"{path}: data row {i + 1} has {len(fields)} "
+                               f"fields, the header {len(header)}")
         try:
-            rows.append({k: float(row[k]) for k in columns})
-        except (TypeError, ValueError):
+            rows.append({k: float(v) for k, v in zip(header, fields)})
+        except ValueError:
             raise LmprintError(f"{path}: non-numeric value on data row {i + 1}")
     return rows
 

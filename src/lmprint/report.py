@@ -1,6 +1,6 @@
 """Versioned JSON run reports with deterministic serialization.
 
-Reports are plain dicts with a fixed set of sections; serialization sorts
+Reports are dicts with a fixed set of sections; serialization sorts
 keys and keeps Python's shortest round-trip float representation, so equal
 reports always produce byte-identical files.
 
@@ -9,19 +9,122 @@ json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
 allow_nan=False) + "\\n". With an indent, json.dumps runs the json module's
 pure-Python encoder, which yields every token separately. Here each
 container is one str.join, each list of dicts that share their keys fills
-one %-template per dict, and each nonzero float's repr is computed once,
-which takes well under half the time on large reports.
+one %-template per dict, and each nonzero float's repr is computed once.
+
+The two large tables of a simulate report, its traces and its actions,
+come as a Table: one flat tuple of floats and strings per row, read
+straight from the records, with no dict or point list per row. One type
+check runs over the whole table; then the texts of its distinct values
+are made once, nonzero floats from the same repr cache, and all rows are
+written by a single %-fill of their row templates joined, each template
+derived from the sorted field names and the point arity. A table that
+fails the check (a slot that is not exactly a float or a str, or a
+strings field that is not a tuple of exact strs) is written the generic
+way, from the dicts and lists it stands for (Table.plain), with the same
+bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain, filterfalse, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DrawingFormatError
 
 REPORT_VERSION = 1
+
+_SLOT_TYPES = {float, str}
+
+
+class Table:
+    """A JSON list whose rows are held flat, for canonical_json.
+
+    shapes lists the forms a row may take. A shape is a dict of field name
+    -> arity, names sorted, for rows written as objects, or a tuple of
+    arities for rows written as arrays. A field of arity 0 is one slot,
+    written as itself; arity k > 0 is k slots, written as a list of k (a
+    point); arity None is one slot holding a tuple of strs, written as a
+    list of any length, and is allowed only in a table of one shape. A row
+    is the flat tuple of its fields' slots in field order, and its length
+    picks its shape, so no two shapes may have the same number of slots.
+    """
+
+    __slots__ = ("rows", "_shapes")
+
+    def __init__(self, shapes, rows: list[tuple]):
+        by_length = {}
+        for shape in shapes:
+            if type(shape) is dict and list(shape) != sorted(shape):
+                raise ValueError("table field names must be sorted")
+            n = sum(a or 1 for a in _arities(shape))
+            if by_length.setdefault(n, shape) is not shape:
+                raise ValueError(f"two table shapes have {n} slots")
+        if len(by_length) > 1 and any(None in _arities(s) for s in shapes):
+            raise ValueError("a table with a strings field has one shape")
+        if not set(map(len, rows)) <= by_length.keys():
+            raise ValueError("a table row has no shape of its length")
+        self.rows = rows
+        self._shapes = by_length
+
+    def plain(self) -> list:
+        """The rows as the dicts and lists they stand for."""
+        out = []
+        for row in self.rows:
+            shape = self._shapes[len(row)]
+            slots = iter(row)
+            fields = [list(islice(slots, a)) if a else next(slots)
+                      for a in _arities(shape)]
+            out.append(dict(zip(shape, fields)) if type(shape) is dict
+                       else fields)
+        return out
+
+    def templates(self, ind: str) -> dict[int, str]:
+        """Row length -> %-template of such a row on a line indented ind,
+        with one %s per slot."""
+        return {n: _template(shape, ind) for n, shape in self._shapes.items()}
+
+    def typed(self) -> bool:
+        """Whether every slot is exactly a float or a str, and every
+        arity-None slot a tuple of exact strs."""
+        rows = self.rows
+        shapes = list(self._shapes.values())
+        if not rows or len(shapes) > 1 or None not in _arities(shapes[0]):
+            return set(map(type, chain.from_iterable(rows))) <= _SLOT_TYPES
+        columns = zip(*rows)  # one shape, so every row has the same length
+        slots, tuples = [], []
+        for arity in _arities(shapes[0]):
+            for _ in range(arity or 1):
+                (tuples if arity is None else slots).append(next(columns))
+        return (set(map(type, chain.from_iterable(slots))) <= _SLOT_TYPES
+                and set(map(type, chain.from_iterable(tuples))) <= {tuple}
+                and set(map(type, chain.from_iterable(
+                    chain.from_iterable(tuples)))) <= {str})
+
+
+def _arities(shape) -> tuple:
+    return tuple(shape.values()) if type(shape) is dict else shape
+
+
+def _template(shape, ind: str) -> str:
+    """%-template of a row of this shape on a line indented ind: the field
+    names quoted, sorted and %-escaped, a %s per slot, points as lists."""
+    if not shape:
+        return "{}" if type(shape) is dict else "[]"
+    inner = ind + "  "
+    point = inner + "  "
+
+    def field(arity) -> str:
+        if not arity:
+            return "%s"
+        return "[" + point + ("," + point).join(["%s"] * arity) + inner + "]"
+
+    if type(shape) is dict:
+        return "{" + inner + ("," + inner).join(
+            [_quote(k).replace("%", "%%") + ": " + field(a)
+             for k, a in shape.items()]) + ind + "}"
+    return "[" + inner + ("," + inner).join(map(field, shape)) + ind + "]"
 
 
 def canonical_json(obj) -> bytes:
@@ -43,6 +146,12 @@ def canonical_json(obj) -> bytes:
         if o:
             floats[o] = text
         return text
+
+    def numbers(new: list) -> None:
+        """number() for many nonzero floats at once."""
+        for o in filterfalse(math.isfinite, new):
+            number(o)  # raises ValueError
+        floats.update(zip(new, map(float.__repr__, new)))
 
     def key(k) -> str:
         if isinstance(k, str):
@@ -71,6 +180,8 @@ def canonical_json(obj) -> bytes:
             return array(o, ind)
         if t is dict:
             return mapping(o, ind)
+        if t is Table:
+            return table(o, ind)
         if o is None:
             return "null"
         if o is True:
@@ -118,6 +229,30 @@ def canonical_json(obj) -> bytes:
                 if type(row) is dict and row.keys() == keys
                 else value(row, ind)
                 for row in o]
+
+    def table(o: Table, ind: str) -> str:
+        """One %-fill of the row templates joined. Each distinct value gets
+        its text before the fill, floats all in one batch; zeros are never
+        stored, so they reach the fill as floats, whose %s is their repr,
+        sign and all. A table that fails the type check is written as the
+        list it stands for."""
+        rows = o.rows
+        if not rows:
+            return "[]"
+        if not o.typed():
+            return array(o.plain(), ind)
+        inner = ind + "  "
+        new = set(chain.from_iterable(rows)) - floats.keys()
+        numbers([v for v in new if type(v) is float and v])
+        texts = dict(floats)
+        for v in new:
+            if type(v) is not float:
+                texts[v] = value(v, inner + "  ")
+        templates = o.templates(inner)
+        body = "[" + inner + ("," + inner).join(
+            map(templates.__getitem__, map(len, rows))) + ind + "]"
+        return body % tuple(map(texts.get, chain.from_iterable(rows),
+                                chain.from_iterable(rows)))
 
     def mapping(o, ind: str) -> str:
         if not o:

@@ -617,3 +617,52 @@ def test_repeated_runs_are_byte_identical(run, tmp_path):
         files[tag] = (out_path.read_bytes(), pgm_path.read_bytes(),
                       chk_path.read_bytes())
     assert files["first"] == files["second"]
+
+
+@pytest.mark.parametrize("fields", ["10,50,1e-4,7", "10,50", "10,50,1e-4,"],
+                         ids=["extra", "short", "trailing-comma"])
+def test_fit_width_rejects_rows_of_the_wrong_field_count(run, tmp_path,
+                                                         fields):
+    path = tmp_path / "widths.csv"
+    path.write_text(f"speed_mm_s,pressure_g,width_m\n20,100,1.2e-4\n"
+                    f"{fields}\n160,100,6e-5\n")
+    rc, out, err = run(["fit-width", "--samples", str(path)])
+    count = len(fields.split(","))
+    assert rc == 1 and out == ""
+    assert err == (f"error: {path}: data row 2 has {count} fields, "
+                   "the header 3\n")
+
+
+@pytest.mark.parametrize("fields", ["1.0,60.0,5e-05,0.0656,1",
+                                    "1.0,60.0,5e-05"],
+                         ids=["extra", "short"])
+def test_calibrate_flux_rejects_rows_of_the_wrong_field_count(run, tmp_path,
+                                                              fields):
+    path = tmp_path / "obs.csv"
+    path.write_text("pressure_drop_pa,omega_y_rad_s,gap_width_m,flux_mm3_s\n"
+                    f"{fields}\n")
+    rc, out, err = run(["calibrate-flux", "--observations", str(path)])
+    count = len(fields.split(","))
+    assert rc == 1 and out == ""
+    assert err == (f"error: {path}: data row 1 has {count} fields, "
+                   "the header 4\n")
+
+
+def test_csv_header_names_each_column_once(run, tmp_path):
+    path = tmp_path / "widths.csv"
+    path.write_text("speed_mm_s,pressure_g,width_m,width_m\n"
+                    "10,50,1e-4,9\n20,100,1.2e-4,9\n160,100,6e-5,9\n")
+    rc, out, err = run(["fit-width", "--samples", str(path)])
+    assert rc == 1 and out == ""
+    assert err == (f"error: {path}: expected CSV columns speed_mm_s, "
+                   "pressure_g, width_m\n")
+
+
+def test_csv_columns_in_any_order_and_blank_lines(run, tmp_path):
+    path = tmp_path / "widths.csv"
+    rows = _write_widths(tmp_path / "ordered.csv").read_text().splitlines()
+    swapped = [",".join(reversed(r.split(","))) for r in rows]
+    path.write_text("\n\n".join(swapped) + "\n\n")
+    rc, out, _ = run(["fit-width", "--samples", str(path)])
+    assert rc == 0
+    assert out.splitlines()[:3] == ["a = 0.00032", "b = 0.31", "c = 0.47"]

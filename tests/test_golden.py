@@ -16,6 +16,7 @@ import pytest
 
 from lmprint.cli import main
 from lmprint.drawing import flatten_cubic
+from lmprint.report import Table
 
 SAMPLES = "samples"
 PIPELINE = ["--speed", "10", "--pressure", "30"]
@@ -269,8 +270,13 @@ def test_coil_raster_settles_few_pairs(tmp_path, monkeypatch):
     assert counts["settled"] <= 0.01 * counts["pairs"]
 
 
-def test_long_coil_report_bytes_equal_json_dumps(tmp_path):
-    # the report writer against its oracle on a report of over 1000 traces
+def test_long_coil_report_bytes_equal_json_dumps(tmp_path, monkeypatch):
+    # the report writer against its oracle on a report of over 1000 traces,
+    # whose trace and action tables take the table path, not the fallback
+    def no_fallback(table):
+        raise AssertionError("a report table failed the type check")
+
+    monkeypatch.setattr(Table, "plain", no_fallback)
     out = _simulate_coils(tmp_path, _coil_svg(seed=5, cells=3, turns=8))
     blob = out.read_bytes()
     report = json.loads(blob)

@@ -262,7 +262,13 @@ def canonical_json(obj) -> bytes:
             [key(k) + ": " + value(v, inner) for k, v in sorted(o.items())]
         ) + ind + "}"
 
-    return (value(obj, "\n") + "\n").encode("ascii")
+    try:
+        return (value(obj, "\n") + "\n").encode("ascii")
+    finally:
+        # the writers call each other through their closure cells, a cycle
+        # that holds the repr cache until the collector runs; emptying the
+        # cells frees both as the call returns
+        del number, numbers, key, value, array, rows, table, mapping
 
 
 def make_report(*, drawing=None, toolpath=None, traces=None, totals=None,

@@ -232,6 +232,13 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
 
     A trace whose eps reaches hw has no inner outline, and its pairs are
     all settled with the rule.
+
+    Pairs run trace by trace, row by row, in batches of _SPAN_CHUNK. A
+    batch finds its first and last trace with two scalar searches and
+    repeats those traces' constants over their rows in it, one np.repeat.
+    It makes one a <= b mask and writes its spans in order, by plain slice
+    assignment when every pair holds one. Flat indices are int32 on a
+    canvas under 2^31 pixels and int64 on a larger one.
     """
     import numpy as np
     # each trace's window of candidate pixels, as the per-pixel rule has it
@@ -265,29 +272,41 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
         j0, j1, j0 - 1, j1 - 1))
 
     total = int(last[-1]) if last.size else 0
-    # at most one span per pair; m spans are written so far
-    starts, stops = np.empty(total, np.int64), np.empty(total, np.int64)
+    # at most one span per pair; m spans are written so far. Flat indices
+    # fit int32 on a canvas under 2^31 pixels, and the merge then sorts
+    # half the bytes
+    flat = np.int32 if wpx * hpx < 2 ** 31 else np.int64
+    starts, stops = np.empty(total, flat), np.empty(total, flat)
     m = 0
     for p0 in range(0, total, _SPAN_CHUNK):
-        p = np.arange(p0, min(p0 + _SPAN_CHUNK, total))
-        k = np.searchsorted(last, p, side="right")
+        p1 = min(p0 + _SPAN_CHUNK, total)
+        # the batch covers traces k0..k1-1, each for count of its rows
+        k0, k1 = np.searchsorted(last, (p0, p1 - 1), side="right")
+        k1 += 1
+        count = rows[k0:k1].copy()
+        count[0] = last[k0] - p0
+        count[-1] -= last[k1 - 1] - p1
         shift, cy, cx, tpx, tpy, g, c_lo, c_hi, out2, in2, a0, a1, b0, b1 = \
-            consts.take(k, axis=1)
-        row = shift + p
+            consts[:, k0:k1].repeat(count, axis=1)
+        row = shift + np.arange(p0, p1)
         lo, hi, lo_in, hi_in = _capsule_row(cy - row, cx, tpx, tpy, g, c_lo,
                                             c_hi, out2, in2)
         # a row that misses the capsule (lo = inf, hi = -inf) gets a > b;
         # an inner end that is missing (nan) or beyond the window agrees
         # with no outer one
-        a = np.clip(np.ceil(lo), a0, a1)
-        b = np.clip(np.floor(hi), b0, b1)
-        sure = (np.ceil(lo_in) == a) & (np.floor(hi_in) == b)
-        live = np.flatnonzero(~sure & (a <= b))
+        a = np.clip(np.ceil(lo, out=lo), a0, a1, out=lo)
+        b = np.clip(np.floor(hi, out=hi), b0, b1, out=hi)
+        span = a <= b
+        sure = np.ceil(lo_in, out=lo_in) == a
+        sure &= np.floor(hi_in, out=hi_in) == b
+        live = np.flatnonzero(span > sure)  # a span, its ends not certain
         if live.size:
+            k = np.repeat(np.arange(k0, k1), count)
             pair = (oy - (row + 0.5) * scale - sy[k], sx[k], dx[k], dy[k],
                     ll[k], hw2[k])
         # settle the other ends with the per-pixel rule: a span is exact
         # when a-1 is out, a is in, b is in and b+1 is out
+        settled = live
         while live.size:
             al, bl = a[live], b[live]
             before, a_in, b_in, after = _ink(
@@ -299,11 +318,17 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
             b[live] = np.where(b_in, np.where(b_end, bl, bl + 1), bl - 1)
             live = live[~(a_in & b_in & a_end & b_end)
                         & (a[live] <= b[live])]
-        full = np.flatnonzero(a <= b)
+        span[settled] = a[settled] <= b[settled]  # a walk may empty a span
+        n = int(np.count_nonzero(span))
+        # a batch where every pair holds a span is written whole
+        whole = slice(None) if n == span.size else span
         base = row * wpx  # exact: the canvas has under 2^53 pixels
-        starts[m:m + full.size] = (base + a)[full]
-        stops[m:m + full.size] = (base + b + 1.0)[full]
-        m += full.size
+        a += base
+        b += base
+        b += 1.0
+        starts[m:m + n] = a[whole]
+        stops[m:m + n] = b[whole]
+        m += n
     return starts[:m], stops[:m]
 
 
@@ -344,21 +369,34 @@ def _capsule_row(y, x0, dx, dy, g, c_lo, c_hi, r2_out, r2_in):
     interval; it is nan where that disc misses the row.
     """
     import numpy as np
+    # each result goes into an array whose value is no longer needed: the
+    # operations and their order are those of the formulas in the comments
     yg = y * g
-    t_lo = np.clip(yg - c_lo, 0.0, 1.0)
-    t_hi = np.clip(yg - c_hi, 0.0, 1.0)
-    q_lo = y - t_lo * dy
+    t_lo = yg - c_lo  # clip(y g - c, 0, 1)
+    t_hi = np.subtract(yg, c_hi, out=yg)
+    np.clip(t_lo, 0.0, 1.0, out=t_lo)
+    np.clip(t_hi, 0.0, 1.0, out=t_hi)
+    q_lo = y - t_lo * dy  # (y - t dy)^2
     q_hi = y - t_hi * dy
     q_lo *= q_lo
     q_hi *= q_hi
-    x_lo, x_hi = x0 + t_lo * dx, x0 + t_hi * dx
+    x_lo, x_hi = t_lo, t_hi  # x0 + t dx
+    x_lo *= dx
+    x_lo += x0
+    x_hi *= dx
+    x_hi += x0
     h2_lo, h2_hi = r2_out - q_lo, r2_out - q_hi
     miss = np.maximum(h2_lo, h2_hi) < 0.0
-    lo = np.where(miss, np.inf, x_lo - np.sqrt(np.maximum(h2_lo, 0.0)))
-    hi = np.where(miss, -np.inf, x_hi + np.sqrt(np.maximum(h2_hi, 0.0)))
+    lo = np.sqrt(np.maximum(h2_lo, 0.0, out=h2_lo), out=h2_lo)
+    hi = np.sqrt(np.maximum(h2_hi, 0.0, out=h2_hi), out=h2_hi)
+    np.subtract(x_lo, lo, out=lo)  # x - sqrt(max(r2 - q, 0)), or inf
+    np.add(x_hi, hi, out=hi)
+    lo[miss] = np.inf
+    hi[miss] = -np.inf
     with np.errstate(invalid="ignore"):  # no inner crossing: nan
-        return lo, hi, x_lo - np.sqrt(r2_in - q_lo), \
-            x_hi + np.sqrt(r2_in - q_hi)
+        x_lo -= np.sqrt(np.subtract(r2_in, q_lo, out=q_lo), out=q_lo)
+        x_hi += np.sqrt(np.subtract(r2_in, q_hi, out=q_hi), out=q_hi)
+    return lo, hi, x_lo, x_hi
 
 
 def _ink(col, ox, scale, ry, sx, dx, dy, ll, hw2):
@@ -376,7 +414,10 @@ def _ink(col, ox, scale, ry, sx, dx, dy, ll, hw2):
 def _runs(starts, stops, n):
     """Run lengths of n pixels, alternately 0 and 255 and background
     first, with ink on the union of the spans [starts, stops), which are
-    flat-index arrays of equal size and are sorted in place."""
+    flat-index arrays of equal size and one integer dtype and are sorted
+    in place. The runs are int64 whatever that dtype: _spans hands int32
+    indices on a canvas under 2^31 pixels, which halves the bytes the two
+    sorts move."""
     import numpy as np
     if not starts.size:
         return np.array([n], dtype=np.int64)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
-    estimate, fit_width_model, plan, raster, rasterize, simulate
+    estimate, fit_width_model, plan, raster, rasterize, simulate, simulator
 from lmprint.core import grams_to_newtons, replace
 from lmprint.environment import CornerPolicy, segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
@@ -413,6 +413,56 @@ def test_spans_equal_per_pixel_oracle(layout):
     assert np.array_equal(fast.cells, slow.cells)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_raster_layouts(), st.sampled_from((1, 3, 7)))
+def test_spans_equal_per_pixel_oracle_in_small_batches(layout, chunk):
+    # batches of 1, 3 and 7 pairs: a batch inside one trace, a batch that
+    # ends on a trace's last row, a trace split over many batches and
+    # batches in which every pair holds a span
+    traces, scale = layout
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_SPAN_CHUNK", chunk)
+        fast = rasterize(traces, scale)
+    assert np.array_equal(fast.cells, _brute_rasterize(traces, scale).cells)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_small_batches_give_the_same_runs(chunk):
+    traces = simulate(plan(sample("grid-antenna"), SETTINGS), QUIET).traces
+    expected = rasterize(traces, 0.02).runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_SPAN_CHUNK", chunk)
+        assert np.array_equal(rasterize(traces, 0.02).runs, expected)
+
+
+def test_runs_of_a_canvas_over_2_31_pixels():
+    # 25 m apart at 0.5 mm/px: about 2.5e9 pixels, so flat indices are
+    # int64; the bottom-right trace's pixels all lie past 2^31, where an
+    # int32 index would wrap. Every coordinate, width and pixel centre is
+    # exact in binary, so the rule gives each trace the same pixels on
+    # either canvas
+    scale, width_mm = 0.5, 2.0 ** -10 * 1e3
+    near = _trace((0.0, 25000.0), (2.0, 25000.0), width_mm)
+    far = _trace((25000.0, 0.0), (25003.0, 1.5), width_mm)
+    big = rasterize([near, far], scale, max_pixels=3_000_000_000)
+    assert big.width * big.height >= 2 ** 31
+    alone = rasterize([far], scale)
+    col = round((alone.origin_mm[0] - big.origin_mm[0]) / scale)
+    row = round((big.origin_mm[1] - alone.origin_mm[1]) / scale)
+    # the far trace's pixels, read from the runs: a canvas would be 2.5 GB
+    ends = np.cumsum(big.runs)
+    starts, stops = ends[0:-1:2], ends[1::2]
+    bottom = starts > big.width * (big.height // 2)
+    assert starts[bottom].min() > 2 ** 31
+    ink = np.concatenate([np.arange(a, b) for a, b in
+                          zip(starts[bottom], stops[bottom])])
+    ys, xs = np.nonzero(alone.cells)
+    assert np.array_equal(ink // big.width - row, ys)
+    assert np.array_equal(ink % big.width - col, xs)
+    assert big.runs[1::2].sum() == (rasterize([near], scale).runs[1::2].sum()
+                                    + xs.size)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_raster_layouts())
 @example(([], 0.05))
@@ -540,11 +590,17 @@ def _span_sets(draw):
 @example((1, [(0, 1)]))  # one span over every pixel
 @example((9, [(4, 5)]))
 def test_merge_equals_argsort_oracle(case):
+    # rasterize hands int32 spans on a canvas under 2^31 pixels, int64
+    # on a larger one; the runs are int64 either way
     n, spans = case
-    starts = np.array([a for a, _ in spans], dtype=np.int64)
-    stops = np.array([b for _, b in spans], dtype=np.int64)
-    expected = _merge_oracle(starts.copy(), stops.copy(), n)
-    assert np.array_equal(_runs(starts, stops, n), expected)
+    for dtype in (np.int32, np.int64):
+        starts = np.array([a for a, _ in spans], dtype=dtype)
+        stops = np.array([b for _, b in spans], dtype=dtype)
+        expected = _merge_oracle(starts.astype(np.int64),
+                                 stops.astype(np.int64), n)
+        runs = _runs(starts, stops, n)
+        assert runs.dtype == np.int64
+        assert np.array_equal(runs, expected)
 
 
 def test_capsule_row_is_the_exact_crossing():

@@ -4,14 +4,12 @@ Thin bindings over the library: every subcommand parses inputs, calls the
 corresponding module operations and writes deterministic output (numbers
 formatted to 9 significant digits, reports as canonical JSON, rasters as
 binary PGM). Exit codes: 0 success, 1 domain error, 2 usage error (bad
-flags or unreadable input files). main runs the command with the cyclic
-garbage collector paused and restores the collector's state after it.
+flags or unreadable input files).
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from pathlib import Path
 
@@ -527,11 +525,6 @@ def main(argv=None) -> int:
     # command (or --help, --version, a typo) adds every command
     named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     args = _parser(named).parse_args(argv)
-    # a command builds many records that live until it returns and leaves
-    # next to no cyclic garbage, so the cyclic collector is paused for its
-    # run: its passes would walk those records and free almost nothing
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except LmprintError as exc:
@@ -540,9 +533,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -236,9 +236,9 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
     Pairs run trace by trace, row by row, in batches of _SPAN_CHUNK. A
     batch finds its first and last trace with two scalar searches and
     repeats those traces' constants over their rows in it, one np.repeat.
-    It makes one a <= b mask and writes its spans in order, by plain slice
-    assignment when every pair holds one. Flat indices are int32 on a
-    canvas under 2^31 pixels and int64 on a larger one.
+    It makes one a <= b mask and writes its spans in order through it.
+    Flat indices are int32 on a canvas under 2^31 pixels and int64 on a
+    larger one.
     """
     import numpy as np
     # each trace's window of candidate pixels, as the per-pixel rule has it
@@ -294,11 +294,10 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
         # a row that misses the capsule (lo = inf, hi = -inf) gets a > b;
         # an inner end that is missing (nan) or beyond the window agrees
         # with no outer one
-        a = np.clip(np.ceil(lo, out=lo), a0, a1, out=lo)
-        b = np.clip(np.floor(hi, out=hi), b0, b1, out=hi)
+        a = np.clip(np.ceil(lo), a0, a1)
+        b = np.clip(np.floor(hi), b0, b1)
         span = a <= b
-        sure = np.ceil(lo_in, out=lo_in) == a
-        sure &= np.floor(hi_in, out=hi_in) == b
+        sure = (np.ceil(lo_in) == a) & (np.floor(hi_in) == b)
         live = np.flatnonzero(span > sure)  # a span, its ends not certain
         if live.size:
             k = np.repeat(np.arange(k0, k1), count)
@@ -320,14 +319,9 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
                         & (a[live] <= b[live])]
         span[settled] = a[settled] <= b[settled]  # a walk may empty a span
         n = int(np.count_nonzero(span))
-        # a batch where every pair holds a span is written whole
-        whole = slice(None) if n == span.size else span
         base = row * wpx  # exact: the canvas has under 2^53 pixels
-        a += base
-        b += base
-        b += 1.0
-        starts[m:m + n] = a[whole]
-        stops[m:m + n] = b[whole]
+        starts[m:m + n] = (base + a)[span]
+        stops[m:m + n] = (base + b + 1.0)[span]
         m += n
     return starts[:m], stops[:m]
 
@@ -369,34 +363,21 @@ def _capsule_row(y, x0, dx, dy, g, c_lo, c_hi, r2_out, r2_in):
     interval; it is nan where that disc misses the row.
     """
     import numpy as np
-    # each result goes into an array whose value is no longer needed: the
-    # operations and their order are those of the formulas in the comments
     yg = y * g
-    t_lo = yg - c_lo  # clip(y g - c, 0, 1)
-    t_hi = np.subtract(yg, c_hi, out=yg)
-    np.clip(t_lo, 0.0, 1.0, out=t_lo)
-    np.clip(t_hi, 0.0, 1.0, out=t_hi)
-    q_lo = y - t_lo * dy  # (y - t dy)^2
+    t_lo = np.clip(yg - c_lo, 0.0, 1.0)
+    t_hi = np.clip(yg - c_hi, 0.0, 1.0)
+    q_lo = y - t_lo * dy
     q_hi = y - t_hi * dy
     q_lo *= q_lo
     q_hi *= q_hi
-    x_lo, x_hi = t_lo, t_hi  # x0 + t dx
-    x_lo *= dx
-    x_lo += x0
-    x_hi *= dx
-    x_hi += x0
+    x_lo, x_hi = x0 + t_lo * dx, x0 + t_hi * dx
     h2_lo, h2_hi = r2_out - q_lo, r2_out - q_hi
     miss = np.maximum(h2_lo, h2_hi) < 0.0
-    lo = np.sqrt(np.maximum(h2_lo, 0.0, out=h2_lo), out=h2_lo)
-    hi = np.sqrt(np.maximum(h2_hi, 0.0, out=h2_hi), out=h2_hi)
-    np.subtract(x_lo, lo, out=lo)  # x - sqrt(max(r2 - q, 0)), or inf
-    np.add(x_hi, hi, out=hi)
-    lo[miss] = np.inf
-    hi[miss] = -np.inf
+    lo = np.where(miss, np.inf, x_lo - np.sqrt(np.maximum(h2_lo, 0.0)))
+    hi = np.where(miss, -np.inf, x_hi + np.sqrt(np.maximum(h2_hi, 0.0)))
     with np.errstate(invalid="ignore"):  # no inner crossing: nan
-        x_lo -= np.sqrt(np.subtract(r2_in, q_lo, out=q_lo), out=q_lo)
-        x_hi += np.sqrt(np.subtract(r2_in, q_hi, out=q_hi), out=q_hi)
-    return lo, hi, x_lo, x_hi
+        return lo, hi, x_lo - np.sqrt(r2_in - q_lo), \
+            x_hi + np.sqrt(r2_in - q_hi)
 
 
 def _ink(col, ox, scale, ry, sx, dx, dy, ll, hw2):

@@ -1,6 +1,5 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
-import gc
 import hashlib
 import json
 import subprocess
@@ -308,36 +307,6 @@ def test_missing_drawing_is_os_error(run, tmp_path):
                       "--speed", "10", "--pressure", "30"])
     assert rc == 2
     assert "error:" in err
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-@pytest.mark.parametrize("code", [0, 1, 2])
-def test_main_leaves_the_collector_as_it_found_it(run, tmp_path, monkeypatch,
-                                                  enabled, code):
-    # the command runs with the cyclic collector paused, and main restores
-    # the state it found, whatever the exit code: 1 for a speed over the
-    # machine's limit, 2 for a drawing that is not there
-    from lmprint import cli
-    during = []
-    load_env = cli._load_env
-
-    def recorded(args):
-        during.append(gc.isenabled())
-        return load_env(args)
-
-    monkeypatch.setattr(cli, "_load_env", recorded)
-    drawing = str(tmp_path / "nope.json") if code == 2 else LINE
-    speed = "150" if code == 1 else "10"
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        rc, _, _ = run(["plan", "--drawing", drawing, "--speed", speed,
-                        "--pressure", "30", "--out", str(tmp_path / "p.json")])
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert rc == code
-    assert during == [False]
 
 
 def test_malformed_drawing_is_domain_error(run, tmp_path):

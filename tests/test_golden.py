@@ -18,6 +18,11 @@ from lmprint.cli import main
 from lmprint.drawing import flatten_cubic
 from lmprint.report import Table
 
+# numpy warnings fail these tests: each np.errstate of the span kernel must
+# cover the operations that warn on purpose (a row that misses an outline,
+# a flat segment), and no wider
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SAMPLES = "samples"
 PIPELINE = ["--speed", "10", "--pressure", "30"]
 STRATEGIES = ("lift-and-retap", "slowdown", "fillet")

@@ -8,6 +8,11 @@ from lmprint import RasterImage, make_report, read_pgm, read_report, \
 from lmprint.errors import ConfigError, DrawingFormatError
 from lmprint.raster import RunRaster, pgm_parts
 
+# numpy warnings fail these tests: each np.errstate of the span kernel must
+# cover the operations that warn on purpose (a row that misses an outline,
+# a flat segment), and no wider
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_minimal_pgm_is_canonical_12_bytes():
     img = RasterImage(width=1, height=1, scale=0.1,

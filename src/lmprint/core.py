@@ -69,6 +69,16 @@ def replace(record: Record, /, **changes) -> Record:
     return type(record)(**dict(zip(record._fields, record._values()), **changes))
 
 
+def trusted(cls: type[Record], fields: dict, /) -> Record:
+    """cls(**fields) without its checks, for loops over values already
+    checked: fields must be a fresh dict of exactly cls's fields, in order,
+    holding the values cls's __post_init__ would store; it becomes the
+    record's __dict__. Everywhere else, call cls(**fields)."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
+
+
 def grams_to_newtons(grams: float) -> float:
     return grams * 1e-3 * STANDARD_GRAVITY
 

@@ -20,6 +20,11 @@ from .errors import (DrawingFormatError, NonVectorContentError,
 from .report import canonical_json
 
 DEFAULT_CHORD_TOLERANCE_MM = 0.05
+# the chords all cubics of one SVG drawing may flatten into: 51 times the
+# 2550 of the render-coils benchmark drawing, and reached in well under a
+# second by a cubic that would otherwise split 2^48 times (a control point
+# 1e20 mm away)
+MAX_CUBIC_CHORDS = 1 << 17
 
 Point = tuple[float, float]
 
@@ -196,6 +201,7 @@ def _parse_svg(text: str, tol: float) -> VectorDrawing:
         raise DrawingFormatError("root element is not <svg>")
     strokes: list[tuple[Point, ...]] = []
     closed: list[bool] = []
+    budget = [MAX_CUBIC_CHORDS]  # chords the cubics may still add
     for index, elem in enumerate(root.iter()):
         tag = _local_tag(elem.tag)
         where = f"element {index} <{tag}>"
@@ -204,7 +210,8 @@ def _parse_svg(text: str, tol: float) -> VectorDrawing:
         if "transform" in elem.attrib:
             raise UnsupportedSvgFeatureError(f"{where}: transform attribute")
         if tag == "path":
-            for pts, is_closed in _parse_path_data(elem.attrib.get("d", ""), tol, where):
+            for pts, is_closed in _parse_path_data(elem.attrib.get("d", ""),
+                                                   tol, where, budget):
                 strokes.append(pts)
                 closed.append(is_closed)
         elif tag in _IGNORED_ELEMENTS:
@@ -216,8 +223,9 @@ def _parse_svg(text: str, tol: float) -> VectorDrawing:
     return VectorDrawing(strokes=tuple(strokes), closed_flags=tuple(closed))
 
 
-def _parse_path_data(d: str, tol: float, where: str):
-    """Subpaths of one 'd' attribute as (points, closed) pairs."""
+def _parse_path_data(d: str, tol: float, where: str, budget: list[int]):
+    """Subpaths of one 'd' attribute as (points, closed) pairs; its cubics'
+    chords are taken from budget[0]."""
     tokens = []
     pos = 0
     for m in _TOKEN_RE.finditer(d):
@@ -271,61 +279,48 @@ def _parse_path_data(d: str, tol: float, where: str):
             raise UnsupportedSvgFeatureError(
                 f"{where}: path command {cmd!r} at offset {off} outside the subset "
                 f"(arcs/quadratics/smooth curves are not accepted)")
+        if op == "Z":
+            flush(True)
+            cur = start
+            continue
         if op == "M":
-            flush(False)
-            x, y = take_numbers(2, cmd, off)
-            cur = (cur[0] + x, cur[1] + y) if rel else (x, y)
-            start = cur
-            points = [cur]
-            # further pairs are implicit line-tos
-            while i < len(tokens) and tokens[i][0] is None:
+            flush(False)  # no points are left, so the first pair is the start
+        else:
+            ensure_started()
+        while True:  # the command's numbers, then any repeats of them
+            if op in "ML":  # pairs after an M's first are implicit line-tos
                 x, y = take_numbers(2, cmd, off)
                 cur = (cur[0] + x, cur[1] + y) if rel else (x, y)
+                if not points:
+                    start = cur
                 points.append(cur)
-        elif op == "L":
-            ensure_started()
-            x, y = take_numbers(2, cmd, off)
-            cur = (cur[0] + x, cur[1] + y) if rel else (x, y)
-            points.append(cur)
-            while i < len(tokens) and tokens[i][0] is None:
-                x, y = take_numbers(2, cmd, off)
-                cur = (cur[0] + x, cur[1] + y) if rel else (x, y)
-                points.append(cur)
-        elif op == "H":
-            ensure_started()
-            while True:
+            elif op == "H":
                 (x,) = take_numbers(1, cmd, off)
                 cur = (cur[0] + x if rel else x, cur[1])
                 points.append(cur)
-                if i >= len(tokens) or tokens[i][0] is not None:
-                    break
-        elif op == "V":
-            ensure_started()
-            while True:
+            elif op == "V":
                 (y,) = take_numbers(1, cmd, off)
                 cur = (cur[0], cur[1] + y if rel else y)
                 points.append(cur)
-                if i >= len(tokens) or tokens[i][0] is not None:
-                    break
-        elif op == "C":
-            ensure_started()
-            while True:
-                v = take_numbers(6, cmd, off)
+            else:  # C; the token regex admits no other letter
+                x1, y1, x2, y2, x3, y3 = take_numbers(6, cmd, off)
                 if rel:
-                    p1 = (cur[0] + v[0], cur[1] + v[1])
-                    p2 = (cur[0] + v[2], cur[1] + v[3])
-                    p3 = (cur[0] + v[4], cur[1] + v[5])
-                else:
-                    p1, p2, p3 = (v[0], v[1]), (v[2], v[3]), (v[4], v[5])
-                flatten_cubic(cur, p1, p2, p3, tol, points)
-                cur = p3
-                if i >= len(tokens) or tokens[i][0] is not None:
-                    break
-        elif op == "Z":
-            flush(True)
-            cur = start
-        else:  # unreachable: token regex only admits the handled letters
-            raise UnsupportedSvgFeatureError(f"{where}: path command {cmd!r}")
+                    x1, y1, x2, y2, x3, y3 = (
+                        cur[0] + x1, cur[1] + y1, cur[0] + x2, cur[1] + y2,
+                        cur[0] + x3, cur[1] + y3)
+                n = len(points)
+                try:
+                    _flatten(*cur, x1, y1, x2, y2, x3, y3, tol, points, 0,
+                             n + budget[0])
+                except _ChordBudget:
+                    raise DrawingFormatError(
+                        f"{where}: command {cmd!r} at offset {off}: the cubics "
+                        f"need more than {MAX_CUBIC_CHORDS} chords at "
+                        f"tolerance {tol:g} mm") from None
+                budget[0] -= len(points) - n
+                cur = (x3, y3)
+            if i >= len(tokens) or tokens[i][0] is not None:
+                break
     flush(False)
     return subpaths
 
@@ -356,17 +351,42 @@ def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point, tol: float,
     chord; the convex-hull property then bounds the curve-to-chord distance
     by the same tol.
     """
-    flat = max(_point_segment_distance(p1, p0, p3),
-               _point_segment_distance(p2, p0, p3)) <= tol
-    if flat or _depth >= 48:
-        out.append(p3)
+    _flatten(*p0, *p1, *p2, *p3, tol, out, _depth, math.inf)
+
+
+class _ChordBudget(Exception):
+    """out reached the limit of _flatten."""
+
+
+def _flatten(x0, y0, x1, y1, x2, y2, x3, y3, tol, out, depth, limit):
+    """flatten_cubic on plain floats, raising _ChordBudget rather than
+    growing out to more than limit points. The distances are those of
+    _point_segment_distance, with the chord's terms computed once."""
+    dx, dy = x3 - x0, y3 - y0
+    ll = dx * dx + dy * dy
+    rx1, ry1, rx2, ry2 = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    if ll == 0.0:
+        d1, d2 = math.hypot(rx1, ry1), math.hypot(rx2, ry2)
+    else:  # each t clamped as min(1.0, max(0.0, t)) would, nan to 0.0
+        t = (rx1 * dx + ry1 * dy) / ll
+        t = t if 0.0 < t < 1.0 else (1.0 if t >= 1.0 else 0.0)
+        d1 = math.hypot(rx1 - t * dx, ry1 - t * dy)
+        t = (rx2 * dx + ry2 * dy) / ll
+        t = t if 0.0 < t < 1.0 else (1.0 if t >= 1.0 else 0.0)
+        d2 = math.hypot(rx2 - t * dx, ry2 - t * dy)
+    if (d2 if d2 > d1 else d1) <= tol or depth >= 48:  # max(d1, d2) <= tol
+        if len(out) >= limit:
+            raise _ChordBudget
+        out.append((x3, y3))
         return
     # de Casteljau split at t = 1/2
-    m01 = ((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2)
-    m12 = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-    m23 = ((p2[0] + p3[0]) / 2, (p2[1] + p3[1]) / 2)
-    m012 = ((m01[0] + m12[0]) / 2, (m01[1] + m12[1]) / 2)
-    m123 = ((m12[0] + m23[0]) / 2, (m12[1] + m23[1]) / 2)
-    mid = ((m012[0] + m123[0]) / 2, (m012[1] + m123[1]) / 2)
-    flatten_cubic(p0, m01, m012, mid, tol, out, _depth + 1)
-    flatten_cubic(mid, m123, m23, p3, tol, out, _depth + 1)
+    m01x, m01y = (x0 + x1) / 2, (y0 + y1) / 2
+    m12x, m12y = (x1 + x2) / 2, (y1 + y2) / 2
+    m23x, m23y = (x2 + x3) / 2, (y2 + y3) / 2
+    m012x, m012y = (m01x + m12x) / 2, (m01y + m12y) / 2
+    m123x, m123y = (m12x + m23x) / 2, (m12y + m23y) / 2
+    midx, midy = (m012x + m123x) / 2, (m012y + m123y) / 2
+    _flatten(x0, y0, m01x, m01y, m012x, m012y, midx, midy, tol, out,
+             depth + 1, limit)
+    _flatten(midx, midy, m123x, m123y, m23x, m23y, x3, y3, tol, out,
+             depth + 1, limit)

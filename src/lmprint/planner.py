@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .core import MachineSettings, Record, grams_to_newtons, validate_settings
+from .core import (MachineSettings, Record, grams_to_newtons, trusted,
+                   validate_settings)
 from .drawing import VectorDrawing
 from .environment import (DEFAULT_ENVIRONMENT, CornerPolicy, Environment,
                           segment_physics)
@@ -457,10 +458,15 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
         for points, factors in apply_corner_policy(
                 verts, closed, env.policy, env.chord_tolerance_mm):
             actions.append(Tap(at=points[0], force_n=force_n))
-            for k in range(1, len(points)):
-                actions.append(Move(to=points[k],
-                                    speed_mm_s=speed * factors[k - 1],
-                                    pressure_g=pressure_g))
+            # every point is a tuple of two floats, so a Move needs only
+            # the check of its speed
+            for to, factor in zip(points[1:], factors):
+                move_speed = speed * factor
+                if move_speed <= 0:
+                    raise DomainError("move speed must be > 0")
+                actions.append(trusted(Move, {"to": to,
+                                              "speed_mm_s": move_speed,
+                                              "pressure_g": pressure_g}))
             actions.append(Lift())
     return Toolpath(actions=tuple(actions), drawing_id=drawing.drawing_id,
                     policy=env.policy.describe())
@@ -478,8 +484,9 @@ def _walk(toolpath: Toolpath, env: Environment):
     per Lift. Volume integrates the gap flux of each segment over its
     duration; segment_physics runs once per (speed, pressure) pair.
     Returns (time_s, volume_mm3, drawn, taps, lifts, final_state), where
-    drawn lists (start, move, physics, run) for each Move of nonzero
-    length and run counts the taps before it, from 0.
+    drawn lists (start, move, physics, run, length) for each Move of
+    nonzero length and run counts the taps before it, from 0. A total
+    that is not finite (a segment too long for a float) is a PlanError.
     """
     state = HeadState.SEALED
     pos: Point | None = None
@@ -504,12 +511,16 @@ def _walk(toolpath: Toolpath, env: Environment):
             volume_m3 += cache[key].flux_m3_s * dt
             time_s += dt
             if length > 0.0:
-                drawn.append((pos, action, cache[key], taps - 1))
+                drawn.append((pos, action, cache[key], taps - 1, length))
             pos = action.to
         else:
             time_s += env.dwell_s
             lifts += 1
-    return time_s, volume_m3 * 1e9, drawn, taps, lifts, state
+    volume_mm3 = volume_m3 * 1e9
+    if not (math.isfinite(time_s) and math.isfinite(volume_mm3)):
+        raise PlanError(f"print time {time_s:g} s or ink volume "
+                        f"{volume_mm3:g} mm^3 is not finite")
+    return time_s, volume_mm3, drawn, taps, lifts, state
 
 
 def estimate(toolpath: Toolpath,

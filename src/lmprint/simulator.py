@@ -10,10 +10,11 @@ the alternative, measurement-driven width predictor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .core import Record
+from .core import Record, trusted
 from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
@@ -24,6 +25,11 @@ if TYPE_CHECKING:
 FLAG_CORNER = "corner-risk"
 FLAG_SLIP = "slip-risk"
 FLAG_SPEED = "speed-warning"
+# a trace's sorted flags by whether it has (slip-risk, speed-warning,
+# corner-risk)
+_FLAGS = {key: tuple(sorted(flag for flag, on in zip(
+    (FLAG_SLIP, FLAG_SPEED, FLAG_CORNER), key) if on))
+    for key in itertools.product((False, True), repeat=3)}
 
 
 class TraceSegment(Record):
@@ -81,42 +87,42 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
     env = environment if environment is not None else DEFAULT_ENVIRONMENT
     time_s, volume_mm3, drawn, taps, lifts, state = _walk(toolpath, env)
     threshold = env.policy.threshold_angle
+    s_max, fast = env.s_max, env.limits.preferred_max_speed
+    tally = dict.fromkeys(_FLAGS, 0)  # traces per key of _FLAGS
     traces = []
     sharp_start = False  # is the joint where segment k starts sharp?
-    for k, (start, move, phys, run) in enumerate(drawn):
+    for k, (start, move, phys, run, _) in enumerate(drawn):
         end = move.to
         # segment k ends where segment k + 1 starts, so each joint's angle
         # is computed once and flags both segments
         sharp_end = k + 1 < len(drawn) and drawn[k + 1][3] == run and \
             interior_angle_deg(start, end, drawn[k + 1][1].to) < threshold
-        flags = set()
-        if phys.full_slip or abs(phys.creep) > env.s_max:
-            flags.add(FLAG_SLIP)
-        if move.speed_mm_s > env.limits.preferred_max_speed:
-            flags.add(FLAG_SPEED)
-        if sharp_start or sharp_end:
-            flags.add(FLAG_CORNER)
+        key = (phys.full_slip or abs(phys.creep) > s_max,
+               move.speed_mm_s > fast, sharp_start or sharp_end)
+        tally[key] += 1
         sharp_start = sharp_end
         if width_model is not None:
             width_m = width_model.predict(move.speed_mm_s, move.pressure_g)
         else:
             width_m = phys.width_m
-        traces.append(TraceSegment(
-            start=start, end=end, width_m=width_m,
-            flux_m3_s=phys.flux_m3_s, creep=phys.creep,
-            contact_angle_deg=phys.contact_angle_deg,
-            speed_mm_s=move.speed_mm_s, pressure_g=move.pressure_g,
-            flags=tuple(sorted(flags))))
+        # the walk's points are tuples of two floats, as a Move stores them
+        traces.append(trusted(TraceSegment, {
+            "start": start, "end": end, "width_m": width_m,
+            "flux_m3_s": phys.flux_m3_s, "creep": phys.creep,
+            "contact_angle_deg": phys.contact_angle_deg,
+            "speed_mm_s": move.speed_mm_s, "pressure_g": move.pressure_g,
+            "flags": _FLAGS[key]}))
 
     counts = {FLAG_CORNER: 0, FLAG_SLIP: 0, FLAG_SPEED: 0}
-    for t in traces:
-        for f in t.flags:
-            counts[f] += 1
+    for key, n in tally.items():
+        for f in _FLAGS[key]:
+            counts[f] += n
     return SimulationResult(
         traces=tuple(traces),
         print_time_s=time_s,
         ink_volume_mm3=volume_mm3,
-        trace_length_mm=sum((t.length_mm for t in traces), 0.0),
+        # the walk's lengths are each trace's length_mm
+        trace_length_mm=sum([d[4] for d in drawn], 0.0),
         tap_count=taps,
         lift_count=lifts,
         flag_counts=counts,

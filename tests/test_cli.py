@@ -302,6 +302,41 @@ def test_non_finite_setting_is_domain_error(run, tmp_path, flag, name, value):
     assert not out_path.exists()
 
 
+def test_plan_at_speed_zero_is_a_domain_error(run, tmp_path):
+    out_path = tmp_path / "p.json"
+    rc, out, err = run(["plan", "--drawing", SQUARE, "--speed", "0",
+                        "--pressure", "30", "--out", str(out_path)])
+    assert (rc, out, err) == (1, "", "error: move speed must be > 0\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "check"])
+def test_overflowing_extents_are_a_domain_error(run, tmp_path, command):
+    # a 2e308 mm segment: its length, the print time and the volume are inf
+    drawing = tmp_path / "far.json"
+    drawing.write_text(json.dumps({"version": 1, "strokes": [
+        {"points": [[0, 0], [1e308, 0], [-1e308, 0]]}]}))
+    out_path = tmp_path / "out.json"
+    with pytest.warns(UserWarning):  # the force is beyond the angle table
+        rc, out, err = run([command, "--drawing", str(drawing), "--speed",
+                            "10", "--pressure", "30", "--out", str(out_path)])
+    assert rc == 1 and out == ""
+    assert err == ("error: print time inf s or ink volume inf mm^3 is not "
+                   "finite\n")
+    assert not out_path.exists()
+
+
+def test_a_cubic_past_the_chord_budget_is_a_domain_error(run, tmp_path):
+    svg = tmp_path / "far.svg"
+    svg.write_text('<svg xmlns="http://www.w3.org/2000/svg">'
+                   '<path d="M 0 0 C 1e20 0 0 1e20 1 0"/></svg>')
+    rc, out, err = run(["plan", "--drawing", str(svg), "--speed", "10",
+                        "--pressure", "30", "--out", str(tmp_path / "p.json")])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: element 1 <path>: command 'C' at offset 6: "
+                          "the cubics need more than ")
+
+
 def test_missing_drawing_is_os_error(run, tmp_path):
     rc, _, err = run(["plan", "--drawing", str(tmp_path / "nope.json"),
                       "--speed", "10", "--pressure", "30"])

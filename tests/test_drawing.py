@@ -2,14 +2,17 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import SAMPLES
-from lmprint import VectorDrawing, parse_drawing, serialize_drawing
+from conftest import SAMPLES, coil_svg
+from lmprint import VectorDrawing, drawing, parse_drawing, serialize_drawing
 from lmprint.core import replace
-from lmprint.drawing import flatten_cubic
+from lmprint.drawing import _point_segment_distance, flatten_cubic
 from lmprint.errors import (DrawingFormatError, NonVectorContentError,
                             UnsupportedSvgFeatureError)
 
@@ -244,3 +247,101 @@ def test_parse_does_not_mutate_input():
     copy = bytes(blob)
     parse_drawing(blob)
     assert blob == copy
+
+
+def test_svg_every_command_and_its_repeats():
+    # implicit repeats of M (as line-tos), L, H, V and C, in both cases,
+    # and a relative M after Z measured from the closed subpath's start
+    svg = ('<svg><path d="M 1 1 2 1 L 2 2 3 2 h 1 1 v -1 -1 Z '
+           'm 10 0 l 1 0 H 14 15 V 2 3 c 0 1 1 1 1 0 0 -1 1 -1 1 0"/></svg>')
+    d = parse_drawing(svg, "svg-subset", chord_tolerance_mm=10.0)
+    assert d.strokes == (
+        ((1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 2.0), (4.0, 2.0),
+         (5.0, 2.0), (5.0, 1.0), (5.0, 0.0)),
+        ((11.0, 1.0), (12.0, 1.0), (14.0, 1.0), (15.0, 1.0), (15.0, 2.0),
+         (15.0, 3.0), (16.0, 3.0), (17.0, 3.0)))
+    assert d.closed_flags == (True, False)
+
+
+def _flatten_cubic_oracle(p0, p1, p2, p3, tol, out, _depth=0):
+    """flatten_cubic as it was before it recursed on plain floats, kept
+    verbatim (but for its name) as the oracle of its bits."""
+    flat = max(_point_segment_distance(p1, p0, p3),
+               _point_segment_distance(p2, p0, p3)) <= tol
+    if flat or _depth >= 48:
+        out.append(p3)
+        return
+    # de Casteljau split at t = 1/2
+    m01 = ((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2)
+    m12 = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
+    m23 = ((p2[0] + p3[0]) / 2, (p2[1] + p3[1]) / 2)
+    m012 = ((m01[0] + m12[0]) / 2, (m01[1] + m12[1]) / 2)
+    m123 = ((m12[0] + m23[0]) / 2, (m12[1] + m23[1]) / 2)
+    mid = ((m012[0] + m123[0]) / 2, (m012[1] + m123[1]) / 2)
+    _flatten_cubic_oracle(p0, m01, m012, mid, tol, out, _depth + 1)
+    _flatten_cubic_oracle(mid, m123, m23, p3, tol, out, _depth + 1)
+
+
+@st.composite
+def _cubics(draw):
+    """Control points at a scale from 1e-6 to 1e6, some of them repeated
+    (a zero-length chord among them), and a tolerance from 1e-6 to 10
+    times the scale, the library's default among them."""
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    coord = st.floats(-1.0, 1.0).map(lambda v: v * scale)
+    points = [(draw(coord), draw(coord)) for _ in range(4)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 3),
+                                        st.integers(0, 3)), max_size=2)):
+        points[j] = points[i]
+    tol = draw(st.one_of(
+        st.sampled_from([drawing.DEFAULT_CHORD_TOLERANCE_MM, 0.001, 0.01]),
+        st.floats(1e-6, 10.0).map(lambda v: v * scale)))
+    return points, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubics())
+@example(([(0.0, 0.0), (1.0, 2.0), (-1.0, 2.0), (0.0, 0.0)], 0.05))
+@example(([(0.0, 0.0)] * 4, 0.05))
+@example(([(-0.0, 0.0), (1e-6, -0.0), (0.0, 1e-6), (1e-6, 1e-6)], 1e-12))
+# a chord whose squared length overflows: every projection is nan
+@example(([(-1e200, 0.0), (1e200, 1e200), (0.0, -1e200), (1e200, 0.0)],
+          1.5e200))
+def test_flatten_cubic_bits_equal_the_recursion_on_tuples(case):
+    points, tol = case
+    # a fixed tolerance at a large scale needs about sqrt(extent / tol)
+    # chords; past some 3000 they add nothing but time
+    assume(max(abs(v) for p in points for v in p) <= 1e7 * tol)
+    out, expected = [points[0]], [points[0]]
+    flatten_cubic(*points, tol, out)
+    _flatten_cubic_oracle(*points, tol, expected)
+    assert repr(out) == repr(expected)
+
+
+BAD_CUBIC = '<svg><path d="M 0 0 C 1e20 0 0 1e20 1 0"/></svg>'
+
+
+def test_a_cubic_past_the_chord_budget_fails_fast():
+    # the control points 1e20 mm away would split the cubic 2^48 times
+    started = time.perf_counter()
+    with pytest.raises(DrawingFormatError) as exc:
+        parse_drawing(BAD_CUBIC, "svg-subset")
+    assert time.perf_counter() - started < 2.0
+    assert str(exc.value) == (
+        f"element 1 <path>: command 'C' at offset 6: the cubics need more "
+        f"than {drawing.MAX_CUBIC_CHORDS} chords at tolerance 0.05 mm")
+
+
+def test_the_chord_budget_counts_every_cubic_of_a_drawing(monkeypatch):
+    svg = coil_svg(seed=3)  # four paths of cubics, one per coil
+    strokes = parse_drawing(svg, "svg-subset").strokes
+    assert len(strokes) == 4
+    chords = sum(len(s) - 1 for s in strokes)
+    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", chords)
+    assert parse_drawing(svg, "svg-subset").strokes == strokes
+    # one chord fewer: each path alone fits, the last one's last cubic not
+    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", chords - 1)
+    assert max(len(s) - 1 for s in strokes) < chords - 1
+    with pytest.raises(DrawingFormatError, match=r"^element 4 <path>: "
+                       r"command 'C' at offset \d+: the cubics need more"):
+        parse_drawing(svg, "svg-subset")

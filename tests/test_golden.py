@@ -8,12 +8,12 @@ purpose updates its hash and says why.
 
 import hashlib
 import json
-import math
 import random
 from pathlib import Path
 
 import pytest
 
+from conftest import coil_svg
 from lmprint.cli import main
 from lmprint.drawing import flatten_cubic
 from lmprint.report import Table
@@ -202,35 +202,6 @@ COILS_PGM_SHA256 = \
     "dc6f0e57ab2b69643c74d4602fa4a944fb1903f48a7094da4789406eefe95928"
 
 
-def _coil_svg(seed, cells=2, cell_mm=6.0, turns=6, pitch_mm=0.35):
-    rng = random.Random(seed)
-    paths = []
-    for i in range(cells * cells):
-        cx = (i % cells + 0.5) * cell_mm + rng.uniform(-0.3, 0.3)
-        cy = (i // cells + 0.5) * cell_mm + rng.uniform(-0.3, 0.3)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        sense = rng.choice((1.0, -1.0))
-        r = rng.uniform(0.3, 0.6)
-        parts = []
-        for q in range(4 * turns):
-            a0 = phase + sense * q * math.pi / 2
-            a1 = a0 + sense * math.pi / 2
-            r0, r1 = r + pitch_mm * q / 4, r + pitch_mm * (q + 1) / 4
-            k = 4.0 * (math.sqrt(2.0) - 1.0) / 3.0 * rng.uniform(0.9, 1.1)
-            p0 = (cx + r0 * math.cos(a0), cy + r0 * math.sin(a0))
-            p3 = (cx + r1 * math.cos(a1), cy + r1 * math.sin(a1))
-            p1 = (p0[0] - sense * k * r0 * math.sin(a0),
-                  p0[1] + sense * k * r0 * math.cos(a0))
-            p2 = (p3[0] + sense * k * r1 * math.sin(a1),
-                  p3[1] - sense * k * r1 * math.cos(a1))
-            if q == 0:
-                parts.append(f"M {p0[0]:.5f} {p0[1]:.5f}")
-            parts.append("C " + " ".join(f"{v:.5f}" for v in (*p1, *p2, *p3)))
-        paths.append(" ".join(parts))
-    body = "".join(f'<path d="{d}"/>' for d in paths)
-    return f'<svg xmlns="http://www.w3.org/2000/svg">{body}</svg>'
-
-
 def _simulate_coils(tmp_path, svg_text, *extra):
     """simulate on an SVG of coils with fillet corners; the report's path."""
     svg = tmp_path / "coils.svg"
@@ -246,7 +217,7 @@ def _simulate_coils(tmp_path, svg_text, *extra):
 
 def test_coil_raster_bytes(tmp_path):
     pgm = tmp_path / "coils.pgm"
-    _simulate_coils(tmp_path, _coil_svg(seed=11),
+    _simulate_coils(tmp_path, coil_svg(seed=11),
                     "--pgm", str(pgm), "--scale", "0.01")
     assert hashlib.sha256(pgm.read_bytes()).hexdigest() == COILS_PGM_SHA256
 
@@ -269,7 +240,7 @@ def test_coil_raster_settles_few_pairs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulator, "_capsule_row", counted_row)
     monkeypatch.setattr(simulator, "_ink", counted_ink)
-    _simulate_coils(tmp_path, _coil_svg(seed=11), "--pgm",
+    _simulate_coils(tmp_path, coil_svg(seed=11), "--pgm",
                     str(tmp_path / "coils.pgm"), "--scale", "0.01")
     assert counts["pairs"] > 10_000
     assert counts["settled"] <= 0.01 * counts["pairs"]
@@ -282,7 +253,7 @@ def test_long_coil_report_bytes_equal_json_dumps(tmp_path, monkeypatch):
         raise AssertionError("a report table failed the type check")
 
     monkeypatch.setattr(Table, "plain", no_fallback)
-    out = _simulate_coils(tmp_path, _coil_svg(seed=5, cells=3, turns=8))
+    out = _simulate_coils(tmp_path, coil_svg(seed=5, cells=3, turns=8))
     blob = out.read_bytes()
     report = json.loads(blob)
     assert len(report["traces"]) > 1000

@@ -12,7 +12,7 @@ from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
     estimate, plan
 from lmprint.core import replace
 from lmprint.environment import CornerPolicy
-from lmprint.errors import IllegalActionError, PlanError
+from lmprint.errors import DomainError, IllegalActionError, PlanError
 from lmprint.planner import HeadState, Lift, Move, Tap, \
     apply_corner_policy, interior_angle_deg, order_strokes, step_head
 
@@ -249,6 +249,38 @@ def test_plan_rejects_limit_violations():
     assert exc.value.violations
     with pytest.raises(PlanError):
         plan(d, MachineSettings(10.0, 400.0))  # > 800 g force cap
+
+
+def test_plan_checks_the_speed_of_every_move():
+    line = VectorDrawing(strokes=(((0.0, 0.0), (10.0, 0.0)),),
+                         closed_flags=(False,))
+    with pytest.raises(DomainError, match="^move speed must be > 0$"):
+        plan(line, MachineSettings(0.0, 30.0))
+    # no stroke, no Move to check
+    assert plan(VectorDrawing(strokes=(), closed_flags=()),
+                MachineSettings(0.0, 30.0)).actions == ()
+    # 4 * 5e-324 mm/s is the least speed above 0; a tenth of it rounds to
+    # 0, so only a stroke with a corner to slow down for is refused
+    slow = replace(DEFAULT_ENVIRONMENT, policy=CornerPolicy(
+        threshold_angle=120.0, strategy="slowdown", slowdown_factor=0.1))
+    least = MachineSettings(5e-324, 30.0)
+    moves = plan(line, least, environment=slow).actions[1:-1]
+    assert [m.speed_mm_s for m in moves] == [2e-323]
+    corner = VectorDrawing(strokes=(((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)),),
+                           closed_flags=(False,))
+    with pytest.raises(DomainError, match="^move speed must be > 0$"):
+        plan(corner, least, environment=slow)
+
+
+def test_a_walk_whose_totals_overflow_is_a_plan_error():
+    # the second segment is 2e308 mm long, an inf as a float, and so are
+    # the print time and the ink volume, which no report can hold
+    d = VectorDrawing(strokes=(((0.0, 0.0), (1e308, 0.0), (-1e308, 0.0)),),
+                      closed_flags=(False,))
+    toolpath = plan(d, _settings())
+    with pytest.raises(PlanError, match="^print time inf s or ink volume "
+                       "inf mm\\^3 is not finite$"):
+        estimate(toolpath, QUIET)
 
 
 def test_plan_outputs_walk_the_head_state_machine():

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmprint
-from conftest import sample
-from lmprint.core import Record, replace
+from conftest import coil_svg, sample
+from lmprint.core import Record, replace, trusted
+from lmprint.planner import Move
+from lmprint.simulator import _FLAGS, TraceSegment
 
 RECORDS = [obj for obj in map(lambda n: getattr(lmprint, n), lmprint.__all__)
            if isinstance(obj, type) and issubclass(obj, Record)]
@@ -182,3 +184,77 @@ def test_replace_keeps_the_traces_of_circuit_nets_and_their_drc():
     copy = replace(nets)
     assert copy == nets and copy.traces == traces
     assert lmprint.drc(copy, 0.1, 0.1) == lmprint.drc(nets, 0.1, 0.1)
+
+
+def _typed(value):
+    """value with the type of every part spelled out, tuples opened."""
+    if type(value) is tuple:
+        return tuple, tuple(map(_typed, value))
+    return type(value), value
+
+
+def _typed_fields(record):
+    return [(name, _typed(value)) for name, value in vars(record).items()]
+
+
+def _agree(record, public):
+    assert type(record) is type(public)
+    assert record == public and public == record
+    assert hash(record) == hash(public) and repr(record) == repr(public)
+    assert _typed_fields(record) == _typed_fields(public)
+    with pytest.raises(AttributeError):
+        record.no_such_field = 0
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_trusted_equals_the_public_constructor_of_a_bare_record(cls, data):
+    # a bare record stores what it is given, as trusted() must be given
+    fields = {n: data.draw(VALUES, label=n) for n in cls._fields}
+    _agree(trusted(_bare(cls), dict(fields)), _bare(cls)(**fields))
+
+
+POINTS = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False))
+FLOATS = st.floats(allow_nan=False)
+SPEEDS = st.floats(min_value=0.0, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(to=POINTS, start=POINTS, speed=SPEEDS,
+       values=st.lists(FLOATS, min_size=5, max_size=5),
+       flags=st.sampled_from(list(_FLAGS.values())))
+def test_trusted_moves_and_traces_equal_their_public_constructors(
+        to, start, speed, values, flags):
+    pressure, width, flux, creep, angle = values
+    move = {"to": to, "speed_mm_s": speed, "pressure_g": pressure}
+    _agree(trusted(Move, dict(move)), Move(**move))
+    trace = {"start": start, "end": to, "width_m": width, "flux_m3_s": flux,
+             "creep": creep, "contact_angle_deg": angle, "speed_mm_s": speed,
+             "pressure_g": pressure, "flags": flags}
+    _agree(trusted(TraceSegment, dict(trace)), TraceSegment(**trace))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("strategy", ["fillet", "slowdown"])
+def test_planned_moves_and_simulated_traces_equal_their_rebuilds(strategy):
+    # plan and simulate make these records with trusted(); the public
+    # constructor, run on the same fields, must store the very same values
+    env = lmprint.DEFAULT_ENVIRONMENT
+    env = replace(env, policy=replace(env.policy, strategy=strategy))
+    drawings = [sample(name) for name in ("straight-line", "square",
+                                          "grid-antenna", "ic-sketch")]
+    drawings.append(lmprint.parse_drawing(coil_svg(seed=11), "svg-subset"))
+    speeds = set()
+    for drawing in drawings:
+        toolpath = lmprint.plan(drawing, lmprint.MachineSettings(10.0, 30.0),
+                                environment=env)
+        moves = [a for a in toolpath.actions if type(a) is Move]
+        traces = lmprint.simulate(toolpath, env).traces
+        assert moves and traces
+        for record in (*moves, *traces):
+            _agree(record, type(record)(**vars(record)))
+        speeds.update(m.speed_mm_s for m in moves)
+    # slowdown slows the edges at sharp corners, fillet slows none
+    assert speeds == ({40.0, 40.0 * env.policy.slowdown_factor}
+                      if strategy == "slowdown" else {40.0})

@@ -137,7 +137,7 @@ def _corner_flags_per_end(toolpath, env):
     drawn = _walk(toolpath, env)[2]
     threshold = env.policy.threshold_angle
     flags = []
-    for k, (start, move, _, run) in enumerate(drawn):
+    for k, (start, move, _, run, _) in enumerate(drawn):
         end = move.to
         at_start = k > 0 and drawn[k - 1][3] == run and interior_angle_deg(
             drawn[k - 1][0], start, end) < threshold
@@ -167,6 +167,47 @@ def test_corner_flags_equal_the_per_end_test(runs):
     result = simulate(tp, QUIET)
     assert [FLAG_CORNER in t.flags for t in result.traces] == \
         _corner_flags_per_end(tp, QUIET)
+
+
+def test_flag_table_holds_each_sorted_set_of_flags():
+    for (slip, fast, corner), flags in simulator._FLAGS.items():
+        on = {FLAG_SLIP} if slip else set()
+        on |= {FLAG_SPEED} if fast else set()
+        on |= {FLAG_CORNER} if corner else set()
+        assert flags == tuple(sorted(on))
+    assert len(simulator._FLAGS) == 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_run, st.sampled_from([40.0, 240.0])), min_size=1,
+                max_size=5),
+       st.sampled_from([QUIET, replace(QUIET, tangential_angle=0.08,
+                                       s_max=0.001)]))
+def test_flags_counts_and_length_equal_their_per_trace_sums(runs, env):
+    # each trace's flags as simulate once built them, from a set, and the
+    # totals as it once summed them, from the traces
+    actions = []
+    for points, speed in runs:
+        actions.append(Tap(points[0], grams_to_newtons(94.0)))
+        actions.extend(Move(p, speed, 94.0) for p in points[1:])
+        actions.append(Lift())
+    tp = Toolpath(actions=tuple(actions))
+    result = simulate(tp, env)
+    counts = {FLAG_CORNER: 0, FLAG_SLIP: 0, FLAG_SPEED: 0}
+    for trace, corner in zip(result.traces, _corner_flags_per_end(tp, env),
+                             strict=True):
+        phys = segment_physics(trace.speed_mm_s, trace.pressure_g, env)
+        flags = {FLAG_CORNER} if corner else set()
+        if phys.full_slip or abs(phys.creep) > env.s_max:
+            flags.add(FLAG_SLIP)
+        if trace.speed_mm_s > env.limits.preferred_max_speed:
+            flags.add(FLAG_SPEED)
+        assert trace.flags == tuple(sorted(flags))
+        for f in trace.flags:
+            counts[f] += 1
+    assert list(result.flag_counts.items()) == list(counts.items())
+    assert result.trace_length_mm == sum(
+        (t.length_mm for t in result.traces), 0.0)
 
 
 def test_no_corner_risk_across_lift():

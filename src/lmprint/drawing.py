@@ -312,11 +312,9 @@ def _parse_path_data(d: str, tol: float, where: str, budget: list[int]):
                 try:
                     _flatten(*cur, x1, y1, x2, y2, x3, y3, tol, points, 0,
                              n + budget[0])
-                except _ChordBudget:
+                except DrawingFormatError as exc:
                     raise DrawingFormatError(
-                        f"{where}: command {cmd!r} at offset {off}: the cubics "
-                        f"need more than {MAX_CUBIC_CHORDS} chords at "
-                        f"tolerance {tol:g} mm") from None
+                        f"{where}: command {cmd!r} at offset {off}: {exc}") from None
                 budget[0] -= len(points) - n
                 cur = (x3, y3)
             if i >= len(tokens) or tokens[i][0] is not None:
@@ -349,18 +347,15 @@ def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point, tol: float,
 
     Subdivides until both interior control points sit within tol of the
     chord; the convex-hull property then bounds the curve-to-chord distance
-    by the same tol.
+    by the same tol. A cubic that needs more than MAX_CUBIC_CHORDS chords
+    is a DrawingFormatError, as in a parsed SVG.
     """
-    _flatten(*p0, *p1, *p2, *p3, tol, out, _depth, math.inf)
-
-
-class _ChordBudget(Exception):
-    """out reached the limit of _flatten."""
+    _flatten(*p0, *p1, *p2, *p3, tol, out, _depth, len(out) + MAX_CUBIC_CHORDS)
 
 
 def _flatten(x0, y0, x1, y1, x2, y2, x3, y3, tol, out, depth, limit):
-    """flatten_cubic on plain floats, raising _ChordBudget rather than
-    growing out to more than limit points. The distances are those of
+    """flatten_cubic on plain floats, raising DrawingFormatError rather
+    than growing out to more than limit points. The distances are those of
     _point_segment_distance, with the chord's terms computed once."""
     dx, dy = x3 - x0, y3 - y0
     ll = dx * dx + dy * dy
@@ -376,7 +371,9 @@ def _flatten(x0, y0, x1, y1, x2, y2, x3, y3, tol, out, depth, limit):
         d2 = math.hypot(rx2 - t * dx, ry2 - t * dy)
     if (d2 if d2 > d1 else d1) <= tol or depth >= 48:  # max(d1, d2) <= tol
         if len(out) >= limit:
-            raise _ChordBudget
+            raise DrawingFormatError(
+                f"the cubics need more than {MAX_CUBIC_CHORDS} chords at "
+                f"tolerance {tol:g} mm")
         out.append((x3, y3))
         return
     # de Casteljau split at t = 1/2

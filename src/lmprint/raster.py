@@ -1,10 +1,10 @@
-"""Grayscale occupancy rasters and the binary PGM (P5) writer.
+"""Binary occupancy rasters, held as run lengths, and the binary PGM (P5)
+writer, which paints the PGM in bands from the runs without a canvas.
 
 The raster is georeferenced: origin_mm is the (x, y) of the top-left pixel
 corner, rows run toward decreasing y (image convention). PGM carries no
 scale, so reading one back needs the scale repeated; pixel content and
-dimensions round-trip bit-exactly. rasterize returns a RunRaster, which
-holds run lengths and writes its PGM in bands without a canvas.
+dimensions round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,58 +19,17 @@ from .errors import ConfigError, DrawingFormatError
 if TYPE_CHECKING:
     import numpy as np
 
-# pixels per PGM body chunk of a run raster: each chunk is painted from the
-# runs it crosses and written before the next, so no canvas is held
+# pixels per PGM body chunk: each chunk is painted from the runs it crosses
+# and written before the next, so no canvas is held
 _PGM_BAND = 1 << 20
 
 
-def _check_grid(image) -> None:
-    if image.width < 1 or image.height < 1:
-        raise ConfigError("raster dimensions must be >= 1")
-    if not (0 < image.scale < math.inf):
-        raise ConfigError("raster scale must be finite and > 0")
-
-
 class RasterImage(Record):
-    """Occupancy grid: cells is a (height, width) uint8 array, scale mm/px."""
-
-    width: int
-    height: int
-    scale: float
-    cells: np.ndarray
-    origin_mm: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        _check_grid(self)
-        import numpy as np
-        cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
-        if cells.shape != (self.height, self.width):
-            raise ConfigError(
-                f"cells shape {cells.shape} does not match "
-                f"(height, width)=({self.height}, {self.width})")
-        object.__setattr__(self, "cells", cells)
-
-    def __eq__(self, other):
-        if not isinstance(other, RasterImage):
-            return NotImplemented
-        import numpy as np
-        return (self.width == other.width and self.height == other.height
-                and self.scale == other.scale and self.origin_mm == other.origin_mm
-                and np.array_equal(self.cells, other.cells))
-
-    def occupied_area_mm2(self) -> float:
-        """Area covered by nonzero pixels."""
-        import numpy as np
-        return float(np.count_nonzero(self.cells)) * self.scale * self.scale
-
-    def _pgm_body(self):
-        return (self.cells.data,)
-
-
-class RunRaster(RasterImage):
-    """A binary raster held as run lengths, row-major over width * height
-    pixels: runs alternates 0 and 255, background first. cells is built on
-    first read and kept; the PGM body and the area need only the runs."""
+    """A binary raster at scale mm/px, held as run lengths, row-major over
+    width * height pixels: runs alternates 0 and 255, background first.
+    The form is canonical (an odd count; only the first and last run may
+    be 0), so equal pixels are equal runs. cells, the (height, width)
+    uint8 canvas, is built on first read and kept."""
 
     width: int
     height: int
@@ -79,16 +38,49 @@ class RunRaster(RasterImage):
     origin_mm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        _check_grid(self)
+        if self.width < 1 or self.height < 1:
+            raise ConfigError("raster dimensions must be >= 1")
+        if not (0 < self.scale < math.inf):
+            raise ConfigError("raster scale must be finite and > 0")
         import numpy as np
         runs = np.asarray(self.runs)
         # a float length would be truncated by a cast, so none is taken
         if runs.dtype.kind not in "iu" or runs.ndim != 1 \
-                or (runs < 0).any() or runs.sum() != self.width * self.height:
-            raise ConfigError("runs must be nonnegative integer lengths "
-                              "that sum to width * height")
+                or runs.size % 2 == 0 or runs.min() < 0 \
+                or not runs[1:-1].all() \
+                or runs.sum() != self.width * self.height:
+            raise ConfigError("runs must be canonical integer lengths that "
+                              "sum to width * height")
         object.__setattr__(self, "runs",
                            np.ascontiguousarray(runs, dtype=np.int64))
+
+    @classmethod
+    def from_cells(cls, width: int, height: int, scale: float, cells,
+                   origin_mm: tuple[float, float] = (0.0, 0.0)) -> RasterImage:
+        """The raster of a (height, width) canvas of 0 and 255 pixels: its
+        runs end where a pixel differs from the one before, with background
+        before the first pixel and after the last."""
+        import numpy as np
+        cells = np.asarray(cells)
+        if cells.shape != (height, width):
+            raise ConfigError(
+                f"cells shape {cells.shape} does not match "
+                f"(height, width)=({height}, {width})")
+        if not ((cells == 0) | (cells == 255)).all():
+            raise DrawingFormatError("raster pixels must be 0 or 255")
+        edges = np.flatnonzero(np.diff(cells.ravel() != 0, prepend=False,
+                                       append=False))
+        runs = np.diff(edges, prepend=0, append=cells.size)
+        return cls(width=width, height=height, scale=scale, runs=runs,
+                   origin_mm=origin_mm)
+
+    def __eq__(self, other):
+        if not isinstance(other, RasterImage):
+            return NotImplemented
+        import numpy as np
+        return (self.width == other.width and self.height == other.height
+                and self.scale == other.scale and self.origin_mm == other.origin_mm
+                and np.array_equal(self.runs, other.runs))
 
     @cached_property
     def cells(self) -> np.ndarray:
@@ -97,22 +89,8 @@ class RunRaster(RasterImage):
             self.height, self.width)
 
     def occupied_area_mm2(self) -> float:
+        """Area covered by ink pixels."""
         return float(self.runs[1::2].sum()) * self.scale * self.scale
-
-    def _pgm_body(self):
-        import numpy as np
-        runs, shades = self.runs, _shades(self.runs.size)
-        ends = np.cumsum(runs)
-        n = self.width * self.height
-        for p in range(0, n, _PGM_BAND):
-            q = min(p + _PGM_BAND, n)
-            # runs i..j cross pixels p..q-1: i is the first run to end
-            # beyond p, j the first to end beyond q - 1
-            i, j = np.searchsorted(ends, (p, q - 1), side="right")
-            lengths = runs[i:j + 1].copy()
-            lengths[0] = ends[i] - p
-            lengths[-1] -= ends[j] - q
-            yield np.repeat(shades[i:j + 1], lengths)
 
 
 def _shades(count: int):
@@ -124,14 +102,25 @@ def _shades(count: int):
 
 
 def pgm_parts(image: RasterImage):
-    """The PGM header, then the body in chunks the image supplies.
+    """The PGM header, then the body in bands of at most _PGM_BAND pixels.
 
-    A canvas image's body is its cells' own buffer; a run raster's is
-    bands of at most _PGM_BAND pixels. Writing the parts in turn writes
-    the PGM without copying a canvas or, for a run raster, holding one.
+    Each band is painted from the runs it crosses, so writing the parts in
+    turn writes the PGM without holding a canvas.
     """
+    import numpy as np
     yield f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    yield from image._pgm_body()
+    runs, shades = image.runs, _shades(image.runs.size)
+    ends = np.cumsum(runs)
+    n = image.width * image.height
+    for p in range(0, n, _PGM_BAND):
+        q = min(p + _PGM_BAND, n)
+        # runs i..j cross pixels p..q-1: i is the first run to end beyond
+        # p, j the first to end beyond q - 1
+        i, j = np.searchsorted(ends, (p, q - 1), side="right")
+        lengths = runs[i:j + 1].copy()
+        lengths[0] = ends[i] - p
+        lengths[-1] -= ends[j] - q
+        yield np.repeat(shades[i:j + 1], lengths)
 
 
 def write_pgm(image: RasterImage) -> bytes:
@@ -146,10 +135,11 @@ def write_pgm(image: RasterImage) -> bytes:
 
 def read_pgm(data: bytes, scale: float,
              origin_mm: tuple[float, float] = (0.0, 0.0)) -> RasterImage:
-    """Parse canonical P5 bytes back into a RasterImage.
+    """Parse canonical P5 bytes of a binary raster back into a RasterImage.
 
-    PGM stores no physical scale, so the caller supplies it; with the same
-    scale and origin the write/read round trip is the identity.
+    Every pixel byte must be 0 or 255. PGM stores no physical scale, so
+    the caller supplies it; with the same scale and origin the write/read
+    round trip is the identity.
     """
     parts = data.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5":
@@ -166,5 +156,4 @@ def read_pgm(data: bytes, scale: float,
             f"PGM payload is {len(payload)} bytes, expected {w * h}")
     import numpy as np
     cells = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
-    return RasterImage(width=w, height=h, scale=scale, cells=cells,
-                       origin_mm=origin_mm)
+    return RasterImage.from_cells(w, h, scale, cells, origin_mm)

@@ -19,7 +19,7 @@ from .environment import DEFAULT_ENVIRONMENT, Environment
 from .errors import CalibrationError, ConfigError, RasterSizeError
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
 if TYPE_CHECKING:
-    from .raster import RunRaster
+    from .raster import RasterImage
 
 
 FLAG_CORNER = "corner-risk"
@@ -137,7 +137,7 @@ _SPAN_CHUNK = 1 << 12
 
 
 def rasterize(traces, scale: float, *,
-              max_pixels: int = 50_000_000) -> RunRaster:
+              max_pixels: int = 50_000_000) -> RasterImage:
     """Stamp traces into a binary occupancy raster at scale mm/pixel.
 
     Each segment is stroked at its predicted width with round caps; a
@@ -156,18 +156,18 @@ def rasterize(traces, scale: float, *,
     put each end on the same pixel, the per-pixel rule is certain to
     agree and is not evaluated; only the other pairs (grazing rows, ends
     within eps of a pixel centre) are settled with the rule itself (see
-    _spans for eps). The merged spans are the result: a RunRaster of
+    _spans for eps). The merged spans are the result: a RasterImage of
     alternating 0/255 run lengths, whose canvas is built only when its
     cells are read.
     """
     if not (0.0 < scale < math.inf):
         raise ConfigError("raster scale must be finite and > 0")
     import numpy as np
-    from .raster import RunRaster
+    from .raster import RasterImage
     traces = tuple(traces)
     if not traces:
-        return RunRaster(width=1, height=1, scale=scale, runs=[1],
-                         origin_mm=(0.0, 0.0))
+        return RasterImage(width=1, height=1, scale=scale, runs=[1],
+                           origin_mm=(0.0, 0.0))
     geom = np.array([(t.start[0], t.start[1], t.end[0], t.end[1], t.width_m)
                      for t in traces], dtype=np.float64)
     if not np.isfinite(geom).all():
@@ -179,19 +179,21 @@ def rasterize(traces, scale: float, *,
     right = float(max(sx.max(), ex.max()))
     bottom = float(min(sy.min(), ey.min()))
     top = float(max(sy.max(), ey.max()))
-    ox = math.floor((left - pad) / scale) * scale
-    oy = math.ceil((top + pad) / scale) * scale  # top edge
-    wpx = int(math.ceil((right + pad - ox) / scale)) + 1
-    hpx = int(math.ceil((oy - (bottom - pad)) / scale)) + 1
-    if wpx * hpx > max_pixels:
-        raise RasterSizeError(
-            f"raster {wpx}x{hpx} = {wpx * hpx} px exceeds budget {max_pixels}")
+    ox = float(np.floor((left - pad) / scale)) * scale
+    oy = float(np.ceil((top + pad) / scale)) * scale  # top edge
+    wpx = float(np.ceil((right + pad - ox) / scale)) + 1.0
+    hpx = float(np.ceil((oy - (bottom - pad)) / scale)) + 1.0
+    # sized in floats: a side past every float, inf or nan, fails here too
+    if not wpx * hpx <= max_pixels:
+        raise RasterSizeError(f"raster {wpx:.0f}x{hpx:.0f} = {wpx * hpx:.0f} "
+                              f"px exceeds budget {max_pixels}")
+    wpx, hpx = int(wpx), int(hpx)
     # the per-trace arrays live in _spans only, so they are gone before
     # the merge, the peak of the call
     starts, stops = _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx)
-    return RunRaster(width=wpx, height=hpx, scale=scale,
-                     runs=_runs(starts, stops, wpx * hpx),
-                     origin_mm=(ox, oy))
+    return RasterImage(width=wpx, height=hpx, scale=scale,
+                       runs=_runs(starts, stops, wpx * hpx),
+                       origin_mm=(ox, oy))
 
 
 def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
@@ -343,12 +345,13 @@ def _capsule_t(dx, dy, r):
     end concave in t, so each is extreme where the row meets a band edge,
     t = (y -+ v) / dy with v = r dx sign(dy) / |d|, or at the segment end
     nearest that point; a disc there that misses the row means every disc
-    does. A flat segment (dy = 0, or a point) takes each end from the disc
-    at its segment end on that side, whatever y is.
+    does. A flat segment (|dy| under 1e-100 px, where 1 / dy may overflow;
+    a point too) takes each end from the disc at its segment end on that
+    side, whatever y is, off by under 1e-44 px on a row within 1e10 px.
     """
     import numpy as np
     ll = dx * dx + dy * dy
-    flat = (dy == 0.0) | (ll == 0.0)  # t does not move the disc off the row
+    flat = np.abs(dy) < 1e-100  # t does not move the disc off the row
     with np.errstate(all="ignore"):  # flat segments are masked
         g = 1.0 / dy
         w = r * dx / (np.sqrt(ll) * np.abs(dy))  # v / dy

@@ -519,6 +519,26 @@ def test_non_finite_raster_scale_is_domain_error(run, tmp_path, command,
     assert not pgm_path.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "render"])
+def test_a_canvas_wider_than_any_float_is_a_raster_size_error(run, tmp_path,
+                                                              command):
+    # 1.9e303 mm at 1e-6 mm/px is an inf-pixel-wide canvas, which no int
+    # can size
+    drawing = tmp_path / "far.json"
+    drawing.write_text(json.dumps({"version": 1, "units": "mm", "strokes": [
+        {"closed": False, "points": [[1.9e303, 0], [0, 0]]}]}))
+    pgm_path = tmp_path / "img.pgm"
+    argv = [command, "--drawing", str(drawing), "--speed", "10",
+            "--pressure", "30", "--pgm", str(pgm_path), "--scale", "1e-6"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim.json")]
+    with pytest.warns(UserWarning):  # the force is beyond the angle table
+        rc, out, err = run(argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: raster inf") and err.count("\n") == 1
+    assert not pgm_path.exists()
+
+
 def test_check_report(run, tmp_path):
     out_path = tmp_path / "check.json"
     rc, out, _ = run(["check", *PIPELINE, "--pairs", "A:B",

@@ -332,6 +332,26 @@ def test_a_cubic_past_the_chord_budget_fails_fast():
         f"than {drawing.MAX_CUBIC_CHORDS} chords at tolerance 0.05 mm")
 
 
+def test_flatten_cubic_past_the_chord_budget_fails_fast(monkeypatch):
+    started = time.perf_counter()
+    with pytest.raises(DrawingFormatError, match=(
+            f"^the cubics need more than {drawing.MAX_CUBIC_CHORDS} chords "
+            f"at tolerance 0.05 mm$")):
+        flatten_cubic((0, 0), (1e20, 0), (0, 1e20), (1, 0), 0.05, [])
+    assert time.perf_counter() - started < 2.0
+    # the budget counts the chords of this call, not the points out holds
+    cubic = ((0.0, 0.0), (1.0, 3.0), (4.0, -2.0), (5.0, 1.0), 1e-3)
+    chords = []
+    flatten_cubic(*cubic, chords)
+    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", len(chords))
+    out = [(9.0, 9.0)] * 10
+    flatten_cubic(*cubic, out)
+    assert out[10:] == chords
+    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", len(chords) - 1)
+    with pytest.raises(DrawingFormatError):
+        flatten_cubic(*cubic, [])
+
+
 def test_the_chord_budget_counts_every_cubic_of_a_drawing(monkeypatch):
     svg = coil_svg(seed=3)  # four paths of cubics, one per coil
     strokes = parse_drawing(svg, "svg-subset").strokes

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lmprint import RasterImage, make_report, read_pgm, read_report, \
-    write_pgm, write_report
+from lmprint import RasterImage, make_report, raster, read_pgm, \
+    read_report, write_pgm, write_report
 from lmprint.errors import ConfigError, DrawingFormatError
-from lmprint.raster import RunRaster, pgm_parts
+from lmprint.raster import pgm_parts
 
 # numpy warnings fail these tests: each np.errstate of the span kernel must
 # cover the operations that warn on purpose (a row that misses an outline,
@@ -15,41 +17,56 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_minimal_pgm_is_canonical_12_bytes():
-    img = RasterImage(width=1, height=1, scale=0.1,
-                      cells=np.zeros((1, 1), dtype=np.uint8))
+    img = RasterImage.from_cells(1, 1, 0.1, np.zeros((1, 1), dtype=np.uint8))
     blob = write_pgm(img)
     assert blob == b"P5\n1 1\n255\n\x00"
     assert len(blob) == 12
 
 
-def test_pgm_parts_are_the_header_and_the_canvas_itself():
-    cells = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    img = RasterImage(width=4, height=3, scale=0.1, cells=cells)
-    header, body = pgm_parts(img)
-    assert header == b"P5\n4 3\n255\n"
-    assert body.obj is img.cells  # the canvas's buffer, not a copy
-    assert header + bytes(body) == write_pgm(img)
+@st.composite
+def _canvases(draw):
+    """A binary canvas of up to 5 x 8 pixels."""
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    ink = draw(st.lists(st.booleans(), min_size=height * width,
+                        max_size=height * width))
+    return (np.array(ink, dtype=np.uint8) * 255).reshape(height, width)
 
 
-def test_run_raster_paints_its_runs():
-    # background 1, ink 3, background 0, ink 2, background 2
-    img = RunRaster(width=4, height=2, scale=0.5, runs=[1, 3, 0, 2, 2])
-    assert img.occupied_area_mm2() == 5 * 0.25
+@settings(max_examples=200, deadline=None)
+@given(_canvases(), st.sampled_from((1, 2, 5)))
+@example(np.zeros((2, 3), dtype=np.uint8), 2)
+@example(np.full((2, 3), 255, dtype=np.uint8), 2)
+@example(np.array([[255, 0, 0]], dtype=np.uint8), 1)
+@example(np.array([[0, 0], [0, 255]], dtype=np.uint8), 1)
+def test_runs_hold_the_canvas(cells, band):
+    # bands of 1, 2 and 5 pixels, so runs cross band edges
+    height, width = cells.shape
+    img = RasterImage.from_cells(width, height, 0.25, cells,
+                                 origin_mm=(-1.0, 4.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster, "_PGM_BAND", band)
+        assert b"".join(pgm_parts(img)) == (
+            b"P5\n%d %d\n255\n" % (width, height) + cells.tobytes())
+    assert img.occupied_area_mm2() == np.count_nonzero(cells) * 0.25 * 0.25
     assert "cells" not in vars(img)
-    assert img.cells.tolist() == [[0, 255, 255, 255], [255, 255, 0, 0]]
-    canvas = RasterImage(width=4, height=2, scale=0.5, cells=img.cells)
-    assert write_pgm(img) == write_pgm(canvas) and img == canvas
-    # [0.5, 8.7] would read as [0, 8] if cast to integers
-    for runs in ([1, 3, 0, 2, 1], [9, -1], [[8]], [0.5, 8.7], [4.0, 4.0]):
-        with pytest.raises(ConfigError, match="runs"):
-            RunRaster(width=4, height=2, scale=0.5, runs=runs)
+    assert np.array_equal(img.cells, cells)
+    assert read_pgm(write_pgm(img), 0.25, origin_mm=(-1.0, 4.0)) == img
+
+
+@pytest.mark.parametrize("runs", [
+    [1, 3, 0, 2, 2],  # an empty run inside
+    [9, -1], [-1, 9, 0], [[8]],
+    [0.5, 8.7],  # would read as [0, 8] if cast to integers
+    [4.0, 4.0], [3, 5], [0, 8, 0, 0], []])
+def test_non_canonical_runs_rejected(runs):
+    with pytest.raises(ConfigError, match="runs"):
+        RasterImage(width=4, height=2, scale=0.5, runs=runs)
 
 
 def test_pgm_round_trip():
     rng = np.random.default_rng(7)
     cells = (rng.integers(0, 2, size=(13, 9)) * 255).astype(np.uint8)
-    img = RasterImage(width=9, height=13, scale=0.05, cells=cells,
-                      origin_mm=(-1.0, 4.0))
+    img = RasterImage.from_cells(9, 13, 0.05, cells, origin_mm=(-1.0, 4.0))
     back = read_pgm(write_pgm(img), scale=0.05, origin_mm=(-1.0, 4.0))
     assert back == img
     assert write_pgm(back) == write_pgm(img)
@@ -62,18 +79,19 @@ def test_pgm_rejects_noncanonical():
         read_pgm(b"P5\n2 2\n255\n\x00\x00\x00", scale=0.1)  # short payload
     with pytest.raises(DrawingFormatError):
         read_pgm(b"P5\n1 1\n65535\n\x00\x00", scale=0.1)
+    with pytest.raises(DrawingFormatError, match="0 or 255"):
+        read_pgm(b"P5\n3 1\n255\n\xff\x07\x00", scale=0.1)  # not binary
 
 
 def test_raster_validation():
     with pytest.raises(ConfigError):
-        RasterImage(width=2, height=2, scale=0.1,
-                    cells=np.zeros((1, 1), dtype=np.uint8))
+        RasterImage.from_cells(2, 2, 0.1, np.zeros((1, 1), dtype=np.uint8))
     with pytest.raises(ConfigError):
-        RasterImage(width=0, height=1, scale=0.1,
-                    cells=np.zeros((1, 0), dtype=np.uint8))
+        RasterImage.from_cells(0, 1, 0.1, np.zeros((1, 0), dtype=np.uint8))
     with pytest.raises(ConfigError):
-        RasterImage(width=1, height=1, scale=0.0,
-                    cells=np.zeros((1, 1), dtype=np.uint8))
+        RasterImage.from_cells(1, 1, 0.0, np.zeros((1, 1), dtype=np.uint8))
+    with pytest.raises(DrawingFormatError, match="0 or 255"):
+        RasterImage.from_cells(2, 1, 0.1, np.array([[0, 7]], dtype=np.uint8))
 
 
 @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
@@ -85,7 +103,7 @@ def test_non_finite_scale_rejected(scale):
 def test_occupied_area():
     cells = np.zeros((4, 4), dtype=np.uint8)
     cells[:2, :2] = 255
-    img = RasterImage(width=4, height=4, scale=0.5, cells=cells)
+    img = RasterImage.from_cells(4, 4, 0.5, cells)
     assert img.occupied_area_mm2() == pytest.approx(4 * 0.25)
 
 

@@ -349,13 +349,12 @@ class TestRasterize:
 # --- span rasterizer against the per-pixel oracle
 
 
-def _brute_rasterize(traces, scale, *, max_pixels=50_000_000):
-    """The per-pixel loop: every pixel of every trace's window is tested."""
+def _brute_canvas(traces, scale, *, max_pixels=50_000_000):
+    """The per-pixel loop: every pixel of every trace's window is tested.
+    Returns the (height, width) canvas and its origin."""
     traces = tuple(traces)
     if not traces:
-        return RasterImage(width=1, height=1, scale=scale,
-                           cells=np.zeros((1, 1), dtype=np.uint8),
-                           origin_mm=(0.0, 0.0))
+        return np.zeros((1, 1), dtype=np.uint8), (0.0, 0.0)
     halfw_mm = [0.5 * t.width_m * 1e3 for t in traces]
     pad = max(halfw_mm) + scale
     xs = [c for t in traces for c in (t.start[0], t.end[0])]
@@ -390,8 +389,13 @@ def _brute_rasterize(traces, scale, *, max_pixels=50_000_000):
             d2 = (rx - s * dx) ** 2 + (ry - s * dy) ** 2
         window = cells[i0:i1, j0:j1]
         window[d2 <= hw * hw] = 255
-    return RasterImage(width=wpx, height=hpx, scale=scale, cells=cells,
-                       origin_mm=(ox, oy))
+    return cells, (ox, oy)
+
+
+def _brute_rasterize(traces, scale):
+    cells, origin = _brute_canvas(traces, scale)
+    height, width = cells.shape
+    return RasterImage.from_cells(width, height, scale, cells, origin)
 
 
 @st.composite
@@ -456,7 +460,7 @@ def test_spans_equal_per_pixel_oracle(layout):
     # the area is counted from the runs, without building the canvas
     assert fast.occupied_area_mm2() == slow.occupied_area_mm2()
     assert "cells" not in vars(fast)
-    assert np.array_equal(fast.cells, slow.cells)
+    assert fast == slow  # the same runs: both are in the canonical form
 
 
 @settings(max_examples=100, deadline=None)
@@ -468,7 +472,7 @@ def test_spans_equal_per_pixel_oracle_in_small_batches(layout, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_SPAN_CHUNK", chunk)
         fast = rasterize(traces, scale)
-    assert np.array_equal(fast.cells, _brute_rasterize(traces, scale).cells)
+    assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -516,7 +520,8 @@ def test_runs_of_a_canvas_over_2_31_pixels():
 def test_pgm_bands_equal_the_canvas_oracle(layout):
     traces, scale = layout
     image = rasterize(traces, scale)
-    expected = write_pgm(_brute_rasterize(traces, scale))
+    cells, _ = _brute_canvas(traces, scale)
+    expected = b"P5\n%d %d\n255\n" % cells.shape[::-1] + cells.tobytes()
     for band in (1, 7, 4096):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(raster, "_PGM_BAND", band)
@@ -582,7 +587,7 @@ def test_spans_far_from_the_canvas_origin(layout):
     # pixel: the first example fails by ox, the second by oy
     traces, scale = layout
     fast = rasterize(traces, scale)
-    assert np.array_equal(fast.cells, _brute_rasterize(traces, scale).cells)
+    assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
 
 
 # --- run-length merge against the argsort merge it replaced

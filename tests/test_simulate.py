@@ -590,6 +590,15 @@ def test_spans_far_from_the_canvas_origin(layout):
     assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
 
 
+@pytest.mark.parametrize("dy", [2.2250738585e-313, -1e-310, 1e-101])
+def test_a_vanishing_slope_rasterizes_as_flat(dy):
+    # 1 / dy overflows for a subnormal dy: the kernel takes the segment as
+    # flat rather than meet inf - inf, and its pixels match the rule
+    traces = [_trace((0.0, 0.0), (1.0, dy), 1.0)]
+    fast = rasterize(traces, 2.0)
+    assert np.array_equal(fast.cells, _brute_canvas(traces, 2.0)[0])
+
+
 # --- run-length merge against the argsort merge it replaced
 
 

@@ -47,14 +47,17 @@ def _stable(columns, b, x, constrained):
     constrained coefficient of the solution x is clearly positive or
     clearly held at zero, so rounding cannot move which ones are zero."""
     a = np.array(columns, dtype=float).T
-    norms = np.linalg.norm(a, axis=0)
-    if a.shape[0] < a.shape[1] or not norms.all() or \
+    # math.hypot, as np.linalg.norm squares entries of 1e-200 to zero
+    norms = np.array([math.hypot(*c) for c in columns])
+    scale = math.hypot(*b)
+    if a.shape[0] < a.shape[1] or not norms.all() or not scale or \
             np.linalg.cond(a / norms) > 1e3:
         return False
-    grad = a.T @ (np.asarray(b) - a @ np.asarray(x))
-    scale = np.linalg.norm(b)
-    return all(x[j] * norms[j] > 1e-4 * scale if x[j] > 0.0
-               else grad[j] < -1e-4 * norms[j] * scale
+    # in units where each column and b have norm 1, so nothing underflows
+    a, b = a / norms, np.asarray(b) / scale
+    x = np.asarray(x) * norms / scale
+    grad = a.T @ (b - a @ x)
+    return all(x[j] > 1e-4 if x[j] > 0.0 else grad[j] < -1e-4
                for j in constrained)
 
 
@@ -95,6 +98,14 @@ def width_samples(draw):
 # leaves 1e-9
 @example(([[0.0, 1e-08], [4.0997635936137906e-139, 4.0997635936137906e-139]],
           [1e-09, 4.0997635936137906e-139]))
+# |b| squares to zero in np.linalg.norm, which made a coefficient of 3e-14
+# of |b| look clearly positive
+@example(([[1e-08, 0.0], [0.0, 1e-08]],
+          [6.515508074434467e-248, -2.2790692972472672e-234]))
+# the second column's gradient is rounding noise: a refined solve gives it
+# a coefficient <= 0, and taking it in and out again cycled
+@example(([[6.6210937500000005e-18, 1e-17], [0.0, 1e-08]],
+          [1.241455078125e-18, 1.875e-18]))
 def test_flux_shaped_matches_scipy(problem):
     columns, b = problem
     x, rnorm = nnls(columns, b)
@@ -111,6 +122,21 @@ def test_flux_shaped_matches_scipy(problem):
 # adding the intercept makes both exponents negative; dropping both at once
 # instead of stepping to the first one that reaches zero empties the fit
 @example([(379.0, 657.0, 9.2), (161.0, 207.0, 1.27), (252.0, 362.0, 3.66)])
+# log F varies by 4e-4 and log v not at all, so x is near 2300 and its
+# rounding leaves 8e-13 where the tail of Q^T b reads 1e-14
+@example([(1.0, 697.5, 0.01831563888873418),
+          (1.0, 697.25, 0.016163494588165874),
+          (1.0, 697.5, 0.01831563888873418)])
+# a square fit with x near 84485: no float within 5 ulps of each
+# coefficient leaves under 8e-13, and that is the residual reported, not
+# the 0 of an exact fit
+@example([(398.6015625, 549.0, 0.01831563888873418),
+          (326.4921875, 2.0, 0.020754337873699742),
+          (351.140625, 15.5, 0.01831563888873418)])
+# -log v enters with a gradient of rounding noise, as in the flux case
+@example([(1.0, 692.0, 0.01831563888873418),
+          (1.0, 691.0, 0.016163494588165874),
+          (2.0, 692.0, 0.01831563888873418)])
 def test_width_shaped_matches_scipy(samples):
     ones = [1.0] * len(samples)
     log_f = [math.log(f) for _, f, _ in samples]

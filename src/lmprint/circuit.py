@@ -303,6 +303,9 @@ def extract_nets(traces, touch_tolerance: float,
     capsules = _capsules(traces)
     n = len(traces)
     pad_items = sorted((pads or {}).items())
+    for name, (x, y) in pad_items:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise CircuitError(f"pad {name!r} must be finite")
     reach = max(touch_tolerance, clearance)
     uf = _UnionFind(n)
     contacts = []

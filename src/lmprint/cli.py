@@ -90,7 +90,7 @@ def _drawing_section(drawing) -> dict:
 # report table rows: fields in sorted order, points as their coordinates
 _ACTION_SHAPES = ((0, 2, 0, 0), (0, 2, 0), (0,))  # move, tap, lift
 _TRACE_FIELDS = {"contact_angle_deg": 0, "creep": 0, "end_mm": 2,
-                 "flags": None, "flux_m3_s": 0, "pressure_g": 0,
+                 "flags": 0, "flux_m3_s": 0, "pressure_g": 0,
                  "speed_mm_s": 0, "start_mm": 2, "width_m": 0}
 
 

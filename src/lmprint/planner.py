@@ -126,6 +126,11 @@ def _unit(dx: float, dy: float) -> tuple[float, float]:
     return dx / n, dy / n
 
 
+# most chords one fillet arc may take: a threshold of 180 degrees or a
+# vanishing chord tolerance would otherwise cut an arc into millions
+MAX_FILLET_CHORDS = 1 << 12
+
+
 def _fillet_arc(a: Point, p: Point, b: Point, radius_mm: float,
                 tol_mm: float, threshold_deg: float) -> list[Point] | None:
     """Polyline for a tangent arc replacing the corner at p, or None.
@@ -134,7 +139,8 @@ def _fillet_arc(a: Point, p: Point, b: Point, radius_mm: float,
     cannot be filleted. The arc is trimmed so tangent points stay within
     half of each adjacent edge, shrinking the radius if necessary. Chord
     step is capped so the sagitta stays under tol_mm and the residual
-    chord-to-chord corners stay at or above the sharpness threshold.
+    chord-to-chord corners stay at or above the sharpness threshold; an
+    arc that would need more than MAX_FILLET_CHORDS chords is a PlanError.
     """
     ux, uy = _unit(p[0] - a[0], p[1] - a[1])
     wx, wy = _unit(b[0] - p[0], b[1] - p[1])
@@ -163,9 +169,12 @@ def _fillet_arc(a: Point, p: Point, b: Point, radius_mm: float,
         step_sag = math.pi
     step_corner = (math.pi - math.radians(threshold_deg)) * (1.0 - 1e-9)
     step_max = min(step_sag, step_corner)
-    if step_max <= 0.0:
-        step_max = 1e-6
-    n = max(1, math.ceil(dev / step_max))
+    chords = dev / step_max if step_max > 0.0 else math.inf
+    if not chords <= MAX_FILLET_CHORDS:
+        raise PlanError(f"a fillet arc at {p} needs {chords:.3g} chords, "
+                        f"over {MAX_FILLET_CHORDS}; raise chord_tolerance_mm "
+                        "or lower threshold_angle_deg")
+    n = max(1, math.ceil(chords))
     a1 = math.atan2(t1[1] - cy, t1[0] - cx)
     turn = dev if (ux * wy - uy * wx) > 0 else -dev
     pts = []
@@ -186,16 +195,6 @@ def _dedup(points: list[Point], eps: float = 1e-9) -> list[Point]:
     return out
 
 
-def _cyclic_sharp(vertices: list[Point], policy: CornerPolicy) -> list[bool]:
-    n = len(vertices)
-    flags = []
-    for i in range(n):
-        ang = interior_angle_deg(vertices[i - 1], vertices[i],
-                                 vertices[(i + 1) % n])
-        flags.append(policy.is_sharp(ang))
-    return flags
-
-
 def apply_corner_policy(vertices: list[Point], closed: bool,
                         policy: CornerPolicy,
                         chord_tolerance_mm: float) -> list[tuple[list[Point], list[float]]]:
@@ -204,88 +203,58 @@ def apply_corner_policy(vertices: list[Point], closed: bool,
     Returns a list of (points, speed_factors) pairs; speed_factors has one
     multiplier per edge. Multiple sub-paths arise when the policy breaks
     the stroke (lift-and-retap, or fillet falling back at a reversal).
+
+    A closed stroke repeats its first vertex, and that seam vertex has one
+    sharpness shared by both ends of the path. Under fillet a loop of three
+    or more vertices starts mid-edge instead, so every original vertex is
+    interior and the seam is never a corner.
     """
+    fillet = policy.strategy == "fillet"
     verts = list(vertices)
-    if closed and len(verts) >= 3:
-        sharp = _cyclic_sharp(verts, policy)
-        if policy.strategy == "slowdown":
-            n = len(verts)
-            factors = [1.0] * n
-            for i, s in enumerate(sharp):
-                if s:
-                    factors[(i - 1) % n] = policy.slowdown_factor
-                    factors[i] = policy.slowdown_factor
-            return [(verts + [verts[0]], factors)]
-        if policy.strategy == "lift-and-retap":
-            # start the loop at a sharp corner when there is one, so the
-            # natural tap/lift break absorbs it
-            if any(sharp):
-                k = sharp.index(True)
-                verts = verts[k:] + verts[:k]
-            path = verts + [verts[0]]
-            return _split_at_sharp(path, policy)
-        # fillet: start mid-edge so every original vertex is interior
+    if closed and fillet and len(verts) >= 3:
         mid = ((verts[0][0] + verts[1][0]) / 2.0,
                (verts[0][1] + verts[1][1]) / 2.0)
         path = [mid] + verts[1:] + [verts[0], mid]
-        return _fillet_path(path, policy, chord_tolerance_mm)
-
-    path = list(verts)
-    if closed:  # degenerate 2-vertex loop: out and back
-        path = path + [path[0]]
+    else:
+        path = verts + [verts[0]] if closed else verts
+    last = len(path) - 1
+    seam = closed and not fillet  # both ends are the loop's first vertex
+    sharp = [False] + [policy.is_sharp(interior_angle_deg(*path[i - 1:i + 2]))
+                       for i in range(1, last)] + [False]
+    if seam:
+        sharp[0] = sharp[last] = policy.is_sharp(
+            interior_angle_deg(path[last - 1], path[0], path[1]))
     if policy.strategy == "slowdown":
-        factors = [1.0] * (len(path) - 1)
-        for i in range(1, len(path) - 1):
-            if policy.is_sharp(interior_angle_deg(path[i - 1], path[i],
-                                                  path[i + 1])):
-                factors[i - 1] = policy.slowdown_factor
-                factors[i] = policy.slowdown_factor
-        return [(path, factors)]
-    if policy.strategy == "lift-and-retap":
-        return _split_at_sharp(path, policy)
-    return _fillet_path(path, policy, chord_tolerance_mm)
-
-
-def _split_at_sharp(path: list[Point],
-                    policy: CornerPolicy) -> list[tuple[list[Point], list[float]]]:
+        slow = policy.slowdown_factor
+        return [(path, [slow if sharp[i] or sharp[i + 1] else 1.0
+                        for i in range(last)])]
+    if seam and True in sharp:
+        # start the loop at a sharp corner, so the natural tap/lift break
+        # absorbs it
+        k = sharp.index(True)
+        path = path[k:last] + path[:k + 1]
+        sharp = sharp[k:last] + sharp[:k + 1]
     subs = []
     cur = [path[0]]
-    for i in range(1, len(path)):
-        cur.append(path[i])
-        if i < len(path) - 1 and policy.is_sharp(
-                interior_angle_deg(path[i - 1], path[i], path[i + 1])):
-            subs.append((cur, [1.0] * (len(cur) - 1)))
-            cur = [path[i]]
-    subs.append((cur, [1.0] * (len(cur) - 1)))
-    return subs
-
-
-def _fillet_path(path: list[Point], policy: CornerPolicy,
-                 tol_mm: float) -> list[tuple[list[Point], list[float]]]:
-    subs = []
-    cur = [path[0]]
-    for i in range(1, len(path) - 1):
-        a, p, b = path[i - 1], path[i], path[i + 1]
-        if not policy.is_sharp(interior_angle_deg(a, p, b)):
-            cur.append(p)
-            continue
-        arc = _fillet_arc(a, p, b, policy.fillet_radius_mm, tol_mm,
-                          policy.threshold_angle)
-        if arc is None:
-            # reversal: no tangent arc exists; break the stroke instead
-            cur.append(p)
+    for i in range(1, last):
+        p = path[i]
+        if sharp[i] and fillet:
+            arc = _fillet_arc(path[i - 1], p, path[i + 1],
+                              policy.fillet_radius_mm, chord_tolerance_mm,
+                              policy.threshold_angle)
+            if arc is not None:
+                cur.extend(arc)
+                continue
+            # a reversal: no tangent arc exists; break the stroke instead
+        cur.append(p)
+        if sharp[i]:
             subs.append(cur)
             cur = [p]
-        else:
-            cur.extend(arc)
-    cur.append(path[-1])
+    cur.append(path[last])
     subs.append(cur)
-    out = []
-    for points in subs:
-        points = _dedup(points)
-        if len(points) >= 2:
-            out.append((points, [1.0] * (len(points) - 1)))
-    return out
+    if fillet:
+        subs = [points for points in map(_dedup, subs) if len(points) >= 2]
+    return [(points, [1.0] * (len(points) - 1)) for points in subs]
 
 
 # --------------------------------------------------------------------------

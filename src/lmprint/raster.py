@@ -148,6 +148,8 @@ def read_pgm(data: bytes, scale: float,
         w, h = (int(v) for v in parts[1].split())
     except ValueError as exc:
         raise DrawingFormatError("bad PGM dimensions") from exc
+    if w < 1 or h < 1:
+        raise DrawingFormatError(f"PGM size {w}x{h} is under 1x1")
     if parts[2] != b"255":
         raise DrawingFormatError("PGM maxval must be 255")
     payload = parts[3]

@@ -18,24 +18,23 @@ check runs over the whole table; then the texts of its distinct values
 are made once, nonzero floats from the same repr cache, and all rows are
 written by a single %-fill of their row templates joined, each template
 derived from the sorted field names and the point arity. A table that
-fails the check (a slot that is not exactly a float or a str, or a
-strings field that is not a tuple of exact strs) is written the generic
-way, from the dicts and lists it stands for (Table.plain), with the same
-bytes.
+fails the check (a slot that is not exactly a float, a str or a tuple of
+exact strs, or a tuple in a point) is written the generic way, from the
+dicts and lists it stands for (Table.plain), with the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, filterfalse, islice
+from itertools import chain, compress, filterfalse, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DrawingFormatError
 
 REPORT_VERSION = 1
 
-_SLOT_TYPES = {float, str}
+_SLOT_TYPES = {float, str, tuple}
 
 
 class Table:
@@ -44,11 +43,10 @@ class Table:
     shapes lists the forms a row may take. A shape is a dict of field name
     -> arity, names sorted, for rows written as objects, or a tuple of
     arities for rows written as arrays. A field of arity 0 is one slot,
-    written as itself; arity k > 0 is k slots, written as a list of k (a
-    point); arity None is one slot holding a tuple of strs, written as a
-    list of any length, and is allowed only in a table of one shape. A row
-    is the flat tuple of its fields' slots in field order, and its length
-    picks its shape, so no two shapes may have the same number of slots.
+    written as itself (a tuple of strs as a list of any length); arity
+    k > 0 is k slots, written as a list of k (a point). A row is the flat
+    tuple of its fields' slots in field order, and its length picks its
+    shape, so no two shapes may have the same number of slots.
     """
 
     __slots__ = ("rows", "_shapes")
@@ -61,8 +59,6 @@ class Table:
             n = sum(a or 1 for a in _arities(shape))
             if by_length.setdefault(n, shape) is not shape:
                 raise ValueError(f"two table shapes have {n} slots")
-        if len(by_length) > 1 and any(None in _arities(s) for s in shapes):
-            raise ValueError("a table with a strings field has one shape")
         if not set(map(len, rows)) <= by_length.keys():
             raise ValueError("a table row has no shape of its length")
         self.rows = rows
@@ -86,21 +82,21 @@ class Table:
         return {n: _template(shape, ind) for n, shape in self._shapes.items()}
 
     def typed(self) -> bool:
-        """Whether every slot is exactly a float or a str, and every
-        arity-None slot a tuple of exact strs."""
+        """Whether every slot is exactly a float, a str or a tuple of exact
+        strs, and no point holds a tuple: a tuple's text is made once, at
+        the depth of a field."""
         rows = self.rows
-        shapes = list(self._shapes.values())
-        if not rows or len(shapes) > 1 or None not in _arities(shapes[0]):
-            return set(map(type, chain.from_iterable(rows))) <= _SLOT_TYPES
-        columns = zip(*rows)  # one shape, so every row has the same length
-        slots, tuples = [], []
-        for arity in _arities(shapes[0]):
-            for _ in range(arity or 1):
-                (tuples if arity is None else slots).append(next(columns))
-        return (set(map(type, chain.from_iterable(slots))) <= _SLOT_TYPES
-                and set(map(type, chain.from_iterable(tuples))) <= {tuple}
-                and set(map(type, chain.from_iterable(
-                    chain.from_iterable(tuples)))) <= {str})
+        slots = list(chain.from_iterable(rows))
+        kinds = set(map(type, slots))
+        if tuple not in kinds:
+            return kinds <= _SLOT_TYPES
+        in_point = {n: [a > 0 for a in _arities(s) for _ in range(a or 1)]
+                    for n, s in self._shapes.items()}
+        points = compress(slots, chain.from_iterable(
+            map(in_point.__getitem__, map(len, rows))))
+        tuples = [v for v in slots if type(v) is tuple]
+        return (kinds <= _SLOT_TYPES and tuple not in set(map(type, points))
+                and set(map(type, chain.from_iterable(tuples))) <= {str})
 
 
 def _arities(shape) -> tuple:

@@ -1009,3 +1009,13 @@ def test_non_finite_or_negative_limits_rejected(value):
 def test_non_finite_trace_geometry_rejected():
     with pytest.raises(CircuitError):
         extract_nets([_trace((0.0, 0.0), (math.nan, 0.0))], 0.0)
+
+
+@pytest.mark.parametrize("pad", [(math.inf, 0.0), (0.0, -math.inf),
+                                 (math.nan, 0.0)])
+def test_non_finite_pad_rejected(pad):
+    # an infinite pad broke the broad phase's grid, and a NaN one touched
+    # nothing
+    with pytest.raises(CircuitError, match="pad 'A'"):
+        extract_nets([_trace((0.0, 0.0), (10.0, 0.0))], 0.0,
+                     pads={"A": pad, "B": (10.0, 0.0)})

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
@@ -13,8 +15,9 @@ from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
 from lmprint.core import replace
 from lmprint.environment import CornerPolicy
 from lmprint.errors import DomainError, IllegalActionError, PlanError
-from lmprint.planner import HeadState, Lift, Move, Tap, \
-    apply_corner_policy, interior_angle_deg, order_strokes, step_head
+from lmprint.planner import MAX_FILLET_CHORDS, HeadState, Lift, Move, \
+    Point, Tap, _dedup, _fillet_arc, apply_corner_policy, \
+    interior_angle_deg, order_strokes, step_head
 
 QUIET = replace(DEFAULT_ENVIRONMENT, dwell_s=0.0)
 SQUARE = [(0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 20.0)]
@@ -191,6 +194,177 @@ def test_fillet_radius_capped_by_short_edges():
     assert min(xs) >= -1e-12 and max(xs) <= 4.0 + 1e-12
     assert min(ys) >= -1e-12 and max(ys) <= 4.0 + 1e-12
     assert pts[0] == (0.0, 0.0) and pts[-1] == (4.0, 4.0)
+
+
+def test_fillet_past_the_chord_budget_is_a_plan_error():
+    # a threshold of 180 leaves no room for a chord-to-chord corner, and a
+    # vanishing tolerance no room for sag: either would cut the right angle
+    # into millions of chords
+    corner = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)]
+    for pol, tol in [(CornerPolicy(strategy="fillet", threshold_angle=180.0),
+                      0.05),
+                     (CornerPolicy(strategy="fillet"), 1e-300)]:
+        with pytest.raises(PlanError, match="chords"):
+            apply_corner_policy(corner, False, pol, tol)
+    # a right angle at nine tenths of the budget still fits
+    pol = CornerPolicy(strategy="fillet", threshold_angle=180.0 - 90.0 / (
+        0.9 * MAX_FILLET_CHORDS))
+    pts, _ = apply_corner_policy(corner, False, pol, 0.05)[0]
+    assert 0.9 * MAX_FILLET_CHORDS <= len(pts) - 3 <= MAX_FILLET_CHORDS
+
+
+# --------------------------------------------------------------------------
+# the corner policy as it was written before its one-pass form: one branch
+# per open or closed stroke and strategy, each helper computing its own
+# corner angles
+
+
+def _corner_oracle(vertices: list[Point], closed: bool,
+                   policy: CornerPolicy,
+                   chord_tolerance_mm: float) -> list[tuple[list[Point], list[float]]]:
+    """Resolve corners of one stroke into drawable sub-paths.
+
+    Returns a list of (points, speed_factors) pairs; speed_factors has one
+    multiplier per edge. Multiple sub-paths arise when the policy breaks
+    the stroke (lift-and-retap, or fillet falling back at a reversal).
+    """
+    verts = list(vertices)
+    if closed and len(verts) >= 3:
+        sharp = _cyclic_sharp(verts, policy)
+        if policy.strategy == "slowdown":
+            n = len(verts)
+            factors = [1.0] * n
+            for i, s in enumerate(sharp):
+                if s:
+                    factors[(i - 1) % n] = policy.slowdown_factor
+                    factors[i] = policy.slowdown_factor
+            return [(verts + [verts[0]], factors)]
+        if policy.strategy == "lift-and-retap":
+            # start the loop at a sharp corner when there is one, so the
+            # natural tap/lift break absorbs it
+            if any(sharp):
+                k = sharp.index(True)
+                verts = verts[k:] + verts[:k]
+            path = verts + [verts[0]]
+            return _split_at_sharp(path, policy)
+        # fillet: start mid-edge so every original vertex is interior
+        mid = ((verts[0][0] + verts[1][0]) / 2.0,
+               (verts[0][1] + verts[1][1]) / 2.0)
+        path = [mid] + verts[1:] + [verts[0], mid]
+        return _fillet_path(path, policy, chord_tolerance_mm)
+
+    path = list(verts)
+    if closed:  # degenerate 2-vertex loop: out and back
+        path = path + [path[0]]
+    if policy.strategy == "slowdown":
+        factors = [1.0] * (len(path) - 1)
+        for i in range(1, len(path) - 1):
+            if policy.is_sharp(interior_angle_deg(path[i - 1], path[i],
+                                                  path[i + 1])):
+                factors[i - 1] = policy.slowdown_factor
+                factors[i] = policy.slowdown_factor
+        return [(path, factors)]
+    if policy.strategy == "lift-and-retap":
+        return _split_at_sharp(path, policy)
+    return _fillet_path(path, policy, chord_tolerance_mm)
+
+
+def _cyclic_sharp(vertices: list[Point], policy: CornerPolicy) -> list[bool]:
+    n = len(vertices)
+    flags = []
+    for i in range(n):
+        ang = interior_angle_deg(vertices[i - 1], vertices[i],
+                                 vertices[(i + 1) % n])
+        flags.append(policy.is_sharp(ang))
+    return flags
+
+
+def _split_at_sharp(path: list[Point],
+                    policy: CornerPolicy) -> list[tuple[list[Point], list[float]]]:
+    subs = []
+    cur = [path[0]]
+    for i in range(1, len(path)):
+        cur.append(path[i])
+        if i < len(path) - 1 and policy.is_sharp(
+                interior_angle_deg(path[i - 1], path[i], path[i + 1])):
+            subs.append((cur, [1.0] * (len(cur) - 1)))
+            cur = [path[i]]
+    subs.append((cur, [1.0] * (len(cur) - 1)))
+    return subs
+
+
+def _fillet_path(path: list[Point], policy: CornerPolicy,
+                 tol_mm: float) -> list[tuple[list[Point], list[float]]]:
+    subs = []
+    cur = [path[0]]
+    for i in range(1, len(path) - 1):
+        a, p, b = path[i - 1], path[i], path[i + 1]
+        if not policy.is_sharp(interior_angle_deg(a, p, b)):
+            cur.append(p)
+            continue
+        arc = _fillet_arc(a, p, b, policy.fillet_radius_mm, tol_mm,
+                          policy.threshold_angle)
+        if arc is None:
+            # reversal: no tangent arc exists; break the stroke instead
+            cur.append(p)
+            subs.append(cur)
+            cur = [p]
+        else:
+            cur.extend(arc)
+    cur.append(path[-1])
+    subs.append(cur)
+    out = []
+    for points in subs:
+        points = _dedup(points)
+        if len(points) >= 2:
+            out.append((points, [1.0] * (len(points) - 1)))
+    return out
+
+
+
+_coords = st.integers(-4, 4) | st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@st.composite
+def _strokes(draw):
+    """(vertices, closed): 2 to 8 points of small ints or floats, no edge
+    of zero length, the closing edge of a loop included."""
+    closed = draw(st.booleans())
+    verts = draw(st.lists(st.tuples(_coords, _coords), min_size=2,
+                          max_size=8))
+    edges = list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
+    assume(all(a != b for a, b in edges))
+    return verts, closed
+
+
+HEXAGON = [(2.0, 0.0), (1.0, 1.5), (-1.0, 1.5), (-2.0, 0.0), (-1.0, -1.5),
+           (1.0, -1.5)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_strokes(), st.sampled_from(["lift-and-retap", "slowdown", "fillet"]),
+       st.sampled_from([90.0, 135.0, 175.0]) | st.floats(1.0, 175.0),
+       st.sampled_from([0.5, 4.0]), st.sampled_from([0.05, 0.001]))
+@example((SQUARE, True), "lift-and-retap", 135.0, 0.5, 0.05)
+@example((SQUARE, True), "slowdown", 135.0, 0.5, 0.05)
+@example((SQUARE, True), "fillet", 135.0, 0.5, 0.05)
+@example(([(0, 0), (3, 1)], True), "lift-and-retap", 135.0, 0.5, 0.05)
+@example(([(0, 0), (3, 1)], True), "slowdown", 135.0, 0.5, 0.05)
+@example(([(0, 0), (3, 1)], True), "fillet", 135.0, 0.5, 0.05)
+@example(([(0.0, 0.0), (10.0, 0.0), (0.0, 0.0), (0.0, 5.0)], False),
+         "fillet", 120.0, 0.5, 0.05)
+@example((HEXAGON, True), "lift-and-retap", 90.0, 0.5, 0.05)
+@example((HEXAGON, True), "slowdown", 90.0, 0.5, 0.05)
+@example((HEXAGON, True), "fillet", 90.0, 0.5, 0.05)
+def test_corner_policy_equals_the_branch_per_case_oracle(
+        stroke, strategy, threshold, radius, tol):
+    verts, closed = stroke
+    pol = CornerPolicy(threshold_angle=threshold, strategy=strategy,
+                       slowdown_factor=0.5, fillet_radius_mm=radius)
+    got = apply_corner_policy(verts, closed, pol, tol)
+    want = _corner_oracle(verts, closed, pol, tol)
+    # repr tells int from float and -0.0 from 0.0, and lists from tuples
+    assert repr(got) == repr(want)
 
 
 def test_order_strokes_prefers_near_stroke_first():

@@ -81,6 +81,10 @@ def test_pgm_rejects_noncanonical():
         read_pgm(b"P5\n1 1\n65535\n\x00\x00", scale=0.1)
     with pytest.raises(DrawingFormatError, match="0 or 255"):
         read_pgm(b"P5\n3 1\n255\n\xff\x07\x00", scale=0.1)  # not binary
+    with pytest.raises(DrawingFormatError, match="under 1x1"):
+        read_pgm(b"P5\n-1 -1\n255\n\x00", scale=0.1)  # -1 * -1 bytes
+    with pytest.raises(DrawingFormatError, match="under 1x1"):
+        read_pgm(b"P5\n0 3\n255\n", scale=0.1)
 
 
 def test_raster_validation():

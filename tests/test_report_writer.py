@@ -181,39 +181,46 @@ SLOT_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1, 1 / 3,
 slot_values = (st.sampled_from(SLOT_FLOATS) | st.floats(allow_nan=False,
                                                         allow_infinity=False)
                | st.sampled_from(ODD_TEXT))
-# values json takes that the table path must not: True hash-hits 1.0 and 1
-# is an int equal to it; np.float64 and Real are float subclasses
-odd_slot_values = st.sampled_from([True, False, 1, np.float64(1.0),
-                                   np.float64(-0.0), Real(2.5), Real(-0.0)])
 flag_tuples = st.lists(st.sampled_from(["slip-risk", "speed-warning", "%s",
                                         "é", ""]), max_size=3).map(tuple)
+# values json takes that the table path must not: True hash-hits 1.0 and 1
+# is an int equal to it; np.float64 and Real are float subclasses; a tuple
+# of anything but exact strs has no text of its own, and one in a point
+# would be written a level deeper than a field's
+odd_slot_values = st.sampled_from([True, False, 1, np.float64(1.0),
+                                   np.float64(-0.0), Real(2.5), Real(-0.0),
+                                   (1.0,), (True,), ("slip-risk", -0.0)])
 arities = st.sampled_from([0, 0, 1, 2, 3])
 
 
-def _row(draw, shape, odd: bool) -> tuple:
-    slots = []
+def _row(draw, shape, odd: bool) -> tuple[tuple, bool]:
+    """A row of this shape, and whether every slot is a plain float or
+    str, or a field's tuple of strs. A field holds tuples in some rows."""
+    slots, plain = [], True
+    strings = draw(st.booleans())
     for arity in (shape.values() if type(shape) is dict else shape):
-        if arity is None:
-            slots.append(draw(flag_tuples))
-            continue
         for _ in range(arity or 1):
-            slots.append(draw(odd_slot_values if odd and draw(st.integers(
-                0, 3)) == 0 else slot_values))
-    return tuple(slots)
+            if odd and draw(st.integers(0, 3)) == 0:
+                v = draw(odd_slot_values | flag_tuples)
+            else:
+                v = draw(flag_tuples if strings and not arity
+                         else slot_values)
+            plain &= type(v) in (float, str) or (
+                not arity and type(v) is tuple
+                and all(type(s) is str for s in v))
+            slots.append(v)
+    return tuple(slots), plain
 
 
 @st.composite
 def tables(draw):
-    """A Table of object rows (one shape, maybe with a strings field) or of
-    array rows (shapes of distinct lengths), and whether every slot is a
-    plain float or str."""
+    """A Table of object rows (one shape) or of array rows (shapes of
+    distinct lengths), and whether every slot is a plain float or str, or
+    a field's tuple of strs."""
     if draw(st.booleans()):
         names = sorted(draw(st.lists(texts, min_size=1, max_size=5,
                                      unique=True)))
-        shape = {k: draw(arities) for k in names}
-        if draw(st.booleans()):
-            shape[draw(st.sampled_from(names))] = None
-        shapes = [shape]
+        shapes = [{k: draw(arities) for k in names}]
     else:
         shapes, lengths = [], set()
         for arity_list in draw(st.lists(st.lists(arities, max_size=4),
@@ -225,22 +232,24 @@ def tables(draw):
     odd = draw(st.booleans())
     rows = [_row(draw, draw(st.sampled_from(shapes)), odd)
             for _ in range(draw(st.integers(0, 8)))]
-    plain = not odd or all(type(v) in (float, str, tuple)
-                           for row in rows for v in row)
-    return Table(shapes, rows), plain
+    return (Table(shapes, [row for row, _ in rows]),
+            all(plain for _, plain in rows))
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables(), st.lists(slot_values | odd_slot_values, max_size=4))
 @example((Table([{"x": 0}], [(0.0,), (-0.0,), (0.0,), (-0.0,)]), True), [])
 @example((Table([{"x": 0, "y": 2}], [(5e-324, 1e16, 1e22)] * 2), True), [])
-@example((Table([{"%": 0, "%s": 1, "a%%b": None}],
+@example((Table([{"%": 0, "%s": 1, "a%%b": 0}],
                 [(0.5, "%d", ("%s",)), (1.5, "%", ())]), True), [])
 @example((Table([(0, 2)], [(np.float64(0.1), 1.0, 2.0)]), False), [])
 @example((Table([(0, 0)], [(Real(2.5), Real(-0.0))]), False), [2.5])
 @example((Table([{"v": 0}], [(1.0,), (True,), (1,)]), False), [1.0])
 @example((Table([(0,), (0, 0)], [(1.0,), (True, False), ("move", 0.0)]),
           False), [])
+@example((Table([(0,), (0, 2)], [(("a", "b"),), ((), 1.0, 2.0)]), True), [])
+@example((Table([(0, 2)], [((), 1.0, 2.0), (1.0, ("a",), 2.0)]), False), [])
+@example((Table([{"f": 0}], [(("a",),), ((1.0,),), ((True,),)]), False), [])
 def test_table_bytes_equal_json_dumps(table_and_plain, before):
     """The table path against json.dumps of the rows it stands for, inside
     a document whose earlier floats already fill the text cache."""
@@ -259,7 +268,7 @@ def test_table_non_finite_float_raises_value_error(bad, where):
         rows[0] = (bad, 2.0, ())
     else:
         rows[2] = (1.0, bad, ())
-    table = Table([{"a": 0, "b": 0, "flags": None}], rows)
+    table = Table([{"a": 0, "b": 0, "flags": 0}], rows)
     assert table.typed()
     with pytest.raises(ValueError):
         canonical_json({"t": table})
@@ -270,9 +279,8 @@ def test_table_non_finite_float_raises_value_error(bad, where):
 @pytest.mark.parametrize("shapes, rows", [
     ([{"b": 0, "a": 0}], [(1.0, 2.0)]),                  # names not sorted
     ([(0, 0), (2,)], [(1.0, 2.0)]),                      # two 2-slot shapes
-    ([(0, None), (0,)], [(1.0, ())]),                    # strings, 2 shapes
     ([(0, 2)], [(1.0, 2.0)]),                            # no 2-slot shape
-], ids=["unsorted", "same-length", "strings-in-two-shapes", "bad-row"])
+], ids=["unsorted", "same-length", "bad-row"])
 def test_table_rejects_bad_shapes_and_rows(shapes, rows):
     with pytest.raises(ValueError):
         Table(shapes, rows)

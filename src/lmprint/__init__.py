@@ -26,7 +26,7 @@ _EXPORTS = {
             "SubstrateProperties dynamic_viscosity grams_to_newtons newtons_to_grams "
             "pressure_setting_to_force speed_setting_to_velocity validate_settings",
     "drawing": "DEFAULT_CHORD_TOLERANCE_MM VectorDrawing "
-               "flatten_cubic parse_drawing serialize_drawing",
+               "parse_drawing serialize_drawing",
     "environment": "DEFAULT_ENVIRONMENT DEFAULT_POLICY CornerPolicy "
                    "Environment SegmentPhysics segment_physics",
     "errors": "CalibrationError CircuitError ConfigError DomainError DrawingFormatError "
@@ -39,10 +39,11 @@ _EXPORTS = {
     "nnls": "",
     "planner": "HeadState Lift Move PlanEstimate Tap Toolpath estimate "
                "interior_angle_deg order_strokes plan step_head",
-    "raster": "RasterImage read_pgm write_pgm",
+    "raster": "RasterImage rasterize read_pgm write_pgm",
     "report": "make_report read_report write_report",
     "simulator": "EmpiricalWidthModel SimulationResult "
-                 "TraceSegment fit_width_model rasterize simulate",
+                 "TraceSegment fit_width_model simulate",
+    "svg": "flatten_cubic",
     "wetting": "BeadWettingPair LineEstimate SurfaceTensionTriple angle_at_force "
                "deposition_feasible stable_line_width wettability_ranking young_contact_angle",
 }

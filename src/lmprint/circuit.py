@@ -98,6 +98,12 @@ def _capsules(traces) -> list[tuple[Point, Point, float]]:
 # a capsule goes to the least level whose bands are at least 1/_SLACK of
 # its grown height
 _SLACK = 4
+# the candidate pairs one broad phase may find. Traces stacked on one
+# another make them grow as the square of the traces: a 1999-trace zigzag
+# in a 7 x 5 mm box finds 704 751, and its check takes 5.6 s and 290 MB.
+# Past the budget a check fails in about a second where it would run for
+# minutes and grow its memory to match
+MAX_CANDIDATE_PAIRS = 1 << 20
 
 
 def _candidate_pairs(capsules, reach: float,
@@ -117,7 +123,8 @@ def _candidate_pairs(capsules, reach: float,
     coarser capsule's level where both intervals hold its x. The caller
     decides each candidate with the exact distance. points are
     zero-width guests numbered after the capsules: they never set h0,
-    and two points never pair.
+    and two points never pair. More than MAX_CANDIDATE_PAIRS pairs is a
+    CircuitError, raised at most one entry's pairs past the budget.
     """
     n = len(capsules)
     if not capsules or n + len(points) < 2:
@@ -191,6 +198,12 @@ def _candidate_pairs(capsules, reach: float,
                     if j < 0:
                         j = ~j
                     add((j, i) if j < i else (i, j))
+                if len(pairs) > MAX_CANDIDATE_PAIRS:
+                    raise CircuitError(
+                        f"the contact pass found more than "
+                        f"{MAX_CANDIDATE_PAIRS} candidate segment pairs, its "
+                        f"budget; traces stacked on one another make that "
+                        f"many")
         guests += levels[level]
     return sorted(pairs)
 

@@ -944,6 +944,50 @@ def test_candidates_grow_with_segments_and_contacts(family, n):
     assert counts[1] <= 2.2 * counts[0]
 
 
+def _stacked(n):
+    """One chain of n segments through the points (k mod 7, k mod 5) mm:
+    every segment lies in one 7 x 5 mm box, across most of the others."""
+    points = [(float(k % 7), float(k % 5)) for k in range(n + 1)]
+    return [_trace(p, q, width_mm=TRACE_WIDTH_MM)
+            for p, q in zip(points, points[1:])]
+
+
+def test_the_candidate_budget_stops_stacked_traces(monkeypatch, tmp_path,
+                                                   capsys):
+    """Stacked traces make candidate pairs grow as the square of the
+    traces; a pass that needs more than MAX_CANDIDATE_PAIRS is a
+    CircuitError, and one that needs exactly that many is unchanged."""
+    traces = _stacked(120)
+    capsules = _capsules(traces)
+    pairs = _candidate_pairs(capsules, 0.1)
+    assert len(pairs) > 10 * len(traces)
+    monkeypatch.setattr(circuit, "MAX_CANDIDATE_PAIRS", len(pairs))
+    assert _candidate_pairs(capsules, 0.1) == pairs
+    monkeypatch.setattr(circuit, "MAX_CANDIDATE_PAIRS", len(pairs) - 1)
+    message = (f"^the contact pass found more than {len(pairs) - 1} "
+               f"candidate segment pairs, its budget")
+    with pytest.raises(CircuitError, match=message):
+        _candidate_pairs(capsules, 0.1)
+    with pytest.raises(CircuitError, match=message):
+        extract_nets(traces, 0.0, clearance=0.1)
+    # check on a stacked drawing: one error line and exit 1
+    path = " ".join(f"L {k % 7} {k % 5}" for k in range(1, 121))
+    drawing = tmp_path / "stacked.svg"
+    drawing.write_text('<svg xmlns="http://www.w3.org/2000/svg">'
+                       f'<path d="M 0 0 {path}"/></svg>')
+    monkeypatch.setattr(circuit, "MAX_CANDIDATE_PAIRS", 100)
+    capsys.readouterr()
+    rc = main(["check", "--drawing", str(drawing), "--speed", "10",
+               "--pressure", "30", "--out", str(tmp_path / "check.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [
+        "error: the contact pass found more than 100 candidate segment "
+        "pairs, its budget; traces stacked on one another make that many"]
+    assert not (tmp_path / "check.json").exists()
+
+
 def test_pads_leave_the_segment_pairs_and_h0_unchanged(monkeypatch):
     """Pads neither add nor remove segment pairs, and never set h0: the
     band heights of the sweep, h0 * 2**level, stay the same."""

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLES, coil_svg
 from lmprint import VectorDrawing, drawing, parse_drawing, serialize_drawing
+from lmprint import svg as svg_subset
 from lmprint.core import replace
-from lmprint.drawing import _point_segment_distance, flatten_cubic
+from lmprint.drawing import _point_segment_distance
+from lmprint.svg import flatten_cubic
 from lmprint.errors import (DrawingFormatError, NonVectorContentError,
                             UnsupportedSvgFeatureError)
 
@@ -329,13 +331,13 @@ def test_a_cubic_past_the_chord_budget_fails_fast():
     assert time.perf_counter() - started < 2.0
     assert str(exc.value) == (
         f"element 1 <path>: command 'C' at offset 6: the cubics need more "
-        f"than {drawing.MAX_CUBIC_CHORDS} chords at tolerance 0.05 mm")
+        f"than {svg_subset.MAX_CUBIC_CHORDS} chords at tolerance 0.05 mm")
 
 
 def test_flatten_cubic_past_the_chord_budget_fails_fast(monkeypatch):
     started = time.perf_counter()
     with pytest.raises(DrawingFormatError, match=(
-            f"^the cubics need more than {drawing.MAX_CUBIC_CHORDS} chords "
+            f"^the cubics need more than {svg_subset.MAX_CUBIC_CHORDS} chords "
             f"at tolerance 0.05 mm$")):
         flatten_cubic((0, 0), (1e20, 0), (0, 1e20), (1, 0), 0.05, [])
     assert time.perf_counter() - started < 2.0
@@ -343,11 +345,11 @@ def test_flatten_cubic_past_the_chord_budget_fails_fast(monkeypatch):
     cubic = ((0.0, 0.0), (1.0, 3.0), (4.0, -2.0), (5.0, 1.0), 1e-3)
     chords = []
     flatten_cubic(*cubic, chords)
-    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", len(chords))
+    monkeypatch.setattr(svg_subset, "MAX_CUBIC_CHORDS", len(chords))
     out = [(9.0, 9.0)] * 10
     flatten_cubic(*cubic, out)
     assert out[10:] == chords
-    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", len(chords) - 1)
+    monkeypatch.setattr(svg_subset, "MAX_CUBIC_CHORDS", len(chords) - 1)
     with pytest.raises(DrawingFormatError):
         flatten_cubic(*cubic, [])
 
@@ -357,10 +359,10 @@ def test_the_chord_budget_counts_every_cubic_of_a_drawing(monkeypatch):
     strokes = parse_drawing(svg, "svg-subset").strokes
     assert len(strokes) == 4
     chords = sum(len(s) - 1 for s in strokes)
-    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", chords)
+    monkeypatch.setattr(svg_subset, "MAX_CUBIC_CHORDS", chords)
     assert parse_drawing(svg, "svg-subset").strokes == strokes
     # one chord fewer: each path alone fits, the last one's last cubic not
-    monkeypatch.setattr(drawing, "MAX_CUBIC_CHORDS", chords - 1)
+    monkeypatch.setattr(svg_subset, "MAX_CUBIC_CHORDS", chords - 1)
     assert max(len(s) - 1 for s in strokes) < chords - 1
     with pytest.raises(DrawingFormatError, match=r"^element 4 <path>: "
                        r"command 'C' at offset \d+: the cubics need more"):

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import coil_svg
 from lmprint.cli import main
-from lmprint.drawing import flatten_cubic
+from lmprint.svg import flatten_cubic
 from lmprint.report import Table
 
 # numpy warnings fail these tests: each np.errstate of the span kernel must
@@ -226,9 +226,9 @@ def test_coil_raster_settles_few_pairs(tmp_path, monkeypatch):
     # the inner and outer outlines certify nearly every span end of the
     # coils, so the per-pixel rule settles few (trace, row) pairs; the
     # bytes above would still pass if no end were certified
-    from lmprint import simulator
+    from lmprint import raster
     counts = {"pairs": 0, "settled": 0}
-    capsule_row, ink = simulator._capsule_row, simulator._ink
+    capsule_row, ink = raster._capsule_row, raster._ink
 
     def counted_row(y, *args):
         counts["pairs"] += y.size
@@ -238,8 +238,8 @@ def test_coil_raster_settles_few_pairs(tmp_path, monkeypatch):
         counts["settled"] += ry.size  # a pair walked twice counts twice
         return ink(col, ox, scale, ry, *args)
 
-    monkeypatch.setattr(simulator, "_capsule_row", counted_row)
-    monkeypatch.setattr(simulator, "_ink", counted_ink)
+    monkeypatch.setattr(raster, "_capsule_row", counted_row)
+    monkeypatch.setattr(raster, "_ink", counted_ink)
     _simulate_coils(tmp_path, coil_svg(seed=11), "--pgm",
                     str(tmp_path / "coils.pgm"), "--scale", "0.01")
     assert counts["pairs"] > 10_000

@@ -38,7 +38,7 @@ EXPORTS = {
              "pressure_setting_to_force", "speed_setting_to_velocity",
              "validate_settings"],
     "drawing": ["DEFAULT_CHORD_TOLERANCE_MM", "VectorDrawing",
-                "flatten_cubic", "parse_drawing", "serialize_drawing"],
+                "parse_drawing", "serialize_drawing"],
     "environment": ["DEFAULT_ENVIRONMENT", "DEFAULT_POLICY", "CornerPolicy",
                     "Environment", "SegmentPhysics", "segment_physics"],
     "errors": ["CalibrationError", "CircuitError", "ConfigError",
@@ -55,10 +55,11 @@ EXPORTS = {
     "planner": ["HeadState", "Lift", "Move", "PlanEstimate", "Tap",
                 "Toolpath", "estimate", "interior_angle_deg", "order_strokes",
                 "plan", "step_head"],
-    "raster": ["RasterImage", "read_pgm", "write_pgm"],
+    "raster": ["RasterImage", "rasterize", "read_pgm", "write_pgm"],
     "report": ["make_report", "read_report", "write_report"],
     "simulator": ["EmpiricalWidthModel", "SimulationResult", "TraceSegment",
-                  "fit_width_model", "rasterize", "simulate"],
+                  "fit_width_model", "simulate"],
+    "svg": ["flatten_cubic"],
     "wetting": ["BeadWettingPair", "LineEstimate", "SurfaceTensionTriple",
                 "angle_at_force", "deposition_feasible", "stable_line_width",
                 "wettability_ranking", "young_contact_angle"],
@@ -106,24 +107,25 @@ CASES = {
     # id: argv, modules it must not load, modules it must load
     "plan": (["plan", *ANTENNA, *OUT],
              {"lmprint.circuit", "lmprint.simulator", "lmprint.raster",
-              "lmprint.config", "lmprint.nnls", "xml.etree", "csv"},
+              "lmprint.svg", "lmprint.config", "lmprint.nnls", "xml.etree",
+              "csv"},
              {"lmprint.planner", "lmprint.report"}),
     "check": (["check", *ANTENNA, "--pairs", "feed:tip",
                "--resistivity", "2.9e-7", *OUT],
-              {"lmprint.raster", "lmprint.config", "lmprint.nnls",
-               "xml.etree", "csv"},
+              {"lmprint.raster", "lmprint.svg", "lmprint.config",
+               "lmprint.nnls", "xml.etree", "csv"},
               {"lmprint.circuit", "lmprint.simulator"}),
     "simulate": (["simulate", *ANTENNA, *OUT],
-                 {"lmprint.circuit", "lmprint.raster", "lmprint.config",
-                  "lmprint.nnls", "xml.etree"},
+                 {"lmprint.circuit", "lmprint.raster", "lmprint.svg",
+                  "lmprint.config", "lmprint.nnls", "xml.etree"},
                  {"lmprint.simulator"}),
     "simulate-pgm": (["simulate", *ANTENNA, *OUT, "--pgm", "{tmp}/out.pgm"],
-                     {"lmprint.circuit", "lmprint.config"},
+                     {"lmprint.circuit", "lmprint.svg", "lmprint.config"},
                      {"lmprint.simulator", "lmprint.raster"}),
     "svg": (["plan", "--drawing", "{tmp}/shape.svg", "--speed", "10",
              "--pressure", "30", *OUT],
             {"lmprint.circuit", "lmprint.simulator"},
-            {"xml.etree", "xml.etree.ElementTree"}),
+            {"lmprint.svg", "xml.etree", "xml.etree.ElementTree"}),
     "config": (["plan", *ANTENNA, *OUT, "--config", "samples/config.json"],
                {"lmprint.circuit", "lmprint.simulator", "xml.etree"},
                {"lmprint.config"}),

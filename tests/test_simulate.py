@@ -17,9 +17,9 @@ from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
 from lmprint.planner import Lift, Move, Tap, Toolpath, _walk, \
     interior_angle_deg, step_head
-from lmprint.raster import RasterImage, pgm_parts, write_pgm
+from lmprint.raster import RasterImage, _runs, pgm_parts, write_pgm
 from lmprint.simulator import FLAG_CORNER, FLAG_SLIP, FLAG_SPEED, \
-    EmpiricalWidthModel, HeadState, TraceSegment, _runs
+    EmpiricalWidthModel, HeadState, TraceSegment
 
 # numpy warnings fail these tests: each np.errstate of the span kernel must
 # cover the operations that warn on purpose (a row that misses an outline,
@@ -470,7 +470,7 @@ def test_spans_equal_per_pixel_oracle_in_small_batches(layout, chunk):
     # ends on a trace's last row and a trace split over many batches
     traces, scale = layout
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_SPAN_CHUNK", chunk)
+        mp.setattr(raster, "_SPAN_CHUNK", chunk)
         fast = rasterize(traces, scale)
     assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
 
@@ -480,7 +480,7 @@ def test_small_batches_give_the_same_runs(chunk):
     traces = simulate(plan(sample("grid-antenna"), SETTINGS), QUIET).traces
     expected = rasterize(traces, 0.02).runs
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_SPAN_CHUNK", chunk)
+        mp.setattr(raster, "_SPAN_CHUNK", chunk)
         assert np.array_equal(rasterize(traces, 0.02).runs, expected)
 
 
@@ -667,7 +667,7 @@ def test_capsule_row_is_the_exact_crossing():
     # settle only walks from them; the inner ends, taken at the outer
     # ends' t, lie within the inner radius and inside the outer interval
     from lmprint.circuit import _point_segment_distance
-    from lmprint.simulator import _capsule_row, _capsule_t
+    from lmprint.raster import _capsule_row, _capsule_t
     rng = np.random.default_rng(5)
     n = 4000
     r = rng.uniform(0.01, 1.0, n)

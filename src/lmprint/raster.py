@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .core import Record
 from .errors import ConfigError, DrawingFormatError, RasterSizeError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # pixels per PGM body chunk: each chunk is painted from the runs it crosses
 # and written before the next, so no canvas is held
@@ -43,7 +41,6 @@ class RasterImage(Record):
             raise ConfigError("raster dimensions must be >= 1")
         if not (0 < self.scale < math.inf):
             raise ConfigError("raster scale must be finite and > 0")
-        import numpy as np
         runs = np.asarray(self.runs)
         # a float length would be truncated by a cast, so none is taken
         if runs.dtype.kind not in "iu" or runs.ndim != 1 \
@@ -61,7 +58,6 @@ class RasterImage(Record):
         """The raster of a (height, width) canvas of 0 and 255 pixels: its
         runs end where a pixel differs from the one before, with background
         before the first pixel and after the last."""
-        import numpy as np
         cells = np.asarray(cells)
         if cells.shape != (height, width):
             raise ConfigError(
@@ -78,14 +74,12 @@ class RasterImage(Record):
     def __eq__(self, other):
         if not isinstance(other, RasterImage):
             return NotImplemented
-        import numpy as np
         return (self.width == other.width and self.height == other.height
                 and self.scale == other.scale and self.origin_mm == other.origin_mm
                 and np.array_equal(self.runs, other.runs))
 
     @cached_property
     def cells(self) -> np.ndarray:
-        import numpy as np
         return np.repeat(_shades(self.runs.size), self.runs).reshape(
             self.height, self.width)
 
@@ -96,7 +90,6 @@ class RasterImage(Record):
 
 def _shades(count: int):
     """The values of count runs: 0 and 255 alternately, 0 first."""
-    import numpy as np
     shades = np.zeros(count, dtype=np.uint8)
     shades[1::2] = 255
     return shades
@@ -108,7 +101,6 @@ def pgm_parts(image: RasterImage):
     Each band is painted from the runs it crosses, so writing the parts in
     turn writes the PGM without holding a canvas.
     """
-    import numpy as np
     yield f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     runs, shades = image.runs, _shades(image.runs.size)
     ends = np.cumsum(runs)
@@ -157,7 +149,6 @@ def read_pgm(data: bytes, scale: float,
     if len(payload) != w * h:
         raise DrawingFormatError(
             f"PGM payload is {len(payload)} bytes, expected {w * h}")
-    import numpy as np
     cells = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
     return RasterImage.from_cells(w, h, scale, cells, origin_mm)
 
@@ -193,7 +184,6 @@ def rasterize(traces, scale: float, *,
     """
     if not (0.0 < scale < math.inf):
         raise ConfigError("raster scale must be finite and > 0")
-    import numpy as np
     traces = tuple(traces)
     if not traces:
         return RasterImage(width=1, height=1, scale=scale, runs=[1],
@@ -278,7 +268,6 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
     Flat indices are int32 on a canvas under 2^31 pixels and int64 on a
     larger one.
     """
-    import numpy as np
     # each trace's window of candidate pixels, as the per-pixel rule has it
     j0 = np.maximum(0, ((np.minimum(sx, ex) - hw - ox) / scale)
                     .astype(np.int64) - 1)
@@ -379,7 +368,6 @@ def _capsule_t(dx, dy, r):
     a point too) takes each end from the disc at its segment end on that
     side, whatever y is, off by under 1e-44 px on a row within 1e10 px.
     """
-    import numpy as np
     ll = dx * dx + dy * dy
     flat = np.abs(dy) < 1e-100  # t does not move the disc off the row
     with np.errstate(all="ignore"):  # flat segments are masked
@@ -401,7 +389,6 @@ def _capsule_row(y, x0, dx, dy, g, c_lo, c_hi, r2_out, r2_in):
     its t, so within that radius of the segment, and inside the outer
     interval; it is nan where that disc misses the row.
     """
-    import numpy as np
     yg = y * g
     t_lo = np.clip(yg - c_lo, 0.0, 1.0)
     t_hi = np.clip(yg - c_hi, 0.0, 1.0)
@@ -423,7 +410,6 @@ def _ink(col, ox, scale, ry, sx, dx, dy, ll, hw2):
     """The per-pixel rule: is the centre of pixel column col within hw of
     the segment? Same float operations, in the same order, as testing a
     whole window; ll = dx*dx + dy*dy and hw2 = hw*hw come per trace."""
-    import numpy as np
     rx = ox + (col + 0.5) * scale - sx
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.clip((rx * dx + ry * dy) / ll, 0.0, 1.0)
@@ -438,7 +424,6 @@ def _runs(starts, stops, n):
     in place. The runs are int64 whatever that dtype: _spans hands int32
     indices on a canvas under 2^31 pixels, which halves the bytes the two
     sorts move."""
-    import numpy as np
     if not starts.size:
         return np.array([n], dtype=np.int64)
     starts.sort()

@@ -217,9 +217,7 @@ def canonical_json(obj) -> bytes:
         any other element is written by value."""
         names = sorted(first)
         inner = ind + "  "
-        template = "{" + inner + ("," + inner).join(
-            [_quote(k).replace("%", "%%") + ": %s" for k in names]
-        ) + ind + "}"
+        template = _template(dict.fromkeys(names, 0), ind)
         keys = first.keys()
         return [template % tuple([value(row[k], inner) for k in names])
                 if type(row) is dict and row.keys() == keys

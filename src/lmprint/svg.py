@@ -97,7 +97,11 @@ def _parse_path_data(d: str, tol: float, where: str, budget: list[int]):
             if i >= len(tokens) or tokens[i][0] is not None:
                 raise DrawingFormatError(
                     f"{where}: command {cmd!r} at offset {off} expects {n} numbers")
-            vals.append(float(tokens[i][1]))
+            _, text, at = tokens[i]
+            vals.append(float(text))
+            if not math.isfinite(vals[-1]):  # the syntax has no inf or nan
+                raise DrawingFormatError(
+                    f"{where}: number {text!r} at offset {at} overflows a float")
             i += 1
         return vals
 

@@ -334,6 +334,20 @@ def test_a_cubic_past_the_chord_budget_fails_fast():
         f"than {svg_subset.MAX_CUBIC_CHORDS} chords at tolerance 0.05 mm")
 
 
+def test_a_number_past_the_float_range_is_rejected_at_its_offset():
+    # 1e999 read as inf would flatten a cubic on NaN distances
+    started = time.perf_counter()
+    with pytest.raises(DrawingFormatError) as exc:
+        parse_drawing('<svg><path d="M 0 0 C 1e999 0 0 0 1 0"/></svg>',
+                      "svg-subset")
+    assert time.perf_counter() - started < 0.1
+    assert str(exc.value) == (
+        "element 1 <path>: number '1e999' at offset 8 overflows a float")
+    with pytest.raises(DrawingFormatError,
+                       match=r"number '-1E\+400' at offset 2 overflows"):
+        parse_drawing('<svg><path d="M -1E+400 0 L 1 0"/></svg>', "svg-subset")
+
+
 def test_flatten_cubic_past_the_chord_budget_fails_fast(monkeypatch):
     started = time.perf_counter()
     with pytest.raises(DrawingFormatError, match=(

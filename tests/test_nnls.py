@@ -1,5 +1,7 @@
-"""The pure-Python Lawson-Hanson solver against scipy's, on the shapes of
-both calibration fits."""
+"""The pure-Python calibration solver against scipy's, on the shapes of
+both calibration fits. It tries every support (set of columns allowed to
+be nonzero) and keeps the least residual, then the fewest columns, then
+the smallest |x|; it takes at most MAX_COLUMNS columns."""
 
 import math
 from fractions import Fraction
@@ -10,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
-from lmprint import fit_width_model
-from lmprint.nnls import independent, nnls
+import lmprint.nnls as solver
+from lmprint import CalibrationError, fit_width_model
+from lmprint.nnls import MAX_COLUMNS, independent, nnls
 
 
 def _scipy(columns, b) -> list[float]:
@@ -103,9 +106,12 @@ def width_samples(draw):
 @example(([[1e-08, 0.0], [0.0, 1e-08]],
           [6.515508074434467e-248, -2.2790692972472672e-234]))
 # the second column's gradient is rounding noise: a refined solve gives it
-# a coefficient <= 0, and taking it in and out again cycled
+# a coefficient <= 0
 @example(([[6.6210937500000005e-18, 1e-17], [0.0, 1e-08]],
           [1.241455078125e-18, 1.875e-18]))
+# a lone column near 1e-318 would fit with a coefficient past the float
+# range, so x stays 0
+@example(([[1.112537e-318], [0.0]], [1e-09]))
 def test_flux_shaped_matches_scipy(problem):
     columns, b = problem
     x, rnorm = nnls(columns, b)
@@ -119,8 +125,8 @@ def test_flux_shaped_matches_scipy(problem):
 
 @settings(max_examples=400, deadline=None)
 @given(width_samples())
-# adding the intercept makes both exponents negative; dropping both at once
-# instead of stepping to the first one that reaches zero empties the fit
+# with the intercept, both exponents of the unconstrained fit are negative,
+# but the optimum keeps one of them
 @example([(379.0, 657.0, 9.2), (161.0, 207.0, 1.27), (252.0, 362.0, 3.66)])
 # log F varies by 4e-4 and log v not at all, so x is near 2300 and its
 # rounding leaves 8e-13 where the tail of Q^T b reads 1e-14
@@ -163,8 +169,14 @@ def test_worked_cases():
     assert rnorm == pytest.approx(math.sqrt(0.5), rel=1e-15)
     assert nnls([[1, 1, 0], [0, 0, 1]], [-1, -1, -1]) == \
         ([0.0, 0.0], math.sqrt(3.0))
-    # one row: the column with the larger gradient takes the fit, and the
-    # residual is the empty tail of Q^T b
+    # three columns near 1e-318: every support needs coefficients past the
+    # float range, some of either sign, so x stays 0
+    t = 1e-318
+    x, rnorm = nnls([[t, 0.0, 0.0], [-t, t, 0.0], [t, -t, t]], [1e-9] * 3)
+    assert x == [0.0] * 3
+    assert rnorm == pytest.approx(math.sqrt(3.0) * 1e-9, rel=1e-15)
+    # one row: either column alone fits exactly, the one with the smaller
+    # coefficient takes the fit, and the residual reads 0
     x, rnorm = nnls([[1e-11], [3e-10]], [6e-11])
     assert x[0] == 0.0 and x[1] == pytest.approx(0.2, rel=1e-15)
     assert rnorm == 0.0
@@ -177,3 +189,18 @@ def test_independent():
     logs = [[1.0] * 3, [math.log(f) for f in (50, 100, 200)],
             [-math.log(v) for v in (10, 20, 40)]]  # F = 5 v
     assert not independent(logs)
+
+
+def test_columns_past_max_columns_raise_before_any_solve(monkeypatch):
+    n = MAX_COLUMNS
+    identity = [[float(i == j) for i in range(n)] for j in range(n)]
+    assert nnls(identity, [2.0] * n) == ([2.0] * n, 0.0)
+
+    def solve(*args):
+        raise AssertionError("a support was solved")
+
+    monkeypatch.setattr(solver, "_solve", solve)
+    monkeypatch.setattr(solver, "independent", solve)
+    with pytest.raises(CalibrationError,
+                       match=f"at most {n} columns, not {n + 1}$"):
+        nnls([*identity, [1.0] * n], [2.0] * n)

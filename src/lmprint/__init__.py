@@ -45,7 +45,8 @@ _EXPORTS = {
                  "TraceSegment fit_width_model simulate",
     "svg": "flatten_cubic",
     "wetting": "BeadWettingPair LineEstimate SurfaceTensionTriple angle_at_force "
-               "deposition_feasible stable_line_width wettability_ranking young_contact_angle",
+               "deposition_feasible force_clamped stable_line_width "
+               "wettability_ranking young_contact_angle",
 }
 __all__ = [name for names in _EXPORTS.values() for name in names.split()]
 _SUBMODULE_OF = {n: m for m, names in _EXPORTS.items() for n in (m, *names.split())}

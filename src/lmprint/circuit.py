@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from functools import cached_property
 from typing import NamedTuple
 
@@ -253,8 +254,9 @@ class CircuitNets(Record):
 
     Nets index into traces. contacts lists every segment pair whose
     outline gap is at most contact_reach, the larger of the touch
-    tolerance and the clearance the nets were extracted for; drc reads
-    them.
+    tolerance and the clearance the nets were extracted for, in (i, j)
+    order; drc reads them, and estimate_resistance finds a path's steps
+    among them by bisection.
     """
 
     nets: tuple[Net, ...]
@@ -390,15 +392,39 @@ def _segment_resistance(trace, resistivity: float) -> float:
     return resistivity * trace.length_mm * 1e-3 / area
 
 
+def _off_ends(trace, point: Point) -> bool:
+    """Whether point lies farther than the trace's half-width from both of
+    its ends."""
+    half_width = 0.5e3 * trace.width_m
+    return (math.dist(point, trace.start) > half_width
+            and math.dist(point, trace.end) > half_width)
+
+
+def _cuts_a_segment(nets: CircuitNets, path: tuple[int, ...]) -> bool:
+    """Whether the path enters or leaves a segment at a contact point off
+    both of its ends, so the current runs through only part of a segment
+    that the path charges in full."""
+    traces, contacts = nets.traces, nets.contacts
+    for a, b in zip(path, path[1:]):
+        pair = (a, b) if a < b else (b, a)
+        i, j, _, point_i, point_j = contacts[bisect_left(contacts, pair)]
+        if _off_ends(traces[i], point_i) or _off_ends(traces[j], point_j):
+            return True
+    return False
+
+
 def estimate_resistance(nets: CircuitNets, pad_a: str, pad_b: str,
                         resistivity: float) -> ResistanceEstimate:
     """Series resistance along the least-resistance path between two pads,
     on the net that pad_a touches (net_of_pad).
 
     Each member segment contributes rho * length / cross_section, lengths
-    in metres. On a branched or looping net the single-path model ignores
-    parallel branches, so the estimate carries approximate=True there.
-    A pad paired with itself is 0 ohm along the empty path.
+    in metres. The estimate carries approximate=True where that model is
+    known to be off: on a branched or looping net, whose parallel branches
+    the single path ignores, and where the path enters or leaves a segment
+    at a contact point farther than its half-width from both of its ends,
+    which charges the whole segment for the part between. A pad paired with
+    itself is 0 ohm along the empty path.
     """
     if not 0.0 < resistivity < math.inf:
         raise CircuitError("resistivity must be finite and > 0")
@@ -426,8 +452,9 @@ def estimate_resistance(nets: CircuitNets, pad_a: str, pad_b: str,
             continue
         settled.add(node)
         if node in targets:
-            return ResistanceEstimate(ohms=cost, path=path,
-                                      approximate=branched)
+            return ResistanceEstimate(
+                ohms=cost, path=path,
+                approximate=branched or _cuts_a_segment(nets, path))
         for nb in sorted(adjacency[node]):
             if nb not in settled:
                 heapq.heappush(heap, (cost + res[nb], nb, path + (nb,)))

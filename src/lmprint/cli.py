@@ -10,12 +10,15 @@ flags or unreadable input files).
 from __future__ import annotations
 
 import argparse
+import struct
 import sys
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 
 from . import _SUBMODULE_OF, __version__
 from .contact import ContactLoad, indentation, sliding_ratio, static_slip_check
-from .core import MachineSettings, replace
+from .core import MachineSettings, grams_to_newtons, replace
 from .drawing import parse_drawing
 from .environment import Environment
 from .errors import FullSlipError, LmprintError
@@ -23,7 +26,7 @@ from .flux import (ANCHOR_CONDITIONS, ANCHOR_FLUX_M3_S, ANCHOR_GAP_WIDTH,
                    FlowConditions, calibrate_flux, flux_table)
 from .planner import Lift, Move, Tap, estimate, plan
 from .report import Table, make_report, write_report
-from .wetting import line_width_profile, stable_line_width
+from .wetting import force_clamped, line_width_profile, stable_line_width
 
 import math
 
@@ -89,9 +92,14 @@ def _drawing_section(drawing) -> dict:
 
 # report table rows: fields in sorted order, points as their coordinates
 _ACTION_SHAPES = ((0, 2, 0, 0), (0, 2, 0), (0,))  # move, tap, lift
-_TRACE_FIELDS = {"contact_angle_deg": 0, "creep": 0, "end_mm": 2,
-                 "flags": 0, "flux_m3_s": 0, "pressure_g": 0,
-                 "speed_mm_s": 0, "start_mm": 2, "width_m": 0}
+_TRACE_FIELDS = {"end_mm": 2, "flags": 0, "physics": 0, "start_mm": 2}
+# a physics row's fields besides clamped, sorted; a trace's values of them
+_PHYSICS_FIELDS = ("contact_angle_deg", "creep", "flux_m3_s", "pressure_g",
+                   "speed_mm_s", "width_m")
+_physics_of = attrgetter(*_PHYSICS_FIELDS)
+# a physics tuple keyed by its bits: -0.0 and 0.0 are equal keys that json
+# writes differently, so a tuple of floats is no key for it
+_PHYSICS_BITS = struct.Struct("6d")
 
 
 def _toolpath_section(toolpath, est) -> dict:
@@ -103,18 +111,31 @@ def _toolpath_section(toolpath, est) -> dict:
         "action_count": len(toolpath.actions),
         "estimated_time_s": est.print_time_s,
         "estimated_volume_mm3": est.ink_volume_mm3,
-        "actions": Table(_ACTION_SHAPES, [
-            ("move", *a.to, a.speed_mm_s, a.pressure_g) if type(a) is Move
-            else ("tap", *a.at, a.force_n) if type(a) is Tap else ("lift",)
-            for a in toolpath.actions]),
     }
 
 
-def _trace_section(result) -> Table:
-    return Table([_TRACE_FIELDS], [
-        (t.contact_angle_deg, t.creep, *t.end, t.flags, t.flux_m3_s,
-         t.pressure_g, t.speed_mm_s, *t.start, t.width_m)
-        for t in result.traces])
+def _action_table(toolpath) -> Table:
+    return Table(_ACTION_SHAPES, [
+        ("move", *a.to, a.speed_mm_s, a.pressure_g) if type(a) is Move
+        else ("tap", *a.at, a.force_n) if type(a) is Tap else ("lift",)
+        for a in toolpath.actions])
+
+
+def _trace_sections(result, substrate) -> tuple[list[dict], Table]:
+    """The physics table, one row per distinct physics tuple in first-use
+    order, and the trace table, whose rows refer to it by index."""
+    traces = result.traces
+    keys = list(starmap(_PHYSICS_BITS.pack, map(_physics_of, traces)))
+    index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    physics = []
+    for k in index:
+        row = dict(zip(_PHYSICS_FIELDS, _PHYSICS_BITS.unpack(k)))
+        row["clamped"] = force_clamped(
+            substrate, grams_to_newtons(row["pressure_g"]))
+        physics.append(row)
+    return physics, Table([_TRACE_FIELDS], [
+        (*t.end, t.flags, i, *t.start)
+        for t, i in zip(traces, map(index.__getitem__, keys))])
 
 
 def _totals_section(result) -> dict:
@@ -155,7 +176,8 @@ def _cmd_plan(args) -> int:
     env, drawing, toolpath = _pipeline(args)
     est = estimate(toolpath, env)
     report = make_report(drawing=_drawing_section(drawing),
-                         toolpath=_toolpath_section(toolpath, est))
+                         toolpath={**_toolpath_section(toolpath, est),
+                                   "actions": _action_table(toolpath)})
     _write_bytes(args.out, [write_report(report)])
     return 0
 
@@ -166,10 +188,11 @@ def _cmd_simulate(args) -> int:
                            "and the PGM would share stdout")
     env, drawing, toolpath = _pipeline(args)
     result = _cli.simulate(toolpath, env)
+    physics, traces = _trace_sections(result, env.substrate)
     report = write_report(make_report(
         drawing=_drawing_section(drawing),
         toolpath=_toolpath_section(toolpath, result),
-        traces=_trace_section(result),
+        physics=physics, traces=traces,
         totals=_totals_section(result)))
     # rasterize before writing anything, so a raster error leaves no report
     pgm = _pgm_parts(args, env, result) if args.pgm else None

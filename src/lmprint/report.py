@@ -2,7 +2,10 @@
 
 Reports are dicts with a fixed set of sections; serialization sorts
 keys and keeps Python's shortest round-trip float representation, so equal
-reports always produce byte-identical files.
+reports always produce byte-identical files. A report states each fact
+once: a simulate report's traces refer by index to the rows of its
+physics section, one per distinct physics tuple, and carry no action
+list, whose moves the traces repeat (see the README).
 
 canonical_json is the one JSON writer of the package. Its bytes equal
 json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
@@ -11,15 +14,18 @@ pure-Python encoder, which yields every token separately. Here each
 container is one str.join, each list of dicts that share their keys fills
 one %-template per dict, and each nonzero float's repr is computed once.
 
-The two large tables of a simulate report, its traces and its actions,
-come as a Table: one flat tuple of floats and strings per row, read
-straight from the records, with no dict or point list per row. One type
-check runs over the whole table; then the texts of its distinct values
-are made once, nonzero floats from the same repr cache, and all rows are
-written by a single %-fill of their row templates joined, each template
-derived from the sorted field names and the point arity. A table that
-fails the check (a slot that is not exactly a float, a str or a tuple of
-exact strs, or a tuple in a point) is written the generic way, from the
+The large tables of a report, its traces and a plan's actions, come as a
+Table: one flat tuple of slots per row, read straight from the records,
+with no dict or point list per row. The type check runs per column of the
+rows of each shape: a column holds exact ints only, or exact floats and
+strs and, at a field's depth, tuples of exact strs. Then the texts of the
+distinct values of the float and str columns are made once, nonzero
+floats from the same repr cache, and all rows are written by a single
+%-fill of their row templates joined, each template derived from the
+sorted field names and the point arity. Ints reach the fill as
+themselves, never through the cache, where 1 and 1.0 are one key. A table
+that fails the check (a bool, a column mixing ints with other values, a
+float subclass, a tuple in a point) is written the generic way, from the
 dicts and lists it stands for (Table.plain), with the same bytes.
 """
 
@@ -27,14 +33,15 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DrawingFormatError
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
-_SLOT_TYPES = {float, str, tuple}
+_POINT_TYPES = {float, str}
+_FIELD_TYPES = {float, str, tuple}
 
 
 class Table:
@@ -81,22 +88,42 @@ class Table:
         with one %s per slot."""
         return {n: _template(shape, ind) for n, shape in self._shapes.items()}
 
-    def typed(self) -> bool:
-        """Whether every slot is exactly a float, a str or a tuple of exact
-        strs, and no point holds a tuple: a tuple's text is made once, at
-        the depth of a field."""
+    def columns(self) -> dict[int, list[tuple]] | None:
+        """Row length -> the columns of the rows of that length, or None if
+        a column fails the type check. A column holds exactly ints only, or
+        exactly floats and strs, and, at the depth of a field, tuples of
+        exact strs: a tuple's text is made once, each distinct tuple is
+        checked once, and an int is never looked up among equal floats."""
         rows = self.rows
-        slots = list(chain.from_iterable(rows))
-        kinds = set(map(type, slots))
-        if tuple not in kinds:
-            return kinds <= _SLOT_TYPES
-        in_point = {n: [a > 0 for a in _arities(s) for _ in range(a or 1)]
-                    for n, s in self._shapes.items()}
-        points = compress(slots, chain.from_iterable(
-            map(in_point.__getitem__, map(len, rows))))
-        tuples = [v for v in slots if type(v) is tuple]
-        return (kinds <= _SLOT_TYPES and tuple not in set(map(type, points))
-                and set(map(type, chain.from_iterable(tuples))) <= {str})
+        lengths = set(map(len, rows))
+        out = {}
+        for n in lengths:
+            group = rows if len(lengths) == 1 else [
+                r for r in rows if len(r) == n]
+            cols = list(zip(*group))
+            in_point = [a > 0 for a in _arities(self._shapes[n])
+                        for _ in range(a or 1)]
+            for col, point in zip(cols, in_point):
+                kinds = set(map(type, col))
+                if kinds == {int}:
+                    continue
+                if not kinds <= (_POINT_TYPES if point else _FIELD_TYPES):
+                    return None
+                if tuple in kinds:
+                    try:
+                        distinct = set(col)
+                    except TypeError:  # a tuple holding a list, say
+                        return None
+                    items = chain.from_iterable(
+                        v for v in distinct if type(v) is tuple)
+                    if not set(map(type, items)) <= {str}:
+                        return None
+            out[n] = cols
+        return out
+
+    def typed(self) -> bool:
+        """Whether every column passes the type check (see columns)."""
+        return self.columns() is not None
 
 
 def _arities(shape) -> tuple:
@@ -225,28 +252,38 @@ def canonical_json(obj) -> bytes:
                 for row in o]
 
     def table(o: Table, ind: str) -> str:
-        """One %-fill of the row templates joined. Each distinct value gets
-        its text before the fill, floats all in one batch; zeros are never
-        stored, so they reach the fill as floats, whose %s is their repr,
-        sign and all. A table that fails the type check is written as the
-        list it stands for."""
+        """One %-fill of the row templates joined. Each distinct value of a
+        float or str column gets its text before the fill, floats all in
+        one batch; zeros are never stored, so they reach the fill as
+        floats, whose %s is their repr, sign and all, as do the ints of an
+        int column, which never meet the float cache (1 == 1.0). A table
+        that fails the type check is written as the list it stands for."""
         rows = o.rows
         if not rows:
             return "[]"
-        if not o.typed():
+        columns = o.columns()
+        if columns is None:
             return array(o.plain(), ind)
         inner = ind + "  "
-        new = set(chain.from_iterable(rows)) - floats.keys()
+        texted = [col for cols in columns.values() for col in cols
+                  if type(col[0]) is not int]
+        new = set().union(*texted) - floats.keys()
         numbers([v for v in new if type(v) is float and v])
         texts = dict(floats)
         for v in new:
             if type(v) is not float:
                 texts[v] = value(v, inner + "  ")
+        # row length -> the slot values of its rows, row by row
+        filled = {n: zip(*[col if type(col[0]) is int
+                           else map(texts.get, col, col) for col in cols])
+                  if cols else repeat(())
+                  for n, cols in columns.items()}
         templates = o.templates(inner)
+        lengths = list(map(len, rows))
         body = "[" + inner + ("," + inner).join(
-            map(templates.__getitem__, map(len, rows))) + ind + "]"
-        return body % tuple(map(texts.get, chain.from_iterable(rows),
-                                chain.from_iterable(rows)))
+            map(templates.__getitem__, lengths)) + ind + "]"
+        return body % tuple(chain.from_iterable(
+            map(next, map(filled.__getitem__, lengths))))
 
     def mapping(o, ind: str) -> str:
         if not o:
@@ -265,13 +302,14 @@ def canonical_json(obj) -> bytes:
         del number, numbers, key, value, array, rows, table, mapping
 
 
-def make_report(*, drawing=None, toolpath=None, traces=None, totals=None,
-                checks=None) -> dict:
+def make_report(*, drawing=None, toolpath=None, physics=None, traces=None,
+                totals=None, checks=None) -> dict:
     """A fresh report dict with every section present (empty by default)."""
     return {
         "version": REPORT_VERSION,
         "drawing": drawing if drawing is not None else {},
         "toolpath": toolpath if toolpath is not None else {},
+        "physics": physics if physics is not None else [],
         "traces": traces if traces is not None else [],
         "totals": totals if totals is not None else {},
         "checks": checks if checks is not None else {},
@@ -286,6 +324,8 @@ def write_report(report: dict) -> bytes:
 
 
 def read_report(data: bytes | str) -> dict:
+    """A report of this version, whose every trace's physics index names a
+    row of its physics table."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -294,4 +334,10 @@ def read_report(data: bytes | str) -> dict:
         raise DrawingFormatError(f"malformed report JSON: {exc}") from exc
     if not isinstance(report, dict) or report.get("version") != REPORT_VERSION:
         raise DrawingFormatError(f"report 'version' must be {REPORT_VERSION}")
+    physics = report.get("physics", [])
+    for k, trace in enumerate(report.get("traces", [])):
+        i = trace.get("physics") if isinstance(trace, dict) else None
+        if type(i) is not int or not 0 <= i < len(physics):
+            raise DrawingFormatError(
+                f"report trace {k}: physics index {i!r} does not resolve")
     return report

@@ -83,11 +83,20 @@ def stable_line_width(theta: float, flux: float, print_speed: float) -> LineEsti
     return LineEstimate(width=width, cross_section_area=area, contact_angle=theta)
 
 
+def force_clamped(substrate: SubstrateProperties,
+                  applied_force: float) -> bool:
+    """Whether the applied force (N) lies outside the substrate's
+    contact-angle table, so that angle_at_force clamps it to an end."""
+    table = substrate.angle_table
+    return bool(table) and (applied_force < table[0][0]
+                            or applied_force > table[-1][0])
+
+
 def angle_at_force(substrate: SubstrateProperties, applied_force: float) -> float:
     """Contact angle (deg) at the applied force (N), interpolated linearly.
 
-    Forces outside the table are clamped to the end values with a warning;
-    the tables only cover the measured force span.
+    Forces outside the table are clamped to the end values with a warning
+    (force_clamped); the tables only cover the measured force span.
     """
     table = substrate.angle_table
     if not table:
@@ -95,7 +104,7 @@ def angle_at_force(substrate: SubstrateProperties, applied_force: float) -> floa
     force = float(applied_force)
     forces = [f for f, _ in table]
     angles = [a for _, a in table]
-    if force < forces[0] or force > forces[-1]:
+    if force_clamped(substrate, force):
         warnings.warn(
             f"{substrate.name}: force {force:g} N outside table span "
             f"[{forces[0]:g}, {forces[-1]:g}] N; clamping",

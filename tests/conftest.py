@@ -1,10 +1,12 @@
 """Helpers shared by the test modules."""
 
+import json
 import math
 import random
 from pathlib import Path
 
 from lmprint import VectorDrawing, parse_drawing
+from lmprint.report import Table, canonical_json
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -12,6 +14,37 @@ SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 def sample(name: str) -> VectorDrawing:
     """The shipped drawing samples/<name>.json, parsed."""
     return parse_drawing((SAMPLES / f"{name}.json").read_bytes())
+
+
+# a version-1 report's trace row: the fields, sorted, with the physics inline
+V1_TRACE_FIELDS = {"contact_angle_deg": 0, "creep": 0, "end_mm": 2,
+                   "flags": 0, "flux_m3_s": 0, "pressure_g": 0,
+                   "speed_mm_s": 0, "start_mm": 2, "width_m": 0}
+
+
+def v1_trace_rows(traces) -> bytes:
+    """The traces as a version-1 simulate report wrote them, physics and
+    all in each row: the oracle of the version-2 trace and physics
+    tables."""
+    return canonical_json(Table([V1_TRACE_FIELDS], [
+        (t.contact_angle_deg, t.creep, *t.end, t.flags, t.flux_m3_s,
+         t.pressure_g, t.speed_mm_s, *t.start, t.width_m)
+        for t in traces]))
+
+
+def expanded_traces(report: dict) -> bytes:
+    """A version-2 report's traces, each row's physics read through its
+    index (clamped left out), written as json.dumps writes them."""
+    physics = report["physics"]
+    rows = []
+    for t in report["traces"]:
+        assert type(t["physics"]) is int
+        row = dict(physics[t["physics"]])
+        del row["clamped"]
+        rows.append({**row, "end_mm": t["end_mm"], "flags": t["flags"],
+                     "start_mm": t["start_mm"]})
+    return (json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=True)
+            + "\n").encode("ascii")
 
 
 def coil_svg(seed, cells=2, cell_mm=6.0, turns=6, pitch_mm=0.35):

@@ -181,12 +181,27 @@ def _brute_resistance(net, pad_a, pad_b, resistivity, traces,
             continue
         settled.add(node)
         if node in targets:
-            return ResistanceEstimate(ohms=cost, path=path,
-                                      approximate=branched)
+            return ResistanceEstimate(
+                ohms=cost, path=path,
+                approximate=branched or _brute_cuts(traces, path))
         for nb in sorted(adjacency[node]):
             if nb not in settled:
                 heapq.heappush(heap, (cost + res[nb], nb, path + (nb,)))
     raise CircuitError("pads are not connected within the net")
+
+
+def _brute_cuts(traces, path) -> bool:
+    """Whether a step of the path enters or leaves a segment at a contact
+    point farther than its half-width from both of its ends."""
+    for a, b in zip(path, path[1:]):
+        i, j = sorted((a, b))
+        _, pi, pj = _oracle_gap(traces[i], traces[j])
+        for k, point in ((i, pi), (j, pj)):
+            t = traces[k]
+            half = 0.5e3 * t.width_m
+            if min(math.dist(point, t.start), math.dist(point, t.end)) > half:
+                return True
+    return False
 
 
 def test_outline_clearance_subtracts_half_widths():
@@ -353,6 +368,47 @@ class TestResistance:
         est = estimate_resistance(nets, "A", "B", 1.0)
         assert est.approximate is True
         assert est.path == (0, 1)  # spur not part of the shortest path
+
+    def test_bar_and_stubs_path_through_the_bar_is_approximate(self):
+        # a 100 mm bar with stubs at x = 40 and 70 up to pads P and Q: the
+        # current runs 30 mm of the bar, and the path charges all 100 mm
+        traces = [_trace((0.0, 0.0), (100.0, 0.0)),
+                  _trace((40.0, 0.0), (40.0, 10.0)),
+                  _trace((70.0, 0.0), (70.0, 10.0))]
+        nets = extract_nets(traces, 0.0,
+                            pads={"P": (40.0, 10.0), "Q": (70.0, 10.0)})
+        est = estimate_resistance(nets, "P", "Q", 2.9e-7)
+        assert est.path == (1, 0, 2)
+        assert est.approximate is True
+
+    def test_bar_and_stubs_check_report_is_approximate(self, tmp_path):
+        drawing = tmp_path / "bar.json"
+        drawing.write_text(json.dumps({
+            "version": 1, "units": "mm",
+            "strokes": [{"points": [[0, 0], [100, 0]]},
+                        {"points": [[40, 0], [40, 10]]},
+                        {"points": [[70, 0], [70, 10]]}],
+            "pads": {"P": [40, 10], "Q": [70, 10]}}))
+        out = tmp_path / "check.json"
+        assert main(["check", "--drawing", str(drawing), "--speed", "10",
+                     "--pressure", "30", "--no-reorder", "--pairs", "P:Q",
+                     "--resistivity", "2.9e-7", "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_bytes())["checks"]["resistance"]
+        assert entry["path"] == [1, 0, 2]
+        assert entry["ohms"] == pytest.approx(11.314, abs=1e-3)
+        assert entry["approximate"] is True
+
+    def test_contacts_at_segment_ends_are_not_approximate(self):
+        # a chain meeting end to end, and one end landing within a
+        # half-width of the next segment's end, charges full lengths
+        traces = [_trace((0.0, 0.0), (10.0, 0.0)),
+                  _trace((10.0, 0.0), (10.0, 10.0)),
+                  _trace((10.0, 10.05), (20.0, 10.05))]
+        nets = extract_nets(traces, 0.0,
+                            pads={"A": (0.0, 0.0), "B": (20.0, 10.05)})
+        est = estimate_resistance(nets, "A", "B", 1.0)
+        assert est.path == (0, 1, 2)
+        assert est.approximate is False
 
     def test_shortest_path_matches_brute_force(self):
         # lattice of segments with unequal widths; enumerate all simple

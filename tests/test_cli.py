@@ -430,9 +430,11 @@ def test_simulate_report_and_pgm(run, tmp_path):
     assert rc == 0
     report = read_report(out_path.read_bytes())
     assert len(report["traces"]) == 1
-    trace = report["traces"][0]
-    assert trace["width_m"] > 0.0
-    assert trace["speed_mm_s"] == 40.0
+    physics = report["physics"][report["traces"][0]["physics"]]
+    assert physics["width_m"] > 0.0
+    assert physics["speed_mm_s"] == 40.0
+    assert physics["clamped"] is True  # 0.92 N is past pvc-film's table
+    assert "actions" not in report["toolpath"]  # plan writes them
     totals = report["totals"]
     assert totals["print_time_s"] > 0.0
     assert totals["ink_volume_mm3"] == pytest.approx(

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import coil_svg
+from conftest import coil_svg, expanded_traces, v1_trace_rows
+from lmprint import cli, read_report
 from lmprint.cli import main
 from lmprint.svg import flatten_cubic
 from lmprint.report import Table
@@ -37,88 +38,88 @@ RESISTIVITY = "2.9e-7"
 # (sample, strategy, command) -> sha256 of the output files, in order
 GOLDEN = {
     ('straight-line', 'lift-and-retap', 'plan'):
-        ['fac15248efe4639e4e537e9a0534e2ec606e073893db2758fecea9a6a35fd083'],
+        ['42d2f0190ea9c90cff9fe655334edff5449c7eb3979ef1367d772ba009402463'],
     ('straight-line', 'lift-and-retap', 'simulate'):
-        ['d70369aa4a0248b57a2990a0f940063592a01fac84c1d9efbd97836e300dacd0',
+        ['a66ac2e8aed6a6654828d0031402a2a40414c5fc8f95ae8f5289efb67987adc0',
          '404cee25846894f8690f96a5de16b003539f7d6a8fa07cc4b3a7a1aae559547f'],
     ('straight-line', 'lift-and-retap', 'check'):
-        ['d4671cc600ff876663d0cb303f97766bac7efa696756cf117651262639d8b916'],
+        ['b7b6e52c0314211e316b0e7fac196ce7c4233414e1231de66ee97cc8f171d3ac'],
     ('straight-line', 'slowdown', 'plan'):
-        ['95a40370e9cc0adc94e2925485983bcc8b11ca5bbacc76864603b1a8a086a227'],
+        ['ba180dac6bebbc40d43a75dd1ccb81793c8589f04a1ffa93d907c345eeaab9eb'],
     ('straight-line', 'slowdown', 'simulate'):
-        ['affc378e65fb5ceaf4071faf9cdded5adf3d47364780de793233b0d21e8717ef',
+        ['78267927ab52383bb3953a47a578b216669ba0e94745555b223c17c63a8dbd15',
          '404cee25846894f8690f96a5de16b003539f7d6a8fa07cc4b3a7a1aae559547f'],
     ('straight-line', 'slowdown', 'check'):
-        ['d4671cc600ff876663d0cb303f97766bac7efa696756cf117651262639d8b916'],
+        ['b7b6e52c0314211e316b0e7fac196ce7c4233414e1231de66ee97cc8f171d3ac'],
     ('straight-line', 'fillet', 'plan'):
-        ['10b994f0369c9c2eed9ef991ec902c757ffe4df171df9bfce1ac714f6010b463'],
+        ['bdf8bf93d552466958eca9952f66404deb259584cd51afe270e4b2f866a05095'],
     ('straight-line', 'fillet', 'simulate'):
-        ['e7f85f15c8f195fe242b7ff9a4e391cf26be3d9774b13e8d9954a1aab96c2d89',
+        ['65aef4be2cbf2b2e6e887f14ed57eb8231c72057ddc48634241f6f6943074187',
          '404cee25846894f8690f96a5de16b003539f7d6a8fa07cc4b3a7a1aae559547f'],
     ('straight-line', 'fillet', 'check'):
-        ['d4671cc600ff876663d0cb303f97766bac7efa696756cf117651262639d8b916'],
+        ['b7b6e52c0314211e316b0e7fac196ce7c4233414e1231de66ee97cc8f171d3ac'],
     ('square', 'lift-and-retap', 'plan'):
-        ['1977e6962c44e048f2a5215bf3dd31919650c3af7e1d4a8c8eb1a78937492d37'],
+        ['c5ae80597fc04e944af7564861c177a6603a5a90fe4f34b7028d0afbd09e942a'],
     ('square', 'lift-and-retap', 'simulate'):
-        ['75d4bf7b58080ab5efd4b3e8bc59a4885ff812168884f933fe00edf6e7482101',
+        ['3f52f97420c13b5b22656abc3f59ef2f6e7a038727ea71ff5ef730431c2b453d',
          '42482efe5c93d8c032b0a956ad18a13a6d6000286516e9ce62fa60af5b967c8d'],
     # the square's corner:corner pair is one pad paired with itself: 0 ohm
     ('square', 'lift-and-retap', 'check'):
-        ['2a409708872a9b19b6b1a74daf3c7e0fa7fcdc614942231f17e94e1750ad1fb7'],
+        ['abdffc33f1a244f53c802bb64e7de9eadcc8db3a7b7effeea08032bb8fedb781'],
     ('square', 'slowdown', 'plan'):
-        ['b32739f09c4e42d09ba906f0cc1e6e19ffaa319ce9b45b7a6a4b6f5844c4a697'],
+        ['e2fecc8bd2c12efff075c96279b99ce3e72175c1fb1550dca6af6c2be644ba7c'],
     ('square', 'slowdown', 'simulate'):
-        ['9adb8b6e10d72ec548e4be0faff6938f334f1c9eff6b9223ee89071c1b0a350f',
+        ['5cf428cc057d5979c6dba01d44d2d18679273f9a5f3d53e78c74b5894eacf7ee',
          '4fa14f6e5c91fb3970664bb6a52bd09cc4a5ff46b0feb7b9b7fa193076299959'],
     ('square', 'slowdown', 'check'):
-        ['3bcbec644dfe749f933ed1f675ea65895d9045cb3a4383fc1a30a31757c04af2'],
+        ['e89c9e70f1abf21c426b95fa2684121006c6a5bbbca8b7670ae5d35489eaa2af'],
     ('square', 'fillet', 'plan'):
-        ['18b09b145b239d9ab9cb8d276164462e92e29c3fbf2e8254214fe38cdfe2da56'],
+        ['d30be03d9f0e92c3e9e2cad2ae9930dff331b1823523a67a90f3e4a5ab4ea693'],
     ('square', 'fillet', 'simulate'):
-        ['7facc6e7f20aa32eb53344d5f2f91bc0d13d557b8ed741f8b17515d11093afa5',
+        ['a5937c7edb34aa0cffb48f65321dfd4248139182de91cec0b1f2afb24f529aee',
          'e0bcd4088707b4f1eca95f8ab1f90e8ac01eaf608afcd03cf54e97d6acad49be'],
     ('grid-antenna', 'lift-and-retap', 'plan'):
-        ['626350faca4c3e729c3b27d0ac56d8c2e5a8eedf06f84eceacacc9b1b3e12ee8'],
+        ['ac0b4db9c94c7b00b0073d922a832d70e30a4677747357a6fa3d21b4973ccdbe'],
     ('grid-antenna', 'lift-and-retap', 'simulate'):
-        ['ab5db2cfde14860c9d3926130daed7b7e9d8afd663abae45870f0037c7ea51ca',
+        ['6517b856e716d57c5aa873a51d72c15a75688159df33d23e4a102313e58f08c9',
          '057182fe19ac14edd791b343c7d0bfe54d2d86a2067528711782205a4d42caa1'],
     ('grid-antenna', 'lift-and-retap', 'check'):
-        ['3beb6284bfcab838b59a10b8597f65d78d4580395645b315fc60fdc57e0bb292'],
+        ['c77df847eb786e57fe2300a1e142d27b9c6d343ba53ec5929ad21ef23ec23ee1'],
     ('grid-antenna', 'slowdown', 'plan'):
-        ['be647259f3a656e7bcf29ba8b25fc01b020be13a3d2c122fec578accd06281cf'],
+        ['b7a610c14d4914895c128fa34c964c578603ddf46d7e511f94e3910c46645c99'],
     ('grid-antenna', 'slowdown', 'simulate'):
-        ['78a4ce90d5035fae35b09b60cfaa8e01b7ad2628efc56e5d6c0c4eab1920b0f6',
+        ['a3a8f402f09dca401a63cdc0ecd47dfd0b4d375c6cd53acdfad834c893a8496c',
          '057182fe19ac14edd791b343c7d0bfe54d2d86a2067528711782205a4d42caa1'],
     ('grid-antenna', 'slowdown', 'check'):
-        ['3beb6284bfcab838b59a10b8597f65d78d4580395645b315fc60fdc57e0bb292'],
+        ['c77df847eb786e57fe2300a1e142d27b9c6d343ba53ec5929ad21ef23ec23ee1'],
     ('grid-antenna', 'fillet', 'plan'):
-        ['4142831bd79933ec90efb369cd12105deda65b0c2492f8fc3ff449cc2ba1c391'],
+        ['128c426db56b2cf20bfbb2a1750a58ff045df9f715273b0e3c5884b95c61c71f'],
     ('grid-antenna', 'fillet', 'simulate'):
-        ['07c20e7eb111a90bf961d81337aaaa8c0840b47ddb00630aafb69dd984c8f76d',
+        ['69a757484031663210ecb61634f473fd949fb2852b6b43d5c3c157092701a352',
          '057182fe19ac14edd791b343c7d0bfe54d2d86a2067528711782205a4d42caa1'],
     ('grid-antenna', 'fillet', 'check'):
-        ['3beb6284bfcab838b59a10b8597f65d78d4580395645b315fc60fdc57e0bb292'],
+        ['c77df847eb786e57fe2300a1e142d27b9c6d343ba53ec5929ad21ef23ec23ee1'],
     ('ic-sketch', 'lift-and-retap', 'plan'):
-        ['8dba6d9f81fe8cca2f028a4067952450dd7e0c13b842d3f171c2f7f27a52711e'],
+        ['e69dcbe50522f955accab36d8e67c7c8491129df9e2214786522d67eb631d875'],
     ('ic-sketch', 'lift-and-retap', 'simulate'):
-        ['4c8112622997b51c18f5fa1345b810db49df8f15d4a96610974301915e276469',
+        ['2af563facc1e481a5e395506aadd61b0578cdee25685cf1c92ba16de191c9a11',
          '4c4c7c22ce0a85e9f27b2ef1961d3286d90f87cb4823476b5db9300a3033e2c5'],
     ('ic-sketch', 'lift-and-retap', 'check'):
-        ['0b1efd28e36f3c8a8cadc2e77791ba8c2993b9213031b54ebb7c78130efad5fd'],
+        ['67ef8d6e7f8d9f3f674f47c092aa8f4a72ad1072660424daed73e1dd0c1158d3'],
     ('ic-sketch', 'slowdown', 'plan'):
-        ['1bbc252d60bb699ad8b591929cad8d3502d5251f3d48029e9662bd22b58dfd7f'],
+        ['79b6b684082640f9310f24e75eeecc8e6facaaf2ede11873e2c9e72a75785243'],
     ('ic-sketch', 'slowdown', 'simulate'):
-        ['eee3070378bafc80e1d1edb01618fe92add1cf7164a451aa7652187048467920',
+        ['f3810b1a4ea86b341c460a4debf340ca7588f217bea888fbe892c07ebfe0fade',
          'd09deb3613ee7a286d3b69b052cfc514a4cb0d505e847d23bc1cde90fe6ccdc9'],
     ('ic-sketch', 'slowdown', 'check'):
-        ['f7f7a97c37168be26eca3e002183e6ca58296042dd939899e196bd87d59f1ea0'],
+        ['03d480a1fa6b1c6cc93bc8ede32b3f2586012361a9f8b27e31d92dd6b4e5cc3f'],
     ('ic-sketch', 'fillet', 'plan'):
-        ['6cc29609e83336b243a4501f417fec4c8b07ae32b61f31b388f4f0afb2e8a4ac'],
+        ['8940b91a39c3cb16e697a9282a079406c52fe6c4f63b8ef05caa28e66dce108b'],
     ('ic-sketch', 'fillet', 'simulate'):
-        ['e400fabadca50910d4cb02b6dff8a1fb77bbd16674cd92fb39752c70b927faa3',
+        ['0d38230d589a19407b67b34e5ea3c3baa4007ae43fe2696a435ee3d36b734d13',
          '2fc656807adc500b7fd02e4d74c4aadb5603352517fef40af8995225fe1ddd23'],
     ('ic-sketch', 'fillet', 'check'):
-        ['6856a2b6857ba3aba64b6e01eb8ce44a361e368f693e3a6906ffc0d4f80a1162'],
+        ['890eadc3167e8073129b6bd4f89d0ad925ce2dac2fc7b844113d7508c613bd7d'],
 }
 
 # runs that fail on purpose: (sample, strategy, command) -> (exit, stderr)
@@ -180,6 +181,21 @@ def test_cli_output_bytes(sample, strategy, command, tmp_path, capsys):
         return
     assert rc == 0, err
     assert digests == GOLDEN[key]
+
+
+@pytest.mark.parametrize("sample,strategy",
+                         [(s, t) for s in PAIRS for t in STRATEGIES],
+                         ids=[f"{s}/{t}" for s in PAIRS for t in STRATEGIES])
+def test_simulate_traces_expand_to_the_v1_rows(sample, strategy, tmp_path):
+    # each trace row read through the physics table is the row a version-1
+    # report wrote for it, bit for bit
+    argv, (report, _) = _argv(sample, "simulate",
+                              _config(tmp_path, strategy), tmp_path)
+    assert main(argv) == 0
+    env, _, toolpath = cli._pipeline(cli.build_parser().parse_args(argv))
+    result = cli.simulate(toolpath, env)
+    assert expanded_traces(read_report(report.read_bytes())) \
+        == v1_trace_rows(result.traces)
 
 
 def test_flattened_cubic_bytes():
@@ -248,7 +264,7 @@ def test_coil_raster_settles_few_pairs(tmp_path, monkeypatch):
 
 def test_long_coil_report_bytes_equal_json_dumps(tmp_path, monkeypatch):
     # the report writer against its oracle on a report of over 1000 traces,
-    # whose trace and action tables take the table path, not the fallback
+    # whose trace table takes the table path, not the fallback
     def no_fallback(table):
         raise AssertionError("a report table failed the type check")
 

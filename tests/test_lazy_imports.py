@@ -61,7 +61,8 @@ EXPORTS = {
                   "fit_width_model", "simulate"],
     "svg": ["flatten_cubic"],
     "wetting": ["BeadWettingPair", "LineEstimate", "SurfaceTensionTriple",
-                "angle_at_force", "deposition_feasible", "stable_line_width",
+                "angle_at_force", "deposition_feasible", "force_clamped",
+                "stable_line_width",
                 "wettability_ranking", "young_contact_angle"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]

@@ -113,10 +113,11 @@ def test_occupied_area():
 
 def test_empty_report_has_all_sections():
     report = make_report()
-    assert report["version"] == 1
-    for key in ("drawing", "toolpath", "traces", "totals", "checks"):
+    assert report["version"] == 2
+    for key in ("drawing", "toolpath", "physics", "traces", "totals",
+                "checks"):
         assert key in report
-    assert report["traces"] == []
+    assert report["physics"] == report["traces"] == []
 
 
 def test_report_round_trip_and_sorted_keys():
@@ -133,8 +134,19 @@ def test_report_round_trip_and_sorted_keys():
 
 def test_report_version_enforced():
     with pytest.raises(DrawingFormatError):
-        write_report({"version": 2})
+        write_report({"version": 1})
+    with pytest.raises(DrawingFormatError):
+        read_report(b'{"version": 1}')
     with pytest.raises(DrawingFormatError):
         read_report(b'{"version": 99}')
     with pytest.raises(DrawingFormatError):
         read_report(b"not json")
+
+
+@pytest.mark.parametrize("ref", ["1", "-1", "true", "0.0", "null"])
+def test_read_report_refuses_a_physics_index_that_does_not_resolve(ref):
+    good = ('{"version": 2, "physics": [{"width_m": 1e-4}], "traces": '
+            '[{"physics": 0}, {"physics": %s}]}')
+    assert read_report(good % "0")["traces"][1]["physics"] == 0
+    with pytest.raises(DrawingFormatError, match="trace 1"):
+        read_report(good % ref)

@@ -6,14 +6,18 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lmprint import make_report, write_report
+from conftest import expanded_traces, v1_trace_rows
+from lmprint import (PVC_FILM, TraceSegment, angle_at_force, cli,
+                     grams_to_newtons, make_report, read_report, write_report)
 from lmprint.report import Table, canonical_json
 
 
@@ -159,7 +163,7 @@ def test_subclasses_written_as_json_writes_them():
 
 
 def test_write_report_bytes_equal_json_dumps():
-    report = {"version": 1, "traces": [
+    report = {"version": 2, "traces": [
         {"start_mm": [0.0, -0.0], "creep": -0.0, "flags": [], "w": 1e-7},
         {"start_mm": [1e16, 0.1], "creep": 0.0, "flags": ["slip"],
          "w": 5e-324}]}
@@ -184,39 +188,64 @@ slot_values = (st.sampled_from(SLOT_FLOATS) | st.floats(allow_nan=False,
 flag_tuples = st.lists(st.sampled_from(["slip-risk", "speed-warning", "%s",
                                         "é", ""]), max_size=3).map(tuple)
 # values json takes that the table path must not: True hash-hits 1.0 and 1
-# is an int equal to it; np.float64 and Real are float subclasses; a tuple
-# of anything but exact strs has no text of its own, and one in a point
-# would be written a level deeper than a field's
+# is an int equal to it (an int column of exact ints is fine, a column
+# mixing ints with anything is not); np.float64 and Real are float
+# subclasses; a tuple of anything but exact strs has no text of its own,
+# and one in a point would be written a level deeper than a field's
 odd_slot_values = st.sampled_from([True, False, 1, np.float64(1.0),
                                    np.float64(-0.0), Real(2.5), Real(-0.0),
                                    (1.0,), (True,), ("slip-risk", -0.0)])
+# int slots, most of them equal to a float of SLOT_FLOATS
+int_values = st.integers(-2, 3) | st.sampled_from(ODD_INTS)
 arities = st.sampled_from([0, 0, 1, 2, 3])
 
 
-def _row(draw, shape, odd: bool) -> tuple[tuple, bool]:
-    """A row of this shape, and whether every slot is a plain float or
-    str, or a field's tuple of strs. A field holds tuples in some rows."""
-    slots, plain = [], True
+def _arity_list(shape) -> list[int]:
+    return list(shape.values()) if type(shape) is dict else list(shape)
+
+
+def _row(draw, shape, odd: bool, int_slots: set) -> tuple:
+    """A row of this shape; int_slots are its slots drawn as ints. A field
+    holds tuples in some rows."""
+    slots = []
     strings = draw(st.booleans())
-    for arity in (shape.values() if type(shape) is dict else shape):
+    for arity in _arity_list(shape):
         for _ in range(arity or 1):
             if odd and draw(st.integers(0, 3)) == 0:
                 v = draw(odd_slot_values | flag_tuples)
+            elif len(slots) in int_slots:
+                v = draw(int_values)
             else:
                 v = draw(flag_tuples if strings and not arity
                          else slot_values)
-            plain &= type(v) in (float, str) or (
-                not arity and type(v) is tuple
-                and all(type(s) is str for s in v))
             slots.append(v)
-    return tuple(slots), plain
+    return tuple(slots)
+
+
+def _typed_oracle(shapes, rows) -> bool:
+    """The table path's type rule, slot by slot: each column of the rows
+    of one shape holds exact ints only, or exact floats and strs and, in
+    a field of arity 0, tuples of exact strs."""
+    for shape in shapes:
+        in_point = [a > 0 for a in _arity_list(shape) for _ in range(a or 1)]
+        group = [row for row in rows if len(row) == len(in_point)]
+        for k, point in enumerate(in_point):
+            column = [row[k] for row in group]
+            if all(type(v) is int for v in column):
+                continue
+            for v in column:
+                if not (type(v) in (float, str) or (
+                        not point and type(v) is tuple
+                        and all(type(s) is str for s in v))):
+                    return False
+    return True
 
 
 @st.composite
 def tables(draw):
     """A Table of object rows (one shape) or of array rows (shapes of
-    distinct lengths), and whether every slot is a plain float or str, or
-    a field's tuple of strs."""
+    distinct lengths), and whether its every column passes the type
+    check."""
     if draw(st.booleans()):
         names = sorted(draw(st.lists(texts, min_size=1, max_size=5,
                                      unique=True)))
@@ -230,10 +259,13 @@ def tables(draw):
                 lengths.add(n)
                 shapes.append(tuple(arity_list))
     odd = draw(st.booleans())
-    rows = [_row(draw, draw(st.sampled_from(shapes)), odd)
-            for _ in range(draw(st.integers(0, 8)))]
-    return (Table(shapes, [row for row, _ in rows]),
-            all(plain for _, plain in rows))
+    int_slots = [draw(st.sets(st.integers(0, 11), max_size=2))
+                 for _ in shapes]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, len(shapes) - 1))
+        rows.append(_row(draw, shapes[k], odd, int_slots[k]))
+    return Table(shapes, rows), _typed_oracle(shapes, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,14 +282,53 @@ def tables(draw):
 @example((Table([(0,), (0, 2)], [(("a", "b"),), ((), 1.0, 2.0)]), True), [])
 @example((Table([(0, 2)], [((), 1.0, 2.0), (1.0, ("a",), 2.0)]), False), [])
 @example((Table([{"f": 0}], [(("a",),), ((1.0,),), ((True,),)]), False), [])
-def test_table_bytes_equal_json_dumps(table_and_plain, before):
+@example((Table([{"i": 0, "p": 2}], [(1, 1.0, 0.0), (0, -0.0, 1.0)]), True),
+         [1.0, 2.0])
+@example((Table([(0, 2), (0,)], [(1, 1.0, 2.0), (2.0,), (2, 0.0, 1.0)]),
+          True), [2])
+@example((Table([{"i": 0}], [(1,), (1.0,)]), False), [])
+@example((Table([(0,)], [(("a", ["b"]),)]), False), [])
+def test_table_bytes_equal_json_dumps(table_and_typed, before):
     """The table path against json.dumps of the rows it stands for, inside
     a document whose earlier floats already fill the text cache."""
-    table, plain = table_and_plain
-    assert table.typed() == plain
+    table, typed = table_and_typed
+    assert table.typed() == typed
     doc = {"a": before, "b": {"rows": table}}
     assert canonical_json(doc) == oracle({"a": before,
                                           "b": {"rows": table.plain()}})
+
+
+def test_table_int_slots_bytes_equal_json_dumps(monkeypatch):
+    # index 1 and coordinate 1.0 are one dict key: each is written as
+    # itself, whichever the document held first
+    rows = [(1.0, 0.0, 1), (0.0, 1.0, 0), (-0.0, 2.0, 2), (1.0, 1.0, 1)]
+    table = Table([{"at": 2, "physics": 0}], rows)
+    doc = {"a": [1.0, 2.0], "t": table, "z": [1, 2]}
+
+    def no_fallback(table):
+        raise AssertionError("an int column failed the type check")
+
+    with monkeypatch.context() as m:
+        m.setattr(Table, "plain", no_fallback)
+        written = canonical_json(doc)
+    assert written == oracle({**doc, "t": table.plain()})
+    assert b'"physics": 1\n' in written and b'"physics": 1.0' not in written
+
+
+def test_table_bool_slot_falls_back_to_plain(monkeypatch):
+    # True == 1 == 1.0, and json writes it as true: a bool is no int slot
+    table = Table([{"f": 0, "i": 0}], [(1.0, 1), (2.0, True)])
+    calls = []
+    plain = Table.plain
+
+    def counted(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(Table, "plain", counted)
+    assert not table.typed()
+    assert canonical_json({"t": table}) == oracle({"t": plain(table)})
+    assert calls == [table]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -313,3 +384,63 @@ def test_write_report_leaves_no_cyclic_garbage():
             gc.enable()
     assert len(out) > 400_000
     assert kept - len(out) < 64 * 1024
+
+
+# --- the version-2 trace and physics tables against the version-1 rows
+
+# physics values and coordinates from one small pool: indices 0-3 equal
+# coordinates, -0.0 equals 0.0, and 94 g is past pvc-film's angle table
+PHYSICS_VALUES = [0.0, -0.0, 1.0, 2.0, 3.0, 94.0, 1.5e-4, 5e-324, 1 / 3]
+COORDS = [0.0, -0.0, 1.0, 2.0, 3.0, 2.5]
+PHYSICS_FIELDS = ("contact_angle_deg", "creep", "flux_m3_s", "pressure_g",
+                  "speed_mm_s", "width_m")
+
+
+@st.composite
+def simulations(draw):
+    """A result's traces, each taking one of up to 6 physics tuples."""
+    values = st.sampled_from(PHYSICS_VALUES)
+    coords = st.sampled_from(COORDS) | st.floats(-10.0, 10.0)
+    pool = draw(st.lists(st.tuples(*[values] * 6), min_size=1, max_size=6))
+    traces = []
+    for _ in range(draw(st.integers(0, 12))):
+        physics = dict(zip(PHYSICS_FIELDS, draw(st.sampled_from(pool))))
+        traces.append(TraceSegment(
+            start=(draw(coords), draw(coords)),
+            end=(draw(coords), draw(coords)),
+            flags=draw(flag_tuples), **physics))
+    return SimpleNamespace(traces=tuple(traces))
+
+
+def _clamps(pressure_g: float) -> bool:
+    """Whether angle_at_force warns that it clamps this pressure's force."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        angle_at_force(PVC_FILM, grams_to_newtons(pressure_g))
+    return bool(caught)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simulations())
+@example(SimpleNamespace(traces=(
+    TraceSegment(start=(1.0, 0.0), end=(2.0, 3.0), width_m=1.0,
+                 flux_m3_s=0.0, creep=-0.0, contact_angle_deg=2.0,
+                 speed_mm_s=3.0, pressure_g=94.0),
+    TraceSegment(start=(0.0, 1.0), end=(1.0, -0.0), width_m=1.0,
+                 flux_m3_s=-0.0, creep=0.0, contact_angle_deg=2.0,
+                 speed_mm_s=3.0, pressure_g=94.0),
+    TraceSegment(start=(2.0, 2.0), end=(0.0, 1.0), width_m=1.0,
+                 flux_m3_s=0.0, creep=-0.0, contact_angle_deg=2.0,
+                 speed_mm_s=3.0, pressure_g=94.0))))
+def test_v2_traces_expand_to_the_v1_rows(result):
+    physics, traces = cli._trace_sections(result, PVC_FILM)
+    blob = write_report(make_report(physics=physics, traces=traces))
+    assert blob == oracle(json.loads(blob))
+    assert expanded_traces(read_report(blob)) == v1_trace_rows(result.traces)
+    # one row per distinct physics tuple, bit for bit, in first-use order
+    firsts = dict.fromkeys(repr(tuple(getattr(t, k) for k in PHYSICS_FIELDS))
+                           for t in result.traces)
+    assert [repr(tuple(p[k] for k in PHYSICS_FIELDS))
+            for p in physics] == list(firsts)
+    assert [p["clamped"] for p in physics] \
+        == [_clamps(p["pressure_g"]) for p in physics]

@@ -1,6 +1,7 @@
 """Young equilibrium, force-dependent angles and stable line width."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from lmprint import (OFFICE_PAPER, PVC_FILM, STAINLESS_STEEL,
                      BeadWettingPair, SubstrateProperties,
                      SurfaceTensionTriple, angle_at_force,
-                     deposition_feasible, stable_line_width,
+                     deposition_feasible, force_clamped, stable_line_width,
                      wettability_ranking, young_contact_angle)
 from lmprint.wetting import line_width_profile
 from lmprint.errors import NoEquilibriumError, WettingDomainError
@@ -140,6 +141,25 @@ def test_angle_at_force_equals_np_interp(case):
     expected = float(np.interp(force, [f for f, _ in table],
                                [a for _, a in table]))
     assert angle_at_force(substrate, force).hex() == expected.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_and_force())
+@example((((0.0, 140.0), (0.2, 40.0)), 0.2))        # the last knot: in span
+@example((((0.0, 140.0), (0.2, 40.0)), -0.0))       # the first knot: in span
+@example((((0.1, 90.0),), math.nan))                # NaN is never clamped
+def test_force_clamped_is_when_angle_at_force_warns(case):
+    table, force = case
+    substrate = SubstrateProperties(
+        name="random", youngs_modulus=1e9, poisson_ratio=0.3,
+        friction_coefficient=0.4, gamma_sub_air=0.04, gamma_sub_lm=0.5,
+        angle_table=table)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        angle_at_force(substrate, force)
+    assert force_clamped(substrate, force) is bool(caught)
+    assert force_clamped(substrate, force) is (
+        not table[0][0] <= force <= table[-1][0] and not math.isnan(force))
 
 
 def test_wettability_ranking():

@@ -43,6 +43,7 @@ _EXPORTS = {
     "report": "make_report read_report write_report",
     "simulator": "EmpiricalWidthModel SimulationResult "
                  "TraceSegment fit_width_model simulate",
+    "spans": "",
     "svg": "flatten_cubic",
     "wetting": "BeadWettingPair LineEstimate SurfaceTensionTriple angle_at_force "
                "deposition_feasible force_clamped stable_line_width "

@@ -256,7 +256,8 @@ class CircuitNets(Record):
     outline gap is at most contact_reach, the larger of the touch
     tolerance and the clearance the nets were extracted for, in (i, j)
     order; drc reads them, and estimate_resistance finds a path's steps
-    among them by bisection.
+    among them by bisection. pads lists the pads the nets were extracted
+    with, (name, point) in name order.
     """
 
     nets: tuple[Net, ...]
@@ -264,6 +265,7 @@ class CircuitNets(Record):
     traces: tuple  # of simulator.TraceSegment
     contact_reach: float = 0.0
     contacts: tuple[Contact, ...] = ()
+    pads: tuple[tuple[str, Point], ...] = ()
 
     @cached_property
     def _by_pad(self) -> dict[str, Net]:
@@ -272,6 +274,10 @@ class CircuitNets(Record):
             for name in net.pads:
                 lookup.setdefault(name, net)
         return lookup
+
+    @cached_property
+    def _pad_points(self) -> dict[str, Point]:
+        return dict(self.pads)
 
     def net_of_pad(self, name: str) -> Net:
         """The first net, in id order, that the pad touches."""
@@ -365,7 +371,7 @@ def extract_nets(traces, touch_tolerance: float,
         for nid, seg_ids in enumerate(members))
     return CircuitNets(nets=nets, touch_tolerance=touch_tolerance,
                        traces=traces, contact_reach=reach,
-                       contacts=tuple(contacts))
+                       contacts=tuple(contacts), pads=tuple(pad_items))
 
 
 def check_connectivity(nets: CircuitNets,
@@ -400,6 +406,13 @@ def _off_ends(trace, point: Point) -> bool:
             and math.dist(point, trace.end) > half_width)
 
 
+def _pad_off_ends(nets: CircuitNets, trace, pad: str) -> bool:
+    """Whether the pad lies off both ends of trace (_off_ends), or the nets
+    do not hold its point, as a CircuitNets built without pads does."""
+    point = nets._pad_points.get(pad)
+    return point is None or _off_ends(trace, point)
+
+
 def _cuts_a_segment(nets: CircuitNets, path: tuple[int, ...]) -> bool:
     """Whether the path enters or leaves a segment at a contact point off
     both of its ends, so the current runs through only part of a segment
@@ -423,7 +436,8 @@ def estimate_resistance(nets: CircuitNets, pad_a: str, pad_b: str,
     known to be off: on a branched or looping net, whose parallel branches
     the single path ignores, and where the path enters or leaves a segment
     at a contact point farther than its half-width from both of its ends,
-    which charges the whole segment for the part between. A pad paired with
+    which charges the whole segment for the part between. A pad counts as
+    such a point on the path's first or last segment. A pad paired with
     itself is 0 ohm along the empty path.
     """
     if not 0.0 < resistivity < math.inf:
@@ -454,7 +468,9 @@ def estimate_resistance(nets: CircuitNets, pad_a: str, pad_b: str,
         if node in targets:
             return ResistanceEstimate(
                 ohms=cost, path=path,
-                approximate=branched or _cuts_a_segment(nets, path))
+                approximate=(branched or _cuts_a_segment(nets, path)
+                             or _pad_off_ends(nets, traces[path[0]], pad_a)
+                             or _pad_off_ends(nets, traces[path[-1]], pad_b)))
         for nb in sorted(adjacency[node]):
             if nb not in settled:
                 heapq.heappush(heap, (cost + res[nb], nb, path + (nb,)))

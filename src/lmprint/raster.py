@@ -6,14 +6,21 @@ The raster is georeferenced: origin_mm is the (x, y) of the top-left pixel
 corner, rows run toward decreasing y (image convention). PGM carries no
 scale, so reading one back needs the scale repeated; pixel content and
 dimensions round-trip bit-exactly.
+
+Two kernels stamp the traces, with the same float decisions and so the
+same bytes: a drawing of at most _SCALAR_PAIRS (trace, row) pairs is
+stamped here in plain Python floats, a larger one by the vector kernel in
+lmprint.spans, the only part of rasterizing and painting that imports
+numpy. Reading the cells canvas, from_cells and read_pgm import it too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import cached_property
-
-import numpy as np
+from itertools import chain, islice
 
 from .core import Record
 from .errors import ConfigError, DrawingFormatError, RasterSizeError
@@ -22,18 +29,26 @@ from .errors import ConfigError, DrawingFormatError, RasterSizeError
 # and written before the next, so no canvas is held
 _PGM_BAND = 1 << 20
 
+# the most (trace, row) pairs the scalar kernel stamps: at 1.3-2.0 us a
+# pair, 2^14 pairs take about a third of a fresh numpy import (75-116 ms
+# on a shared 2-CPU host), which the scalar kernel saves
+_SCALAR_PAIRS = 1 << 14
+
 
 class RasterImage(Record):
     """A binary raster at scale mm/px, held as run lengths, row-major over
     width * height pixels: runs alternates 0 and 255, background first.
     The form is canonical (an odd count; only the first and last run may
-    be 0), so equal pixels are equal runs. cells, the (height, width)
-    uint8 canvas, is built on first read and kept."""
+    be 0), so equal pixels are equal runs. runs is an int64 numpy array
+    when built from one (the vector kernel, from_cells), else an
+    array('q'), which numpy views without a copy; the two compare equal
+    run for run. cells, the (height, width) uint8 canvas, is built on
+    first read and kept."""
 
     width: int
     height: int
     scale: float
-    runs: np.ndarray
+    runs: array  # or an int64 numpy array
     origin_mm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
@@ -41,16 +56,25 @@ class RasterImage(Record):
             raise ConfigError("raster dimensions must be >= 1")
         if not (0 < self.scale < math.inf):
             raise ConfigError("raster scale must be finite and > 0")
-        runs = np.asarray(self.runs)
-        # a float length would be truncated by a cast, so none is taken
-        if runs.dtype.kind not in "iu" or runs.ndim != 1 \
-                or runs.size % 2 == 0 or runs.min() < 0 \
-                or not runs[1:-1].all() \
-                or runs.sum() != self.width * self.height:
-            raise ConfigError("runs must be canonical integer lengths that "
-                              "sum to width * height")
-        object.__setattr__(self, "runs",
-                           np.ascontiguousarray(runs, dtype=np.int64))
+        runs, pixels = self.runs, self.width * self.height
+        np = sys.modules.get("numpy")  # an ndarray means numpy is loaded
+        if np is not None and isinstance(runs, np.ndarray):
+            # a float length would be truncated by a cast, so none is taken
+            if runs.dtype.kind not in "iu" or runs.ndim != 1 \
+                    or runs.size % 2 == 0 or runs.min() < 0 \
+                    or not runs[1:-1].all() or runs.sum() != pixels:
+                raise ConfigError(_NOT_CANONICAL)
+            runs = np.ascontiguousarray(runs, dtype=np.int64)
+        else:
+            if not (isinstance(runs, array) and runs.typecode == "q"):
+                try:  # a float length is a TypeError, not a truncation
+                    runs = array("q", runs)
+                except (TypeError, ValueError, OverflowError):
+                    raise ConfigError(_NOT_CANONICAL) from None
+            if len(runs) % 2 == 0 or min(runs) < 0 \
+                    or not all(runs[1:-1]) or sum(runs) != pixels:
+                raise ConfigError(_NOT_CANONICAL)
+        object.__setattr__(self, "runs", runs)
 
     @classmethod
     def from_cells(cls, width: int, height: int, scale: float, cells,
@@ -58,6 +82,7 @@ class RasterImage(Record):
         """The raster of a (height, width) canvas of 0 and 255 pixels: its
         runs end where a pixel differs from the one before, with background
         before the first pixel and after the last."""
+        import numpy as np
         cells = np.asarray(cells)
         if cells.shape != (height, width):
             raise ConfigError(
@@ -74,22 +99,35 @@ class RasterImage(Record):
     def __eq__(self, other):
         if not isinstance(other, RasterImage):
             return NotImplemented
-        return (self.width == other.width and self.height == other.height
-                and self.scale == other.scale and self.origin_mm == other.origin_mm
-                and np.array_equal(self.runs, other.runs))
+        if (self.width, self.height, self.scale, self.origin_mm) != \
+                (other.width, other.height, other.scale, other.origin_mm):
+            return False
+        a, b = self.runs, other.runs
+        if isinstance(a, array) and isinstance(b, array):
+            return a == b
+        import numpy as np  # one of the two is an ndarray
+        return bool(np.array_equal(a, b))
 
     @cached_property
-    def cells(self) -> np.ndarray:
-        return np.repeat(_shades(self.runs.size), self.runs).reshape(
+    def cells(self):
+        import numpy as np
+        return np.repeat(_shades(len(self.runs)), self.runs).reshape(
             self.height, self.width)
 
     def occupied_area_mm2(self) -> float:
         """Area covered by ink pixels."""
-        return float(self.runs[1::2].sum()) * self.scale * self.scale
+        ink = self.runs[1::2]
+        pixels = sum(ink) if isinstance(ink, array) else int(ink.sum())
+        return float(pixels) * self.scale * self.scale
+
+
+_NOT_CANONICAL = "runs must be canonical integer lengths that sum to " \
+                 "width * height"
 
 
 def _shades(count: int):
     """The values of count runs: 0 and 255 alternately, 0 first."""
+    import numpy as np
     shades = np.zeros(count, dtype=np.uint8)
     shades[1::2] = 255
     return shades
@@ -99,12 +137,38 @@ def pgm_parts(image: RasterImage):
     """The PGM header, then the body in bands of at most _PGM_BAND pixels.
 
     Each band is painted from the runs it crosses, so writing the parts in
-    turn writes the PGM without holding a canvas.
+    turn writes the PGM without holding a canvas. An array('q') of runs is
+    painted in Python, an ndarray with numpy.
     """
     yield f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    runs, shades = image.runs, _shades(image.runs.size)
-    ends = np.cumsum(runs)
-    n = image.width * image.height
+    paint = _paint if isinstance(image.runs, array) else _paint_numpy
+    yield from paint(image.runs, image.width * image.height)
+
+
+def _paint(runs, n: int):
+    """Bands of the n pixels of runs: each starts as zeros, background,
+    and each ink run that crosses it is copied in from a band of 255s."""
+    ink = memoryview(b"\xff" * min(_PGM_BAND, n))
+    k, start = 1, runs[0]  # the next ink run and its first pixel
+    for p in range(0, n, _PGM_BAND):
+        q = min(p + _PGM_BAND, n)
+        band = bytearray(q - p)
+        while k < len(runs) and start < q:
+            stop = start + runs[k]
+            a, b = max(start, p), min(stop, q)
+            band[a - p:b - p] = ink[:b - a]
+            if stop > q:  # the run goes on into the next band
+                break
+            start = stop + runs[k + 1]
+            k += 2
+        yield band
+
+
+def _paint_numpy(runs, n: int):
+    """_paint with numpy: each band repeats the shades of the runs it
+    crosses."""
+    import numpy as np
+    shades, ends = _shades(runs.size), np.cumsum(runs)
     for p in range(0, n, _PGM_BAND):
         q = min(p + _PGM_BAND, n)
         # runs i..j cross pixels p..q-1: i is the first run to end beyond
@@ -134,6 +198,7 @@ def read_pgm(data: bytes, scale: float,
     the caller supplies it; with the same scale and origin the write/read
     round trip is the identity.
     """
+    import numpy as np
     parts = data.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5":
         raise DrawingFormatError("not a canonical P5 PGM")
@@ -153,11 +218,6 @@ def read_pgm(data: bytes, scale: float,
     return RasterImage.from_cells(w, h, scale, cells, origin_mm)
 
 
-# (trace, row) pairs per batch: the batch's arrays stay in cache and add
-# about 1 MB to the peak memory of a small drawing
-_SPAN_CHUNK = 1 << 12
-
-
 def rasterize(traces, scale: float, *,
               max_pixels: int = 50_000_000) -> RasterImage:
     """Stamp traces into a binary occupancy raster at scale mm/pixel.
@@ -172,272 +232,216 @@ def rasterize(traces, scale: float, *,
     A trace crosses each row of its window in one span of pixels, since a
     capsule is convex (the rule's rounding could split a span only on a
     row that grazes the band edge of a segment some 1e7 half-widths
-    long). All (trace, row) pairs are batched, and each span's ends come
-    from where the row meets two outlines of the capsule, an outer one at
-    half-width hw + eps and an inner one at hw - eps. Where both outlines
-    put each end on the same pixel, the per-pixel rule is certain to
-    agree and is not evaluated; only the other pairs (grazing rows, ends
-    within eps of a pixel centre) are settled with the rule itself (see
-    _spans for eps). The merged spans are the result: a RasterImage of
-    alternating 0/255 run lengths, whose canvas is built only when its
-    cells are read.
+    long). Each (trace, row) pair's span ends come from where the row
+    meets two outlines of the capsule, an outer one at half-width hw + eps
+    and an inner one at hw - eps. Where both outlines put each end on the
+    same pixel, the per-pixel rule is certain to agree and is not
+    evaluated; only the other pairs (grazing rows, ends within eps of a
+    pixel centre) are settled with the rule itself (see spans._spans for
+    eps). The merged spans are the result: a RasterImage of alternating
+    0/255 run lengths, whose canvas is built only when its cells are read.
+
+    A drawing that surely has at most _SCALAR_PAIRS pairs is stamped pair
+    by pair in Python floats (_stamp); a larger one goes to the vector
+    kernel, spans.rasterize, which batches the pairs in numpy. The two
+    make the same float decisions, so they give the same runs.
     """
-    if not (0.0 < scale < math.inf):
-        raise ConfigError("raster scale must be finite and > 0")
     traces = tuple(traces)
     if not traces:
         return RasterImage(width=1, height=1, scale=scale, runs=[1],
                            origin_mm=(0.0, 0.0))
-    geom = np.array([(t.start[0], t.start[1], t.end[0], t.end[1], t.width_m)
-                     for t in traces], dtype=np.float64)
-    if not np.isfinite(geom).all():
-        raise ConfigError("trace coordinates and widths must be finite")
-    sx, sy, ex, ey, width_m = geom.T
-    hw = 0.5 * width_m * 1e3
-    pad = float(hw.max()) + scale
-    left = float(min(sx.min(), ex.min()))
-    right = float(max(sx.max(), ex.max()))
-    bottom = float(min(sy.min(), ey.min()))
-    top = float(max(sy.max(), ey.max()))
-    ox = float(np.floor((left - pad) / scale)) * scale
-    oy = float(np.ceil((top + pad) / scale)) * scale  # top edge
-    wpx = float(np.ceil((right + pad - ox) / scale)) + 1.0
-    hpx = float(np.ceil((oy - (bottom - pad)) / scale)) + 1.0
-    # sized in floats: a side past every float, inf or nan, fails here too
-    if not wpx * hpx <= max_pixels:
-        raise RasterSizeError(f"raster {wpx:.0f}x{hpx:.0f} = {wpx * hpx:.0f} "
-                              f"px exceeds budget {max_pixels}")
-    wpx, hpx = int(wpx), int(hpx)
-    # the per-trace arrays live in _spans only, so they are gone before
-    # the merge, the peak of the call
-    starts, stops = _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx)
+    if not _few_pairs(traces, scale):
+        from . import spans
+        return spans.rasterize(traces, scale, max_pixels)
+    geom = [(float(t.start[0]), float(t.start[1]), float(t.end[0]),
+             float(t.end[1]), 0.5 * float(t.width_m) * 1e3) for t in traces]
+    # a value that is not finite anywhere reads as a nan half-width, which
+    # _canvas refuses
+    finite = all(map(math.isfinite, chain.from_iterable(geom)))
+    ox, oy, wpx, hpx = _canvas(
+        min(min(g[0], g[2]) for g in geom), max(max(g[0], g[2]) for g in geom),
+        min(min(g[1], g[3]) for g in geom), max(max(g[1], g[3]) for g in geom),
+        max(g[4] for g in geom) if finite else math.nan, scale, max_pixels)
+    starts: list[int] = []
+    stops: list[int] = []
+    for sx, sy, ex, ey, hw in geom:
+        _stamp(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx, starts, stops)
     return RasterImage(width=wpx, height=hpx, scale=scale,
-                       runs=_runs(starts, stops, wpx * hpx),
+                       runs=_merge(starts, stops, wpx * hpx),
                        origin_mm=(ox, oy))
 
 
-def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
-    """Flat-index starts and stops of each trace's span on each row of its
-    window: exactly the pixels the per-pixel rule (_ink) calls ink.
+def _few_pairs(traces, scale: float) -> bool:
+    """Whether the traces surely cross at most _SCALAR_PAIRS (trace, row)
+    pairs. A trace of half-width hw > 0 spans at most (|dy| + 2 hw) /
+    scale + 4 rows, which needs no canvas; the sum stops as soon as it
+    passes the limit. It is kept in mm, so a bad scale divides nothing
+    here: _canvas, which either kernel calls next, refuses it, and any
+    value that is not finite."""
+    limit, total = _SCALAR_PAIRS * scale, 0.0
+    for t in traces:
+        width_mm = t.width_m * 1e3
+        if width_mm > 0.0:
+            total += abs(t.end[1] - t.start[1]) + width_mm + 4.0 * scale
+            if total > limit:
+                return False
+    return total <= limit
 
-    The outlines are the row's crossings of the capsule at radii hw + eps
-    and hw - eps, both at the centreline parameters t that _capsule_row
-    picks for the outer one. Take a = ceil and b = floor of the outer
-    ends in pixel columns, clipped to the window. A pair whose inner ends
-    give the same a and b is exact: the centre of a - 1 lies before the
-    outer end, so farther than hw + eps from the segment (or outside the
-    window), and the rule calls it background (b + 1 likewise); the
-    centres of a..b lie between the inner ends, each on the disc of
-    radius hw - eps at its t, so within hw - eps of the segment (the
-    inner capsule is convex), and the rule calls them ink. Both hold up
-    to the roundings below, which eps bounds. The other pairs start from
-    the outer ends and walk them with the rule until it confirms them.
 
-    The margin is eps = 1e-12 (|ox| + |oy| + |sx| + |sy| + |dx| + |dy| +
-    hw + scale) mm, for each trace, and it bounds every rounding between
-    a pixel's index and the rule's answer:
+def _floor(x: float) -> float:
+    """np.floor of a float: a float, -0.0 kept, inf and nan kept."""
+    return math.copysign(math.floor(x), x) if math.isfinite(x) else x
 
-    - The rule (rx = ox + (col + 0.5) scale - sx, its projection and
-      d^2 <= hw^2) and the outlines (in pixel units: t, the crossing, the
-      ceil or floor of an end) each take a few roundings, every one
-      within u = 2^-53 of a magnitude the sum bounds: a window column
-      lies at most |ox| + |sx| + |dx| + hw + 2 scale from the canvas
-      origin, and a row at most |oy| + |sy| + |dy| + hw + 3 scale. An
-      error in x or y moves a distance by no more than itself, so
-      together they move a pixel's distance, or an end, by under 100 u
-      times the sum; 1e-12 is about 9000 u.
-    - The computed t of an outer end may miss the true one by dt, most
-      on a nearly flat segment (dt up to about 20 u (hw + scale + |dy|)
-      / |dy|). The row then meets the band edge, tangent to the disc at
-      the true t, at the segment's own angle; where the disc at the
-      computed t still crosses the row (the inner disc does whenever a
-      pair is certified), it does so within |dt dy| of that edge, so the
-      points before its end are farther than hw + eps - |dt dy| from the
-      segment (2 |dt dy| for an end clamped to a segment end, measured
-      on the segment extended). |dt dy| is a rounding of the sum above.
-    - An inner end needs no such care: it lies on the disc of radius
-      hw - eps at its own t, whatever t is.
 
-    A trace whose eps reaches hw has no inner outline, and its pairs are
-    all settled with the rule.
+def _ceil(x: float) -> float:
+    """np.ceil of a float: a float, -0.0 on (-1, 0], inf and nan kept."""
+    return math.copysign(math.ceil(x), x) if math.isfinite(x) else x
 
-    Pairs run trace by trace, row by row, in batches of _SPAN_CHUNK. A
-    batch finds its first and last trace with two scalar searches and
-    repeats those traces' constants over their rows in it, one np.repeat.
-    It makes one a <= b mask and writes its spans in order through it.
-    Flat indices are int32 on a canvas under 2^31 pixels and int64 on a
-    larger one.
+
+def _canvas(left: float, right: float, bottom: float, top: float, hw: float,
+            scale: float, max_pixels: int):
+    """The canvas of traces within left..right and bottom..top mm, of
+    half-widths at most hw: (ox, oy, width, height), the origin snapped to
+    the pixel grid and the size in pixels, padded by hw plus a pixel.
+
+    Each kernel computes the five floats its own way and passes them here.
+    A scale or a float that is not finite is a ConfigError. The size is
+    checked against max_pixels in floats, so a side past every float, inf
+    or nan, is a RasterSizeError too.
     """
-    # each trace's window of candidate pixels, as the per-pixel rule has it
-    j0 = np.maximum(0, ((np.minimum(sx, ex) - hw - ox) / scale)
-                    .astype(np.int64) - 1)
-    j1 = np.minimum(wpx, ((np.maximum(sx, ex) + hw - ox) / scale)
-                    .astype(np.int64) + 2)
-    i0 = np.maximum(0, ((oy - (np.maximum(sy, ey) + hw)) / scale)
-                    .astype(np.int64) - 1)
-    i1 = np.minimum(hpx, ((oy - (np.minimum(sy, ey) - hw)) / scale)
-                    .astype(np.int64) + 2)
-    keep = (hw > 0.0) & (j0 < j1) & (i0 < i1)
-    sx, sy, hw, j0, j1, i0 = (v[keep] for v in (sx, sy, hw, j0, j1, i0))
-    dx, dy = ex[keep] - sx, ey[keep] - sy
-    rows = i1[keep] - i0
-    last = np.cumsum(rows)
-    ll, hw2 = dx * dx + dy * dy, hw * hw
+    if not (0.0 < scale < math.inf):
+        raise ConfigError("raster scale must be finite and > 0")
+    if not all(map(math.isfinite, (left, right, bottom, top, hw))):
+        raise ConfigError("trace coordinates and widths must be finite")
+    pad = hw + scale
+    ox = _floor((left - pad) / scale) * scale
+    oy = _ceil((top + pad) / scale) * scale  # top edge
+    wpx = _ceil((right + pad - ox) / scale) + 1.0
+    hpx = _ceil((oy - (bottom - pad)) / scale) + 1.0
+    if not wpx * hpx <= max_pixels:
+        raise RasterSizeError(f"raster {wpx:.0f}x{hpx:.0f} = {wpx * hpx:.0f} "
+                              f"px exceeds budget {max_pixels}")
+    return ox, oy, int(wpx), int(hpx)
 
-    eps = 1e-12 * (abs(ox) + abs(oy) + np.abs(sx) + np.abs(sy)
-                   + np.abs(dx) + np.abs(dy) + hw + scale)
-    # per trace, in pixel units: the row of pair p is p + shift; the
-    # start's row and column coordinates (pixel centres at integers), the
-    # segment, the parameters of t, the squared radii and the window's
-    # bounds on a and on b
+
+def _stamp(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx, starts, stops):
+    """Append the flat-index starts and stops of one trace's span on each
+    row of its window: spans._spans for one trace, one pair at a time.
+
+    The same floats are computed in the same order as there, so each span
+    gets the same ends: the outer ends from spans._capsule_t and
+    spans._capsule_row, clipped to the window, are certain where the inner
+    ends fall on the same pixels, and are walked with the per-pixel rule
+    (_settle) otherwise. A row that misses the capsule, where numpy's
+    ends are inf and -inf, has no span; an inner end that numpy makes nan
+    certifies nothing.
+    """
+    if not hw > 0.0:
+        return
+    # the trace's window of candidate pixels, as the per-pixel rule has it
+    j0 = max(0, int((min(sx, ex) - hw - ox) / scale) - 1)
+    j1 = min(wpx, int((max(sx, ex) + hw - ox) / scale) + 2)
+    i0 = max(0, int((oy - (max(sy, ey) + hw)) / scale) - 1)
+    i1 = min(hpx, int((oy - (min(sy, ey) - hw)) / scale) + 2)
+    if j0 >= j1 or i0 >= i1:
+        return
+    dx, dy = ex - sx, ey - sy
+    eps = 1e-12 * (abs(ox) + abs(oy) + abs(sx) + abs(sy) + abs(dx) + abs(dy)
+                   + hw + scale)
+    # in pixel units: the segment, the start's row and column coordinates
+    # (pixel centres at integers) and the squared radii
     px, py = dx / scale, dy / scale
+    cy, cx = (oy - sy) / scale - 0.5, (sx - ox) / scale - 0.5
     r_out = (hw + eps) / scale
-    r_in = np.where(eps < hw, (hw - eps) / scale, np.nan)
-    consts = np.stack((
-        i0 - (last - rows), (oy - sy) / scale - 0.5, (sx - ox) / scale - 0.5,
-        px, py, *_capsule_t(px, py, r_out), r_out * r_out, r_in * r_in,
-        j0, j1, j0 - 1, j1 - 1))
-
-    total = int(last[-1]) if last.size else 0
-    # at most one span per pair; m spans are written so far. Flat indices
-    # fit int32 on a canvas under 2^31 pixels, and the merge then sorts
-    # half the bytes
-    flat = np.int32 if wpx * hpx < 2 ** 31 else np.int64
-    starts, stops = np.empty(total, flat), np.empty(total, flat)
-    m = 0
-    for p0 in range(0, total, _SPAN_CHUNK):
-        p1 = min(p0 + _SPAN_CHUNK, total)
-        # the batch covers traces k0..k1-1, each for count of its rows
-        k0, k1 = np.searchsorted(last, (p0, p1 - 1), side="right")
-        k1 += 1
-        count = rows[k0:k1].copy()
-        count[0] = last[k0] - p0
-        count[-1] -= last[k1 - 1] - p1
-        shift, cy, cx, tpx, tpy, g, c_lo, c_hi, out2, in2, a0, a1, b0, b1 = \
-            consts[:, k0:k1].repeat(count, axis=1)
-        row = shift + np.arange(p0, p1)
-        lo, hi, lo_in, hi_in = _capsule_row(cy - row, cx, tpx, tpy, g, c_lo,
-                                            c_hi, out2, in2)
-        # a row that misses the capsule (lo = inf, hi = -inf) gets a > b;
-        # an inner end that is missing (nan) or beyond the window agrees
-        # with no outer one
-        a = np.clip(np.ceil(lo), a0, a1)
-        b = np.clip(np.floor(hi), b0, b1)
-        span = a <= b
-        sure = (np.ceil(lo_in) == a) & (np.floor(hi_in) == b)
-        live = np.flatnonzero(span > sure)  # a span, its ends not certain
-        if live.size:
-            k = np.repeat(np.arange(k0, k1), count)
-            pair = (oy - (row + 0.5) * scale - sy[k], sx[k], dx[k], dy[k],
-                    ll[k], hw2[k])
-        # settle the other ends with the per-pixel rule: a span is exact
-        # when a-1 is out, a is in, b is in and b+1 is out
-        settled = live
-        while live.size:
-            al, bl = a[live], b[live]
-            before, a_in, b_in, after = _ink(
-                np.stack((al - 1, al, bl, bl + 1)), ox, scale,
-                *(v[live] for v in pair))
-            a_end = (al == a0[live]) | ~before
-            b_end = (bl == b1[live]) | ~after
-            a[live] = np.where(a_in, np.where(a_end, al, al - 1), al + 1)
-            b[live] = np.where(b_in, np.where(b_end, bl, bl + 1), bl - 1)
-            live = live[~(a_in & b_in & a_end & b_end)
-                        & (a[live] <= b[live])]
-        span[settled] = a[settled] <= b[settled]  # a walk may empty a span
-        n = int(np.count_nonzero(span))
-        base = row * wpx  # exact: the canvas has under 2^53 pixels
-        starts[m:m + n] = (base + a)[span]
-        stops[m:m + n] = (base + b + 1.0)[span]
-        m += n
-    return starts[:m], stops[:m]
+    r_in = (hw - eps) / scale if eps < hw else math.nan
+    out2, in2 = r_out * r_out, r_in * r_in
+    # _capsule_t: the left end at t = clip(y g - c_lo), the right at
+    # clip(y g - c_hi); a flat segment takes its end on that side
+    if abs(py) < 1e-100:
+        g, c_lo, c_hi = 0.0, -1.0 * (px < 0.0), -1.0 * (px > 0.0)
+    else:
+        g = 1.0 / py
+        c_lo = r_out * px / (math.sqrt(px * px + py * py) * abs(py))
+        c_hi = -c_lo
+    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
+    b0, b1 = j0 - 1, j1 - 1
+    for row in range(i0, i1):
+        y = cy - row
+        yg = y * g
+        t_lo = yg - c_lo
+        t_lo = 0.0 if t_lo < 0.0 else 1.0 if t_lo > 1.0 else t_lo
+        t_hi = yg - c_hi
+        t_hi = 0.0 if t_hi < 0.0 else 1.0 if t_hi > 1.0 else t_hi
+        q_lo = y - t_lo * py
+        q_hi = y - t_hi * py
+        q_lo *= q_lo
+        q_hi *= q_hi
+        h2_lo, h2_hi = out2 - q_lo, out2 - q_hi
+        if h2_lo < 0.0 and h2_hi < 0.0:
+            continue  # the row misses the capsule
+        x_lo, x_hi = cx + t_lo * px, cx + t_hi * px
+        a = ceil(x_lo - sqrt(h2_lo) if h2_lo > 0.0 else x_lo)
+        a = j0 if a < j0 else j1 if a > j1 else a
+        b = floor(x_hi + sqrt(h2_hi) if h2_hi > 0.0 else x_hi)
+        b = b0 if b < b0 else b1 if b > b1 else b
+        if a > b:
+            continue
+        d_lo, d_hi = in2 - q_lo, in2 - q_hi
+        if not (d_lo >= 0.0 and ceil(x_lo - sqrt(d_lo)) == a
+                and d_hi >= 0.0 and floor(x_hi + sqrt(d_hi)) == b):
+            a, b = _settle(a, b, j0, j1, oy - (row + 0.5) * scale - sy,
+                           ox, scale, sx, dx, dy, hw * hw)
+            if a > b:
+                continue
+        base = row * wpx
+        starts.append(base + a)
+        stops.append(base + b + 1)
 
 
-def _capsule_t(dx, dy, r):
-    """Per-segment constants (g, c_lo, c_hi) of _capsule_row: on the row
-    at height y, the left end of the crossing of the capsule of radius r
-    around (0, 0)-(dx, dy) is found at t_lo = clip(y g - c_lo, 0, 1) and
-    the right end at t_hi = clip(y g - c_hi, 0, 1).
-
-    The disc around the centreline point at parameter t crosses the row on
-    t*dx -+ sqrt(r^2 - (y - t*dy)^2). The left end is convex and the right
-    end concave in t, so each is extreme where the row meets a band edge,
-    t = (y -+ v) / dy with v = r dx sign(dy) / |d|, or at the segment end
-    nearest that point; a disc there that misses the row means every disc
-    does. A flat segment (|dy| under 1e-100 px, where 1 / dy may overflow;
-    a point too) takes each end from the disc at its segment end on that
-    side, whatever y is, off by under 1e-44 px on a row within 1e10 px.
-    """
+def _settle(a, b, j0, j1, ry, ox, scale, sx, dx, dy, hw2):
+    """The span a..b of a pair whose ends are not certain, walked with the
+    per-pixel rule (spans._ink) as spans._spans walks it, until a - 1 is
+    out (or the window's first column), a in, b in and b + 1 out (or the
+    last column), or the span is empty (a > b)."""
     ll = dx * dx + dy * dy
-    flat = np.abs(dy) < 1e-100  # t does not move the disc off the row
-    with np.errstate(all="ignore"):  # flat segments are masked
-        g = 1.0 / dy
-        w = r * dx / (np.sqrt(ll) * np.abs(dy))  # v / dy
-    return (np.where(flat, 0.0, g), np.where(flat, -1.0 * (dx < 0.0), w),
-            np.where(flat, -1.0 * (dx > 0.0), -w))
+
+    def ink(col):
+        rx = ox + (col + 0.5) * scale - sx
+        if ll == 0.0:  # a point: the distance to its start
+            s = 0.0
+        else:
+            s = (rx * dx + ry * dy) / ll
+            s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
+        u, v = rx - s * dx, ry - s * dy
+        return u * u + v * v <= hw2
+
+    while True:
+        a_in, b_in = ink(a), ink(b)
+        a_end = a == j0 or not ink(a - 1)
+        b_end = b == j1 - 1 or not ink(b + 1)
+        if a_in and b_in and a_end and b_end:
+            return a, b
+        a = (a if a_end else a - 1) if a_in else a + 1
+        b = (b if b_end else b + 1) if b_in else b - 1
+        if a > b:
+            return a, b
 
 
-def _capsule_row(y, x0, dx, dy, g, c_lo, c_hi, r2_out, r2_in):
-    """Real x-intervals where the row at height y crosses the capsule
-    around the segment (x0, 0)-(x0 + dx, dy): the outer one (lo, hi) at
-    squared radius r2_out, and the inner ends (lo_in, hi_in) at squared
-    radius r2_in, taken at the same t, those _capsule_t gives for the
-    outer radius (g, c_lo, c_hi).
-
-    (lo, hi) is the exact crossing, and (inf, -inf) when the row misses
-    the capsule. Each inner end lies on the disc of the inner radius at
-    its t, so within that radius of the segment, and inside the outer
-    interval; it is nan where that disc misses the row.
-    """
-    yg = y * g
-    t_lo = np.clip(yg - c_lo, 0.0, 1.0)
-    t_hi = np.clip(yg - c_hi, 0.0, 1.0)
-    q_lo = y - t_lo * dy
-    q_hi = y - t_hi * dy
-    q_lo *= q_lo
-    q_hi *= q_hi
-    x_lo, x_hi = x0 + t_lo * dx, x0 + t_hi * dx
-    h2_lo, h2_hi = r2_out - q_lo, r2_out - q_hi
-    miss = np.maximum(h2_lo, h2_hi) < 0.0
-    lo = np.where(miss, np.inf, x_lo - np.sqrt(np.maximum(h2_lo, 0.0)))
-    hi = np.where(miss, -np.inf, x_hi + np.sqrt(np.maximum(h2_hi, 0.0)))
-    with np.errstate(invalid="ignore"):  # no inner crossing: nan
-        return lo, hi, x_lo - np.sqrt(r2_in - q_lo), \
-            x_hi + np.sqrt(r2_in - q_hi)
-
-
-def _ink(col, ox, scale, ry, sx, dx, dy, ll, hw2):
-    """The per-pixel rule: is the centre of pixel column col within hw of
-    the segment? Same float operations, in the same order, as testing a
-    whole window; ll = dx*dx + dy*dy and hw2 = hw*hw come per trace."""
-    rx = ox + (col + 0.5) * scale - sx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.clip((rx * dx + ry * dy) / ll, 0.0, 1.0)
-    s = np.where(ll == 0.0, 0.0, s)  # a point: the distance to its start
-    return (rx - s * dx) ** 2 + (ry - s * dy) ** 2 <= hw2
-
-
-def _runs(starts, stops, n):
-    """Run lengths of n pixels, alternately 0 and 255 and background
-    first, with ink on the union of the spans [starts, stops), which are
-    flat-index arrays of equal size and one integer dtype and are sorted
-    in place. The runs are int64 whatever that dtype: _spans hands int32
-    indices on a canvas under 2^31 pixels, which halves the bytes the two
-    sorts move."""
-    if not starts.size:
-        return np.array([n], dtype=np.int64)
+def _merge(starts: list[int], stops: list[int], n: int) -> array:
+    """spans._runs in Python: the run lengths of n pixels with ink on the
+    union of the spans [starts, stops), which are sorted in place."""
+    if not starts:
+        return array("q", [n])
     starts.sort()
     stops.sort()
     # with both sorted, stop i closes a run exactly when start i + 1 lies
-    # beyond it: starts and stops 0..i have all passed there, so no span
-    # covers it unless a later start does
-    cut = np.flatnonzero(starts[1:] > stops[:-1])
-    runs = np.empty(2 * cut.size + 3, dtype=np.int64)
-    runs[0], runs[-1] = starts[0], n - stops[-1]
-    ink = runs[1::2]  # each ink run's end, then its length
-    ink[:-1], ink[-1] = stops[cut], stops[-1]
-    cut += 1  # the spans that start the ink runs after the first
-    runs[2:-1:2] = starts[cut] - ink[:-1]
-    ink[0] -= starts[0]
-    ink[1:] -= starts[cut]
+    # beyond it
+    runs, first = array("q", [starts[0]]), starts[0]
+    for stop, start in zip(stops, islice(starts, 1, None)):
+        if start > stop:
+            runs.append(stop - first)
+            runs.append(start - stop)
+            first = start
+    runs.append(stops[-1] - first)
+    runs.append(n - stops[-1])
     return runs

@@ -3,6 +3,8 @@
 import heapq
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from lmprint.errors import CircuitError, ConfigError, UnknownPadError
 from lmprint.simulator import TraceSegment
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _trace(start, end, width_mm=0.2, flux=1e-12, speed=40.0):
@@ -125,7 +128,7 @@ def _brute_nets(traces, touch_tolerance, pads=None,
                         pad_segments=tuple(touching)))
     return CircuitNets(nets=tuple(nets), touch_tolerance=touch_tolerance,
                        traces=traces, contact_reach=reach,
-                       contacts=tuple(contacts))
+                       contacts=tuple(contacts), pads=tuple(pad_items))
 
 
 def _brute_drc(nets, min_width, min_clearance) -> DrcResult:
@@ -155,7 +158,7 @@ def _brute_drc(nets, min_width, min_clearance) -> DrcResult:
 
 
 def _brute_resistance(net, pad_a, pad_b, resistivity, traces,
-                      touch_tolerance) -> ResistanceEstimate:
+                      touch_tolerance, pads) -> ResistanceEstimate:
     starts = net.segments_for_pad(pad_a)
     if pad_a == pad_b:  # no trace lies between a pad and itself
         return ResistanceEstimate(ohms=0.0, path=(), approximate=False)
@@ -181,9 +184,14 @@ def _brute_resistance(net, pad_a, pad_b, resistivity, traces,
             continue
         settled.add(node)
         if node in targets:
+            # a pad off both ends of its segment charges it in full too
+            ends = ((traces[path[0]], pads[pad_a]),
+                    (traces[path[-1]], pads[pad_b]))
             return ResistanceEstimate(
                 ohms=cost, path=path,
-                approximate=branched or _brute_cuts(traces, path))
+                approximate=branched or _brute_cuts(traces, path) or any(
+                    min(math.dist(p, t.start), math.dist(p, t.end))
+                    > 0.5e3 * t.width_m for t, p in ends))
         for nb in sorted(adjacency[node]):
             if nb not in settled:
                 heapq.heappush(heap, (cost + res[nb], nb, path + (nb,)))
@@ -409,6 +417,69 @@ class TestResistance:
         est = estimate_resistance(nets, "A", "B", 1.0)
         assert est.path == (0, 1, 2)
         assert est.approximate is False
+
+    def test_pads_along_a_bar_are_approximate(self):
+        # pads P and Q 30 mm apart on a 100 mm bar: the one-segment path
+        # charges all 100 mm
+        traces = [_trace((0.0, 0.0), (100.0, 0.0))]
+        nets = extract_nets(traces, 0.0,
+                            pads={"P": (40.0, 0.0), "Q": (70.0, 0.0)})
+        est = estimate_resistance(nets, "P", "Q", 2.9e-7)
+        assert est.path == (0,)
+        assert est.approximate is True
+        # one pad off the ends is enough, at either end of the path
+        nets = extract_nets(traces, 0.0,
+                            pads={"P": (0.0, 0.0), "Q": (70.0, 0.0)})
+        assert estimate_resistance(nets, "P", "Q", 1.0).approximate is True
+        assert estimate_resistance(nets, "Q", "P", 1.0).approximate is True
+        # within a half-width of an end is at the end
+        nets = extract_nets(traces, 0.0,
+                            pads={"P": (0.09, 0.0), "Q": (100.0, 0.05)})
+        assert estimate_resistance(nets, "P", "Q", 1.0).approximate is False
+        # nets built without the pads' points cannot vouch for the ends
+        unplaced = replace(nets, pads=())
+        assert estimate_resistance(unplaced, "P", "Q", 1.0).approximate \
+            is True
+
+    def test_pads_along_a_bar_check_report_is_approximate(self, tmp_path):
+        drawing = tmp_path / "bar.json"
+        drawing.write_text(json.dumps({
+            "version": 1, "units": "mm",
+            "strokes": [{"points": [[0, 0], [100, 0]]}],
+            "pads": {"P": [40, 0], "Q": [70, 0]}}))
+        out = tmp_path / "check.json"
+        assert main(["check", "--drawing", str(drawing), "--speed", "10",
+                     "--pressure", "30", "--pairs", "P:Q",
+                     "--resistivity", "2.9e-7", "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_bytes())["checks"]["resistance"]
+        assert entry["path"] == [0]
+        assert entry["ohms"] == pytest.approx(9.428, abs=1e-3)
+        assert entry["approximate"] is True
+
+    def test_benchmark_bus_and_chain_pads_at_segment_ends_are_exact(
+            self, tmp_path, monkeypatch):
+        # the benchmark's check board: each bus line and the serpentine
+        # chain carry their pads at segment ends, so their series sums are
+        # exact; the mesh is branched
+        import importlib.util
+        path = ROOT / "perfbench" / "boards.py"
+        spec = importlib.util.spec_from_file_location("boards", path)
+        boards = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "boards", boards)  # for dataclasses
+        spec.loader.exec_module(boards)
+        board = boards.check_board(3, bus_lines=8, pinched=2, chain_legs=4,
+                                   mesh_rows=3, mesh_cols=3)
+        drawing = tmp_path / "board.json"
+        drawing.write_text(json.dumps(board.drawing))
+        out = tmp_path / "check.json"
+        assert main(["check", "--drawing", str(drawing), "--speed", "10",
+                     "--pressure", "30", "--pairs", board.facts.pairs_arg(),
+                     "--resistivity", "2.94e-7", "--out", str(out)]) == 0
+        flags = {tuple(e["pads"]): e["approximate"] for e in json.loads(
+            out.read_bytes())["checks"]["resistance"] if e["connected"]}
+        assert set(board.facts.series_mm) == set(flags) - {("Ma", "Mb")}
+        assert not any(flags[pair] for pair in board.facts.series_mm)
+        assert flags["Ma", "Mb"] is True
 
     def test_shortest_path_matches_brute_force(self):
         # lattice of segments with unequal widths; enumerate all simple
@@ -713,7 +784,7 @@ def test_grid_paths_equal_all_pairs_oracles(layout):
                 continue
             assert _outcome(estimate_resistance, nets, a, b, 1e-7) \
                 == _outcome(_brute_resistance, net, a, b, 1e-7, traces,
-                            tolerance)
+                            tolerance, pads)
 
 
 @settings(max_examples=1000, deadline=None)

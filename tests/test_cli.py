@@ -141,6 +141,20 @@ def test_contact_probe_static_slip_boundary(run):
     assert "static = no-slip\n" in out
 
 
+def test_contact_probe_full_slip(run):
+    # tan(80 deg) is past the friction coefficient 0.35: the bead slides,
+    # so there is no creep to print and no traction fraction; the static
+    # check reads the normal angle, 0 here
+    rc, out, _ = run(["contact-probe", "--force-n", "0.5",
+                      "--tangential-angle-deg", "80"])
+    assert rc == 0
+    assert out == ("indentation_m = 3.1581798e-06\n"
+                   "contact_radius_m = 3.32469988e-05\n"
+                   "contact_area_m2 = 3.47260006e-09\n"
+                   "creep = full-slip\n"
+                   "static = no-slip\n")
+
+
 def test_contact_probe_prints_nothing_before_an_error(run):
     rc, out, err = run(["contact-probe", "--force-n", "0.05",
                         "--tangential-angle-deg", "-5"])

@@ -66,7 +66,7 @@ EXPORTS = {
                 "wettability_ranking", "young_contact_angle"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
-SUBMODULES = [*EXPORTS, "nnls"]
+SUBMODULES = [*EXPORTS, "nnls", "spans"]
 
 
 def _fresh(code: str, *args):
@@ -120,9 +120,18 @@ CASES = {
                  {"lmprint.circuit", "lmprint.raster", "lmprint.svg",
                   "lmprint.config", "lmprint.nnls", "xml.etree"},
                  {"lmprint.simulator"}),
+    # the antenna's 8772 (trace, row) pairs at 0.05 mm/px are within
+    # raster._SCALAR_PAIRS, so the scalar kernel stamps them without numpy
     "simulate-pgm": (["simulate", *ANTENNA, *OUT, "--pgm", "{tmp}/out.pgm"],
-                     {"lmprint.circuit", "lmprint.svg", "lmprint.config"},
+                     {"lmprint.circuit", "lmprint.svg", "lmprint.config",
+                      "lmprint.spans", "numpy"},
                      {"lmprint.simulator", "lmprint.raster"}),
+    # at 0.02 mm/px they are 21 820, past the limit: the vector kernel
+    "render": (["render", *ANTENNA, "--pgm", "{tmp}/out.pgm",
+                "--scale", "0.02"],
+               {"lmprint.circuit", "lmprint.svg", "lmprint.config"},
+               {"lmprint.simulator", "lmprint.raster", "lmprint.spans",
+                "numpy"}),
     "svg": (["plan", "--drawing", "{tmp}/shape.svg", "--speed", "10",
              "--pressure", "30", *OUT],
             {"lmprint.circuit", "lmprint.simulator"},
@@ -140,7 +149,7 @@ CASES = {
 
 
 # no command defines its records through dataclasses, and only numpy,
-# which simulate --pgm imports, brings in inspect
+# which a large raster imports, brings in inspect
 NEVER = {"dataclasses"}
 NUMPY_FREE_NEVER = {"dataclasses", "inspect"}
 
@@ -148,8 +157,7 @@ NUMPY_FREE_NEVER = {"dataclasses", "inspect"}
 @pytest.mark.parametrize("case", CASES)
 def test_a_command_loads_only_what_it_runs(case, tmp_path):
     argv, unloaded, loaded = CASES[case]
-    unloaded = unloaded | (NEVER if case == "simulate-pgm"
-                           else NUMPY_FREE_NEVER)
+    unloaded = unloaded | (NEVER if "numpy" in loaded else NUMPY_FREE_NEVER)
     (tmp_path / "shape.svg").write_text(SVG)
     (tmp_path / "widths.csv").write_text(WIDTHS)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -158,6 +166,28 @@ def test_a_command_loads_only_what_it_runs(case, tmp_path):
     modules = set(out["modules"])
     assert sorted(unloaded & modules) == []
     assert sorted(loaded - modules) == []
+
+
+_RASTER_PROBE = """
+import json, sys
+from lmprint import RasterImage, rasterize, write_pgm
+from lmprint.simulator import TraceSegment
+trace = TraceSegment(start=(0.0, 0.0), end=(1.0, 0.5), width_m=2e-4,
+                     flux_m3_s=1e-12, creep=0.0, contact_angle_deg=120.0,
+                     speed_mm_s=40.0, pressure_g=94.0)
+image = rasterize([trace], 0.05)
+again = RasterImage(image.width, image.height, image.scale,
+                    list(image.runs), image.origin_mm)
+print(json.dumps({"equal": image == again, "pgm": len(write_pgm(image)),
+                  "area": image.occupied_area_mm2(),
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_a_small_raster_is_built_compared_and_painted_without_numpy():
+    out, _ = _fresh(_RASTER_PROBE)
+    assert out["equal"] is True and out["numpy"] is False
+    assert out["pgm"] > 12 and out["area"] > 0.2
 
 
 def test_check_rejects_bad_pairs_before_the_pipeline(tmp_path):
@@ -180,7 +210,7 @@ _API_PROBE = """
 import json, sys
 import lmprint
 table, first = json.loads(sys.argv[1]), sys.argv[2]
-submodules = [*table, "nnls"]
+submodules = [*table, "nnls", "spans"]
 
 
 def resolve(names):

@@ -1,5 +1,7 @@
 """PGM encoding, raster container and the JSON report round trip."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,17 +42,25 @@ def _canvases(draw):
 @example(np.array([[0, 0], [0, 255]], dtype=np.uint8), 1)
 def test_runs_hold_the_canvas(cells, band):
     # bands of 1, 2 and 5 pixels, so runs cross band edges
+    # from_cells keeps numpy's runs, painted with numpy; the same runs
+    # given as a list are an array('q'), painted in Python
     height, width = cells.shape
     img = RasterImage.from_cells(width, height, 0.25, cells,
                                  origin_mm=(-1.0, 4.0))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(raster, "_PGM_BAND", band)
-        assert b"".join(pgm_parts(img)) == (
-            b"P5\n%d %d\n255\n" % (width, height) + cells.tobytes())
-    assert img.occupied_area_mm2() == np.count_nonzero(cells) * 0.25 * 0.25
-    assert "cells" not in vars(img)
-    assert np.array_equal(img.cells, cells)
-    assert read_pgm(write_pgm(img), 0.25, origin_mm=(-1.0, 4.0)) == img
+    listed = RasterImage(width, height, 0.25, img.runs.tolist(),
+                         origin_mm=(-1.0, 4.0))
+    assert isinstance(listed.runs, array) and listed == img == listed
+    for image in (img, listed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "_PGM_BAND", band)
+            assert b"".join(pgm_parts(image)) == (
+                b"P5\n%d %d\n255\n" % (width, height) + cells.tobytes())
+        assert image.occupied_area_mm2() == \
+            np.count_nonzero(cells) * 0.25 * 0.25
+        assert "cells" not in vars(image)
+        assert np.array_equal(image.cells, cells)
+        assert read_pgm(write_pgm(image), 0.25, origin_mm=(-1.0, 4.0)) == image
+    assert np.asarray(listed.runs).dtype == np.int64
 
 
 @pytest.mark.parametrize("runs", [
@@ -59,8 +69,10 @@ def test_runs_hold_the_canvas(cells, band):
     [0.5, 8.7],  # would read as [0, 8] if cast to integers
     [4.0, 4.0], [3, 5], [0, 8, 0, 0], []])
 def test_non_canonical_runs_rejected(runs):
-    with pytest.raises(ConfigError, match="runs"):
-        RasterImage(width=4, height=2, scale=0.5, runs=runs)
+    # a list is checked in Python, an ndarray with numpy
+    for given in (runs, np.array(runs)):
+        with pytest.raises(ConfigError, match="runs"):
+            RasterImage(width=4, height=2, scale=0.5, runs=given)
 
 
 def test_pgm_round_trip():

@@ -174,7 +174,7 @@ def test_circuit_nets_keep_their_traces_as_a_field():
     assert nets.traces == traces
     built = lmprint.CircuitNets(nets=nets.nets, touch_tolerance=0.0,
                                 traces=traces, contact_reach=0.1,
-                                contacts=nets.contacts)
+                                contacts=nets.contacts, pads=nets.pads)
     assert built == nets and hash(built) == hash(nets)
     assert built != replace(nets, traces=())
 

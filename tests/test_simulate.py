@@ -1,7 +1,10 @@
 """Print simulation: head state machine, traces, rasters, width model."""
 
+import json
 import math
 import warnings
+from array import array
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,14 +13,16 @@ from hypothesis import strategies as st
 
 from conftest import sample
 from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
-    estimate, fit_width_model, plan, raster, rasterize, simulate, simulator
+    estimate, fit_width_model, plan, raster, rasterize, simulate, simulator, \
+    spans
 from lmprint.core import grams_to_newtons, replace
 from lmprint.environment import CornerPolicy, segment_physics
 from lmprint.errors import CalibrationError, ConfigError, \
     IllegalActionError, RasterSizeError
 from lmprint.planner import Lift, Move, Tap, Toolpath, _walk, \
     interior_angle_deg, step_head
-from lmprint.raster import RasterImage, _runs, pgm_parts, write_pgm
+from lmprint.raster import RasterImage, pgm_parts, write_pgm
+from lmprint.spans import _runs
 from lmprint.simulator import FLAG_CORNER, FLAG_SLIP, FLAG_SPEED, \
     EmpiricalWidthModel, HeadState, TraceSegment
 
@@ -39,6 +44,19 @@ def _line_toolpath(length_mm=10.0, speed=40.0, pressure=94.0):
         Tap((0.0, 0.0), grams_to_newtons(pressure)),
         Move((length_mm, 0.0), speed, pressure),
         Lift()))
+
+
+# raster._SCALAR_PAIRS for each kernel: rasterize takes the vector kernel
+# past the limit, and the scalar kernel on any finite drawing within it
+KERNELS = {"vector": 0, "scalar": 1 << 62}
+
+
+@contextmanager
+def _kernel(name):
+    """rasterize, within the block, stamps with the named kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster, "_SCALAR_PAIRS", KERNELS[name])
+        yield
 
 
 def _trace(start, end, width_mm, speed=40.0):
@@ -257,6 +275,38 @@ def test_empirical_width_source():
     assert result.traces[0].flux_m3_s == phys.flux_m3_s
 
 
+# a load obliquity just past atan(0.35), pvc-film's friction coefficient
+FULL_SLIP_ANGLE = math.atan(0.35) + 1e-6
+
+
+def test_full_slip_stops_the_rolling():
+    assert QUIET.substrate.friction_coefficient == 0.35
+    env = replace(QUIET, tangential_angle=FULL_SLIP_ANGLE)
+    phys = segment_physics(40.0, 94.0, env)
+    assert phys.full_slip is True
+    assert phys.creep == 1.0
+    assert phys.omega_y == 0.0
+    # the flux is the pressure-driven part alone, under a rolling one's
+    rolling = segment_physics(40.0, 94.0, QUIET)
+    assert rolling.full_slip is False and rolling.omega_y > 0.0
+    assert 0.0 < phys.flux_m3_s < rolling.flux_m3_s
+
+
+def test_full_slip_flags_every_trace_slip_risk(tmp_path):
+    from lmprint.cli import main
+    config = tmp_path / "slip.json"
+    config.write_text(json.dumps(
+        {"simulation": {"tangential_angle_rad": FULL_SLIP_ANGLE}}))
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--drawing", "samples/square.json",
+                 "--speed", "10", "--pressure", "30", "--config", str(config),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_bytes())
+    assert report["traces"]
+    assert all(FLAG_SLIP in t["flags"] for t in report["traces"])
+    assert {p["creep"] for p in report["physics"]} == {1.0}
+
+
 def test_a_width_model_alone_sets_every_width():
     model = EmpiricalWidthModel(a=3e-4, b=0.25, c=0.5, residual=0.0)
     tp = plan(sample("ic-sketch"), SETTINGS)
@@ -339,11 +389,14 @@ class TestRasterize:
         ((0.0, -math.inf), (1.0, 0.0), 0.2),
         ((0.0, 0.0), (1.0, 0.0), math.nan),
         ((0.0, 0.0), (1.0, 0.0), math.inf),
-    ], ids=["nan-x", "inf-y", "neg-inf-y", "nan-width", "inf-width"])
+        ((0.0, 0.0), (1.0, 0.0), -math.inf),
+    ], ids=["nan-x", "inf-y", "neg-inf-y", "nan-width", "inf-width",
+            "neg-inf-width"])
     def test_non_finite_trace_is_domain_error(self, start, end, width_mm):
         good = _trace((0.0, 0.0), (1.0, 1.0), 0.2)
-        with pytest.raises(ConfigError, match="finite"):
-            rasterize([good, _trace(start, end, width_mm)], 0.05)
+        for kernel in KERNELS:
+            with _kernel(kernel), pytest.raises(ConfigError, match="finite"):
+                rasterize([good, _trace(start, end, width_mm)], 0.05)
 
 
 # --- span rasterizer against the per-pixel oracle
@@ -453,35 +506,45 @@ def _raster_layouts(draw):
 @given(_raster_layouts())
 def test_spans_equal_per_pixel_oracle(layout):
     traces, scale = layout
-    fast = rasterize(traces, scale)
     slow = _brute_rasterize(traces, scale)
-    assert (fast.width, fast.height) == (slow.width, slow.height)
-    assert fast.origin_mm == slow.origin_mm
-    # the area is counted from the runs, without building the canvas
-    assert fast.occupied_area_mm2() == slow.occupied_area_mm2()
-    assert "cells" not in vars(fast)
-    assert fast == slow  # the same runs: both are in the canonical form
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            fast = rasterize(traces, scale)
+        # a scalar-built image holds an array('q'), a vector-built one an
+        # ndarray; a drawing of zero widths has no pairs, so even a limit
+        # of 0 keeps it scalar
+        assert isinstance(fast.runs, array) == (
+            kernel == "scalar" or all(t.width_m == 0.0 for t in traces))
+        assert (fast.width, fast.height) == (slow.width, slow.height)
+        assert fast.origin_mm == slow.origin_mm
+        # the area is counted from the runs, without building the canvas
+        assert fast.occupied_area_mm2() == slow.occupied_area_mm2()
+        assert "cells" not in vars(fast)
+        assert fast == slow  # the same runs: both are in the canonical form
 
 
 @settings(max_examples=100, deadline=None)
 @given(_raster_layouts(), st.sampled_from((1, 3, 7)))
 def test_spans_equal_per_pixel_oracle_in_small_batches(layout, chunk):
     # batches of 1, 3 and 7 pairs: a batch inside one trace, a batch that
-    # ends on a trace's last row and a trace split over many batches
+    # ends on a trace's last row and a trace split over many batches (the
+    # scalar kernel has no batches)
     traces, scale = layout
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(raster, "_SPAN_CHUNK", chunk)
-        fast = rasterize(traces, scale)
-    assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
+    for kernel in KERNELS:
+        with _kernel(kernel), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spans, "_SPAN_CHUNK", chunk)
+            fast = rasterize(traces, scale)
+        assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_small_batches_give_the_same_runs(chunk):
     traces = simulate(plan(sample("grid-antenna"), SETTINGS), QUIET).traces
     expected = rasterize(traces, 0.02).runs
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(raster, "_SPAN_CHUNK", chunk)
-        assert np.array_equal(rasterize(traces, 0.02).runs, expected)
+    for kernel in KERNELS:
+        with _kernel(kernel), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spans, "_SPAN_CHUNK", chunk)
+            assert np.array_equal(rasterize(traces, 0.02).runs, expected)
 
 
 def test_runs_of_a_canvas_over_2_31_pixels():
@@ -493,23 +556,27 @@ def test_runs_of_a_canvas_over_2_31_pixels():
     scale, width_mm = 0.5, 2.0 ** -10 * 1e3
     near = _trace((0.0, 25000.0), (2.0, 25000.0), width_mm)
     far = _trace((25000.0, 0.0), (25003.0, 1.5), width_mm)
-    big = rasterize([near, far], scale, max_pixels=3_000_000_000)
-    assert big.width * big.height >= 2 ** 31
-    alone = rasterize([far], scale)
-    col = round((alone.origin_mm[0] - big.origin_mm[0]) / scale)
-    row = round((big.origin_mm[1] - alone.origin_mm[1]) / scale)
-    # the far trace's pixels, read from the runs: a canvas would be 2.5 GB
-    ends = np.cumsum(big.runs)
-    starts, stops = ends[0:-1:2], ends[1::2]
-    bottom = starts > big.width * (big.height // 2)
-    assert starts[bottom].min() > 2 ** 31
-    ink = np.concatenate([np.arange(a, b) for a, b in
-                          zip(starts[bottom], stops[bottom])])
-    ys, xs = np.nonzero(alone.cells)
-    assert np.array_equal(ink // big.width - row, ys)
-    assert np.array_equal(ink % big.width - col, xs)
-    assert big.runs[1::2].sum() == (rasterize([near], scale).runs[1::2].sum()
-                                    + xs.size)
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            big = rasterize([near, far], scale, max_pixels=3_000_000_000)
+            alone = rasterize([far], scale)
+            runs = np.asarray(big.runs)
+            near_ink = np.asarray(rasterize([near], scale).runs)[1::2].sum()
+        assert big.width * big.height >= 2 ** 31
+        col = round((alone.origin_mm[0] - big.origin_mm[0]) / scale)
+        row = round((big.origin_mm[1] - alone.origin_mm[1]) / scale)
+        # the far trace's pixels, read from the runs: a canvas would be
+        # 2.5 GB
+        ends = np.cumsum(runs)
+        starts, stops = ends[0:-1:2], ends[1::2]
+        bottom = starts > big.width * (big.height // 2)
+        assert starts[bottom].min() > 2 ** 31
+        ink = np.concatenate([np.arange(a, b) for a, b in
+                              zip(starts[bottom], stops[bottom])])
+        ys, xs = np.nonzero(alone.cells)
+        assert np.array_equal(ink // big.width - row, ys)
+        assert np.array_equal(ink % big.width - col, xs)
+        assert runs[1::2].sum() == near_ink + xs.size
 
 
 @settings(max_examples=30, deadline=None)
@@ -518,15 +585,19 @@ def test_runs_of_a_canvas_over_2_31_pixels():
 @example(([_trace((0.0, 0.0), (0.5, 0.0), 0.2)], 0.05))  # under 4096 px
 @example(([_trace((0.0, 0.0), (1.13, 0.0), 0.3)], 0.01))  # a run ends at 4096
 def test_pgm_bands_equal_the_canvas_oracle(layout):
+    # each kernel's image is painted by its own painter: Python for the
+    # scalar kernel's array('q'), numpy for the vector kernel's ndarray
     traces, scale = layout
-    image = rasterize(traces, scale)
     cells, _ = _brute_canvas(traces, scale)
     expected = b"P5\n%d %d\n255\n" % cells.shape[::-1] + cells.tobytes()
-    for band in (1, 7, 4096):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(raster, "_PGM_BAND", band)
-            assert b"".join(pgm_parts(image)) == expected
-    assert "cells" not in vars(image)
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            image = rasterize(traces, scale)
+        for band in (1, 7, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(raster, "_PGM_BAND", band)
+                assert b"".join(pgm_parts(image)) == expected
+        assert "cells" not in vars(image)
 
 
 @st.composite
@@ -586,17 +657,128 @@ def test_spans_far_from_the_canvas_origin(layout):
     # rounding at the size of the canvas origin and certifies a wrong edge
     # pixel: the first example fails by ox, the second by oy
     traces, scale = layout
-    fast = rasterize(traces, scale)
-    assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            fast = rasterize(traces, scale)
+        assert np.array_equal(fast.cells, _brute_canvas(traces, scale)[0])
 
 
 @pytest.mark.parametrize("dy", [2.2250738585e-313, -1e-310, 1e-101])
 def test_a_vanishing_slope_rasterizes_as_flat(dy):
-    # 1 / dy overflows for a subnormal dy: the kernel takes the segment as
+    # 1 / dy overflows for a subnormal dy: each kernel takes the segment as
     # flat rather than meet inf - inf, and its pixels match the rule
     traces = [_trace((0.0, 0.0), (1.0, dy), 1.0)]
-    fast = rasterize(traces, 2.0)
-    assert np.array_equal(fast.cells, _brute_canvas(traces, 2.0)[0])
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            fast = rasterize(traces, 2.0)
+        assert np.array_equal(fast.cells, _brute_canvas(traces, 2.0)[0])
+
+
+@st.composite
+def _kernel_layouts(draw):
+    """Traces for comparing the two kernels: points, flat segments, nearly
+    flat ones (a rise of 1e-300 to 1e-12 mm), random ones and zero widths,
+    near the origin or 1e3 to 1e6 mm from it, at 0.005 to 0.5 mm/px."""
+    scale = draw(st.floats(0.005, 0.5))
+    offset = draw(st.sampled_from((0.0, 1e3, -1e6, 1e6))) + draw(
+        st.floats(-1.0, 1.0))
+    span = 60 * scale
+    traces = []
+    kinds = ("point", "flat", "near-flat", "random")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=5)):
+        x = offset + draw(st.floats(0.0, span))
+        y = offset + draw(st.floats(0.0, span))
+        length = draw(st.floats(0.0, span)) * draw(st.sampled_from((-1, 1)))
+        width_mm = draw(st.one_of(st.just(0.0), st.floats(0.0, 20 * scale)))
+        if kind == "point":
+            end = (x, y)
+        elif kind == "flat":
+            end = (x + length, y)
+        elif kind == "near-flat":
+            rise = draw(st.sampled_from((1e-300, 1e-101, 1e-99, 1e-30,
+                                         1e-12)))
+            end = (x + length, y + draw(st.sampled_from((-1, 1))) * rise)
+        else:
+            ang = draw(st.floats(0.0, 2 * math.pi))
+            end = (x + length * math.cos(ang), y + length * math.sin(ang))
+        traces.append(_trace((x, y), end, width_mm))
+    return traces, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_layouts())
+@example(([_trace((0.0, 0.0), (1.0, 1e-300), 0.3),
+           _trace((0.5, 0.5), (0.5, 0.5), 0.2)], 0.05))
+def test_the_two_kernels_give_equal_images(layout):
+    traces, scale = layout
+    images = []
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            images.append(rasterize(traces, scale))
+    vector, scalar = images
+    assert scalar == vector and vector == scalar
+    assert write_pgm(scalar) == write_pgm(vector)
+    assert scalar.occupied_area_mm2() == vector.occupied_area_mm2()
+
+
+def _pair_count(traces, scale):
+    """The (trace, row) pairs the vector kernel stamps, counted."""
+    count = 0
+    capsule_row = spans._capsule_row
+
+    def counted(y, *args):
+        nonlocal count
+        count += y.size
+        return capsule_row(y, *args)
+
+    with _kernel("vector"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spans, "_capsule_row", counted)
+        rasterize(traces, scale)
+    return count
+
+
+def test_the_kernel_changes_at_the_limit_and_the_bytes_do_not():
+    traces = simulate(plan(sample("ic-sketch"), SETTINGS), QUIET).traces
+    scale = 0.05
+    pairs = _pair_count(traces, scale)
+    # the least limit that picks the scalar kernel: the decision's bound
+    # on the pairs, which needs no canvas
+    lo, hi = 0, 4 * pairs
+    with pytest.MonkeyPatch.context() as mp:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            mp.setattr(raster, "_SCALAR_PAIRS", mid)
+            lo, hi = (lo, mid) if raster._few_pairs(traces, scale) \
+                else (mid, hi)
+    assert pairs <= hi <= pairs + 4 * len(traces)
+    expected = write_pgm(rasterize(traces, scale))
+    for limit in (pairs - 1, pairs, hi - 1, hi):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "_SCALAR_PAIRS", limit)
+            image = rasterize(traces, scale)
+        assert isinstance(image.runs, array) == (limit >= hi)
+        assert write_pgm(image) == expected
+
+
+def test_the_kernel_choice_reads_traces_only_up_to_the_limit():
+    # 1.24 mm of bound per trace at 0.01 mm/px: the sum passes 2^14 pairs
+    # (163.84 mm) at the 133rd trace of a hundred thousand
+    reads = 0
+    trace = _trace((0.0, 0.0), (0.0, 1.0), 0.2)
+
+    class Counted:
+        start, end = trace.start, trace.end
+
+        @property
+        def width_m(self):
+            nonlocal reads
+            reads += 1
+            return trace.width_m
+
+    assert raster._SCALAR_PAIRS == 1 << 14
+    assert not raster._few_pairs((Counted(),) * 100_000, 0.01)
+    assert reads == 133
 
 
 # --- run-length merge against the argsort merge it replaced
@@ -651,15 +833,19 @@ def _span_sets(draw):
 def test_merge_equals_argsort_oracle(case):
     # rasterize hands int32 spans on a canvas under 2^31 pixels, int64
     # on a larger one; the runs are int64 either way
-    n, spans = case
+    n, intervals = case
     for dtype in (np.int32, np.int64):
-        starts = np.array([a for a, _ in spans], dtype=dtype)
-        stops = np.array([b for _, b in spans], dtype=dtype)
+        starts = np.array([a for a, _ in intervals], dtype=dtype)
+        stops = np.array([b for _, b in intervals], dtype=dtype)
         expected = _merge_oracle(starts.astype(np.int64),
                                  stops.astype(np.int64), n)
         runs = _runs(starts, stops, n)
         assert runs.dtype == np.int64
         assert np.array_equal(runs, expected)
+    # the scalar kernel's merge, on Python ints
+    runs = raster._merge([a for a, _ in intervals],
+                         [b for _, b in intervals], n)
+    assert np.array_equal(runs, expected)
 
 
 def test_capsule_row_is_the_exact_crossing():
@@ -667,7 +853,7 @@ def test_capsule_row_is_the_exact_crossing():
     # settle only walks from them; the inner ends, taken at the outer
     # ends' t, lie within the inner radius and inside the outer interval
     from lmprint.circuit import _point_segment_distance
-    from lmprint.raster import _capsule_row, _capsule_t
+    from lmprint.spans import _capsule_row, _capsule_t
     rng = np.random.default_rng(5)
     n = 4000
     r = rng.uniform(0.01, 1.0, n)

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import Record
+from .core import Record, trusted
 from .drawing import _point_segment_distance
 from .errors import CircuitError, ConfigError, UnknownPadError
 
@@ -70,19 +70,13 @@ def _closest_points(p1: Point, p2: Point, q1: Point, q2: Point):
             (u0 + bt * qx, v0 + bt * qy))
 
 
-def _outline_gap(t1, t2) -> tuple[float, Point, Point]:
-    """Outline gap of two trace segments in mm, with the closest points
-    of their centrelines."""
-    d, p1, p2 = _closest_points(t1.start, t1.end, t2.start, t2.end)
-    return d - 0.5e3 * (t1.width_m + t2.width_m), p1, p2
-
-
 def outline_clearance(t1, t2) -> float:
     """Gap between the stroked outlines of two trace segments, in mm.
 
     Negative values mean the outlines overlap.
     """
-    return _outline_gap(t1, t2)[0]
+    d = _closest_points(t1.start, t1.end, t2.start, t2.end)[0]
+    return d - 0.5e3 * (t1.width_m + t2.width_m)
 
 
 def _capsules(traces) -> list[tuple[Point, Point, float]]:
@@ -287,22 +281,6 @@ class CircuitNets(Record):
             raise UnknownPadError(f"pad {name!r} touches no trace") from None
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def extract_nets(traces, touch_tolerance: float,
                  pads: dict[str, Point] | None = None, *,
                  clearance: float = 0.0) -> CircuitNets:
@@ -328,33 +306,48 @@ def extract_nets(traces, touch_tolerance: float,
         if not (math.isfinite(x) and math.isfinite(y)):
             raise CircuitError(f"pad {name!r} must be finite")
     reach = max(touch_tolerance, clearance)
-    uf = _UnionFind(n)
+    widths = [t.width_m for t in traces]
+    # union-find by path halving; the smaller root wins, so each root is
+    # its component's least segment
+    parent = list(range(n))
     contacts = []
     edges = []
     pad_hits: list[list[int]] = [[] for _ in pad_items]
     # pads join the broad phase as points, so each pad is tested only
     # against the segments near it
     for i, j in _candidate_pairs(capsules, reach, [p for _, p in pad_items]):
+        start, end, half_width = capsules[i]
         if j >= n:
-            if (_point_segment_distance(pad_items[j - n][1], traces[i].start,
-                                        traces[i].end)
-                    <= 0.5e3 * traces[i].width_m + touch_tolerance):
+            if (_point_segment_distance(pad_items[j - n][1], start, end)
+                    <= half_width + touch_tolerance):
                 pad_hits[j - n].append(i)
             continue
-        gap, pi, pj = _outline_gap(traces[i], traces[j])
+        d, pi, pj = _closest_points(start, end, capsules[j][0],
+                                    capsules[j][1])
+        gap = d - 0.5e3 * (widths[i] + widths[j])
         if gap <= reach:
             contacts.append(Contact(i, j, gap, pi, pj))
             if gap <= touch_tolerance:
-                uf.union(i, j)
                 edges.append((i, j))
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    members = sorted(groups.values(), key=lambda g: g[0])
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if i < j:               # i and j are the roots now
+                    parent[j] = i
+                elif j < i:
+                    parent[i] = j
+    # a parent is never above its child and shares its net, so one
+    # ascending pass names every net by its least segment
     net_of = [0] * n
-    for nid, seg_ids in enumerate(members):
-        for k in seg_ids:
-            net_of[k] = nid
+    members: list[list[int]] = []
+    for k in range(n):
+        if parent[k] == k:
+            net_of[k] = len(members)
+            members.append([k])
+        else:
+            net_of[k] = nid = net_of[parent[k]]
+            members[nid].append(k)
     net_edges: list[list[tuple[int, int]]] = [[] for _ in members]
     for i, j in edges:
         net_edges[net_of[i]].append((i, j))
@@ -393,8 +386,9 @@ class ResistanceEstimate(Record):
 
 def _segment_resistance(trace, resistivity: float) -> float:
     area = trace.cross_section_m2
-    if area <= 0.0:
-        raise CircuitError("zero-area segment in resistance path")
+    if not area > 0.0:
+        raise CircuitError("segment in resistance path has no positive "
+                           "cross-section")
     return resistivity * trace.length_mm * 1e-3 / area
 
 
@@ -424,6 +418,36 @@ def _cuts_a_segment(nets: CircuitNets, path: tuple[int, ...]) -> bool:
         if _off_ends(traces[i], point_i) or _off_ends(traces[j], point_j):
             return True
     return False
+
+
+def _path_to(link: dict[int, tuple], k: int) -> tuple[int, ...]:
+    """The path that link's entries (cost, segment before, segments on
+    the path) lead to k by; the segment before a start is -1."""
+    path = []
+    while k >= 0:
+        path.append(k)
+        k = link[k][1]
+    return tuple(reversed(path))
+
+
+def _sorts_first(link: dict[int, tuple], a: int, b: int, k: int) -> bool:
+    """Whether the path to a, then k, sorts before the path to b, then k.
+
+    Each side climbs from its end to the two paths' last common segment
+    (-1 above the starts), keeping the segment below it; the first
+    difference between the paths is there.
+    """
+    depth_a = link[a][2] if a >= 0 else 0
+    depth_b = link[b][2] if b >= 0 else 0
+    below_a = below_b = k
+    for _ in range(depth_a - depth_b):
+        below_a, a = a, link[a][1]
+    for _ in range(depth_b - depth_a):
+        below_b, b = b, link[b][1]
+    while a != b:
+        below_a, a = a, link[a][1]
+        below_b, b = b, link[b][1]
+    return below_a < below_b
 
 
 def estimate_resistance(nets: CircuitNets, pad_a: str, pad_b: str,
@@ -457,23 +481,38 @@ def estimate_resistance(nets: CircuitNets, pad_a: str, pad_b: str,
     branched = (len(net.edges) != len(members) - 1 or
                 any(len(v) > 2 for v in adjacency.values()))
 
-    heap = [(res[i], i, (i,)) for i in sorted(starts)]
+    # Dijkstra keeps each reached segment's least cost, the segment before
+    # it (-1 at a start) and its path's length. Equal costs go to the
+    # lexicographically smaller path, as if the heap held (cost, segment,
+    # path) entries
+    link = {i: (res[i], -1, 1) for i in starts}
+    heap = [(cost, i) for i, (cost, _, _) in link.items()]
     heapq.heapify(heap)
     settled: set[int] = set()
     while heap:
-        cost, node, path = heapq.heappop(heap)
+        cost, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
         if node in targets:
-            return ResistanceEstimate(
-                ohms=cost, path=path,
-                approximate=(branched or _cuts_a_segment(nets, path)
-                             or _pad_off_ends(nets, traces[path[0]], pad_a)
-                             or _pad_off_ends(nets, traces[path[-1]], pad_b)))
-        for nb in sorted(adjacency[node]):
-            if nb not in settled:
-                heapq.heappush(heap, (cost + res[nb], nb, path + (nb,)))
+            path = _path_to(link, node)
+            return trusted(ResistanceEstimate, {
+                "ohms": cost, "path": path,
+                "approximate": (
+                    branched or _cuts_a_segment(nets, path)
+                    or _pad_off_ends(nets, traces[path[0]], pad_a)
+                    or _pad_off_ends(nets, traces[path[-1]], pad_b))})
+        depth = link[node][2] + 1
+        for nb in adjacency[node]:
+            if nb in settled:
+                continue
+            total = cost + res[nb]
+            old = link.get(nb)
+            if old is None or total < old[0]:
+                link[nb] = (total, node, depth)
+                heapq.heappush(heap, (total, nb))
+            elif total == old[0] and _sorts_first(link, node, old[1], nb):
+                link[nb] = (total, node, depth)
     raise CircuitError(
         f"pads {pad_a!r} and {pad_b!r} are not connected within net "
         f"{net.net_id}")

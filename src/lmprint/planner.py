@@ -51,6 +51,8 @@ class Lift(Record):
 
 
 Action = Tap | Move | Lift
+# every Lift is alike, so plan appends this one
+LIFT = Lift()
 
 
 class Toolpath(Record):
@@ -426,9 +428,9 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
         closed = drawing.closed_flags[idx]
         for points, factors in apply_corner_policy(
                 verts, closed, env.policy, env.chord_tolerance_mm):
-            actions.append(Tap(at=points[0], force_n=force_n))
-            # every point is a tuple of two floats, so a Move needs only
-            # the check of its speed
+            # every point is a tuple of two floats, so a Tap needs no
+            # check and a Move only the check of its speed
+            actions.append(trusted(Tap, {"at": points[0], "force_n": force_n}))
             for to, factor in zip(points[1:], factors):
                 move_speed = speed * factor
                 if move_speed <= 0:
@@ -436,9 +438,11 @@ def plan(drawing: VectorDrawing, settings: MachineSettings,
                 actions.append(trusted(Move, {"to": to,
                                               "speed_mm_s": move_speed,
                                               "pressure_g": pressure_g}))
-            actions.append(Lift())
-    return Toolpath(actions=tuple(actions), drawing_id=drawing.drawing_id,
-                    policy=env.policy.describe())
+            actions.append(LIFT)
+    # each action was built here, so the Toolpath needs no check
+    return trusted(Toolpath, {"actions": tuple(actions),
+                              "drawing_id": drawing.drawing_id,
+                              "policy": env.policy.describe()})
 
 
 class PlanEstimate(Record):

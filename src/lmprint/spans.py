@@ -254,13 +254,17 @@ def _runs(starts, stops, n):
     # with both sorted, stop i closes a run exactly when start i + 1 lies
     # beyond it: starts and stops 0..i have all passed there, so no span
     # covers it unless a later start does
-    cut = np.flatnonzero(starts[1:] > stops[:-1])
-    runs = np.empty(2 * cut.size + 3, dtype=np.int64)
+    cut = starts[1:] > stops[:-1]
+    ends, begins = stops[:-1][cut], starts[1:][cut]
+    k = ends.size
+    # background, then ink and gap in turn: ink run r goes from begins[r - 1]
+    # (starts[0] for r = 0) to ends[r] (stops[-1] for r = k)
+    runs = np.empty(2 * k + 3, dtype=np.int64)
     runs[0], runs[-1] = starts[0], n - stops[-1]
-    ink = runs[1::2]  # each ink run's end, then its length
-    ink[:-1], ink[-1] = stops[cut], stops[-1]
-    cut += 1  # the spans that start the ink runs after the first
-    runs[2:-1:2] = starts[cut] - ink[:-1]
-    ink[0] -= starts[0]
-    ink[1:] -= starts[cut]
+    np.subtract(begins, ends, out=runs[2:-1:2])
+    np.subtract(ends[1:], begins[:-1], out=runs[3:-3:2])
+    if k:
+        runs[1], runs[-2] = ends[0] - starts[0], stops[-1] - begins[-1]
+    else:
+        runs[1] = stops[-1] - starts[0]
     return runs

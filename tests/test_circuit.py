@@ -17,8 +17,8 @@ from lmprint import MachineSettings, extract_nets, plan, rasterize, simulate
 from lmprint import circuit
 from lmprint.circuit import CircuitNets, Contact, DrcResult, DrcViolation, \
     Net, ResistanceEstimate, _candidate_pairs, _capsules, _closest_points, \
-    _point_segment_distance, _segment_resistance, _UnionFind, \
-    check_connectivity, drc, estimate_resistance, outline_clearance
+    _point_segment_distance, _segment_resistance, check_connectivity, \
+    drc, estimate_resistance, outline_clearance
 from lmprint.cli import main
 from lmprint.core import replace
 from lmprint.errors import CircuitError, ConfigError, UnknownPadError
@@ -95,22 +95,33 @@ def segments_touch(t1, t2, tolerance: float) -> bool:
 def _brute_nets(traces, touch_tolerance, pads=None,
                 clearance=0.0) -> CircuitNets:
     traces = tuple(traces)
-    uf = _UnionFind(len(traces))
+    neighbours = [[] for _ in traces]
     edges = []
     contacts = []
     reach = max(touch_tolerance, clearance)
     for i in range(len(traces)):
         for j in range(i + 1, len(traces)):
             if segments_touch(traces[i], traces[j], touch_tolerance):
-                uf.union(i, j)
+                neighbours[i].append(j)
+                neighbours[j].append(i)
                 edges.append((i, j))
             gap, pi, pj = _oracle_gap(traces[i], traces[j])
             if gap <= reach:
                 contacts.append(Contact(i, j, gap, pi, pj))
-    groups: dict[int, list[int]] = {}
-    for i in range(len(traces)):
-        groups.setdefault(uf.find(i), []).append(i)
-    members = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    # the components, by breadth-first search from each unseen segment
+    seen = set()
+    members = []
+    for first in range(len(traces)):
+        if first in seen:
+            continue
+        seen.add(first)
+        component = [first]
+        for k in component:
+            for other in neighbours[k]:
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+        members.append(sorted(component))
     pad_items = sorted((pads or {}).items())
     nets = []
     for nid, seg_ids in enumerate(members):
@@ -518,6 +529,20 @@ class TestResistance:
                     stack.append((nxt, path + (nxt,), acc + cost(nxt)))
         assert est.ohms == pytest.approx(best, rel=1e-9)
 
+    def test_a_long_chain_is_the_series_sum(self):
+        # 4000 segments end to end: the path is the chain, and its ohms
+        # are the segments' resistances added in path order
+        traces = [_trace((float(k), 0.0), (k + 1.0, 0.0))
+                  for k in range(4000)]
+        nets = extract_nets(traces, 0.0,
+                            pads={"A": (0.0, 0.0), "B": (4000.0, 0.0)})
+        est = estimate_resistance(nets, "A", "B", 2.9e-7)
+        series = 0.0
+        for t in traces:
+            series += _segment_resistance(t, 2.9e-7)
+        assert est == ResistanceEstimate(ohms=series, path=tuple(range(4000)),
+                                         approximate=False)
+
     def test_a_pad_paired_with_itself_is_zero_ohm(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0)),
                   _trace((10.0, 0.0), (10.0, 10.0))]
@@ -548,6 +573,14 @@ class TestResistance:
 
     def test_zero_area_segment_rejected(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0), flux=0.0)]
+        nets = extract_nets(traces, 0.0,
+                            pads={"A": (0.0, 0.0), "B": (10.0, 0.0)})
+        with pytest.raises(CircuitError):
+            estimate_resistance(nets, "A", "B", 1.0)
+
+    def test_a_segment_without_a_number_for_its_area_is_rejected(self):
+        # a nan cross-section would make every cost comparison false
+        traces = [_trace((0.0, 0.0), (10.0, 0.0), flux=math.nan)]
         nets = extract_nets(traces, 0.0,
                             pads={"A": (0.0, 0.0), "B": (10.0, 0.0)})
         with pytest.raises(CircuitError):
@@ -667,6 +700,15 @@ TOLERANCES_MM = (0.0, 0.02, 0.1, 0.3)
 CLEARANCES_MM = (0.05, 0.1, 0.3)    # tolerance <, = and > clearance
 
 
+def _lattice(x, y, cols, rows, width_mm):
+    """A lattice of 1 mm cells, cols by rows, with its corner at (x, y):
+    each cell side is a segment, so every cell side costs the same."""
+    return ([_trace((x + c, y + r), (x + c + 1.0, y + r), width_mm=width_mm)
+             for r in range(rows + 1) for c in range(cols)]
+            + [_trace((x + c, y + r), (x + c, y + r + 1.0), width_mm=width_mm)
+               for c in range(cols + 1) for r in range(rows)])
+
+
 @st.composite
 def _layouts(draw):
     """Traces, pads and limits with the cases a grid could get wrong.
@@ -677,7 +719,8 @@ def _layouts(draw):
     rows, whose outline gap is computed as exactly the tolerance or
     clearance. The tolerance and clearance are drawn apart, so either may
     be the larger. Chains continue from the last trace's end, so nets
-    have branches and pads sit on multi-segment nets.
+    have branches and pads sit on multi-segment nets. Lattices of whole
+    millimetre cells have many routes of exactly equal cost.
     """
     offset = draw(st.sampled_from((0.0, 1e4)))
     tolerance = draw(st.sampled_from(TOLERANCES_MM))
@@ -685,7 +728,7 @@ def _layouts(draw):
     coord = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
     traces = []
     kinds = ("segment", "chain", "point", "duplicate", "diagonal", "sliver",
-             "gap")
+             "gap", "lattice")
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
                               max_size=12)):
         w = draw(st.sampled_from(WIDTHS_MM))
@@ -694,6 +737,13 @@ def _layouts(draw):
             x, y = traces[-1].end
         if kind == "duplicate" and traces:
             traces.append(draw(st.sampled_from(traces)))
+        elif kind == "lattice":
+            # on whole millimetres, so equal routes cost exactly the same;
+            # shuffled, so the tie between them falls on any index order
+            cells = _lattice(float(math.floor(x)), float(math.floor(y)),
+                             draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                             w)
+            traces += draw(st.permutations(cells))
         elif kind == "point":
             traces.append(_trace((x, y), (x, y), width_mm=w))
         elif kind == "diagonal":
@@ -761,6 +811,12 @@ def _parallel(width_mm, rise):
 @example((_parallel(0.005, 0.055), {"P0": (0.0, 0.0)}, 0.0, 0.05))
 @example((_parallel(0.05, 0.35), {"P0": (1.0, 0.35)}, 0.3, 0.1))
 @example((_parallel(0.005, 0.055), {}, 0.05, 0.05))
+# equal-cost routes between opposite corners and across the middle of a
+# lattice, its segments in row and in reversed order
+@example((_lattice(0.0, 0.0, 3, 3, 0.05),
+          {"A": (0.0, 0.0), "B": (3.0, 3.0), "C": (1.0, 2.0)}, 0.0, 0.05))
+@example((_lattice(0.0, 0.0, 3, 3, 0.05)[::-1],
+          {"A": (0.0, 0.0), "B": (3.0, 3.0), "C": (1.0, 2.0)}, 0.0, 0.05))
 def test_grid_paths_equal_all_pairs_oracles(layout):
     traces, pads, tolerance, clearance = layout
     # one contact pass serves nets and DRC, as in check

@@ -102,15 +102,11 @@ _physics_of = attrgetter(*_PHYSICS_FIELDS)
 _PHYSICS_BITS = struct.Struct("6d")
 
 
-def _toolpath_section(toolpath, est) -> dict:
-    """est: a PlanEstimate, or a SimulationResult, which holds the same
-    time and volume floats."""
+def _toolpath_section(toolpath) -> dict:
     return {
         "drawing_id": toolpath.drawing_id,
         "policy": toolpath.policy,
         "action_count": len(toolpath.actions),
-        "estimated_time_s": est.print_time_s,
-        "estimated_volume_mm3": est.ink_volume_mm3,
     }
 
 
@@ -175,8 +171,11 @@ def _pgm_parts(args, env: Environment, result):
 def _cmd_plan(args) -> int:
     env, drawing, toolpath = _pipeline(args)
     est = estimate(toolpath, env)
+    # a plan report has no totals, so its toolpath states the estimate
     report = make_report(drawing=_drawing_section(drawing),
-                         toolpath={**_toolpath_section(toolpath, est),
+                         toolpath={**_toolpath_section(toolpath),
+                                   "estimated_time_s": est.print_time_s,
+                                   "estimated_volume_mm3": est.ink_volume_mm3,
                                    "actions": _action_table(toolpath)})
     _write_bytes(args.out, [write_report(report)])
     return 0
@@ -191,7 +190,7 @@ def _cmd_simulate(args) -> int:
     physics, traces = _trace_sections(result, env.substrate)
     report = write_report(make_report(
         drawing=_drawing_section(drawing),
-        toolpath=_toolpath_section(toolpath, result),
+        toolpath=_toolpath_section(toolpath),
         physics=physics, traces=traces,
         totals=_totals_section(result)))
     # rasterize before writing anything, so a raster error leaves no report
@@ -245,15 +244,14 @@ def _cmd_check(args) -> int:
         resistivity = args.resistivity if args.resistivity is not None \
             else env.resistivity_ohm_m
         if resistivity is not None:
+            # connected pairs only: connectivity states which those are
             entries = []
             for a, b, ok in conn:
-                if not ok:
-                    entries.append({"pads": [a, b], "connected": False})
-                    continue
-                r = _cli.estimate_resistance(nets, a, b, resistivity)
-                entries.append({"pads": [a, b], "connected": True,
-                                "ohms": r.ohms, "path": list(r.path),
-                                "approximate": r.approximate})
+                if ok:
+                    r = _cli.estimate_resistance(nets, a, b, resistivity)
+                    entries.append({"pads": [a, b], "ohms": r.ohms,
+                                    "path": list(r.path),
+                                    "approximate": r.approximate})
             checks["resistance"] = entries
     verdict = _cli.drc(nets, args.min_width, args.min_clearance)
     checks["drc"] = {

@@ -25,20 +25,20 @@ floats from the same repr cache, and all rows are written by a single
 sorted field names and the point arity. Ints reach the fill as
 themselves, never through the cache, where 1 and 1.0 are one key. A table
 that fails the check (a bool, a column mixing ints with other values, a
-float subclass, a tuple in a point) is written the generic way, from the
-dicts and lists it stands for (Table.plain), with the same bytes.
+float subclass, a tuple in a point) raises TypeError naming its shape and
+slot, as any other value json cannot write does.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DrawingFormatError
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 _POINT_TYPES = {float, str}
 _FIELD_TYPES = {float, str, tuple}
@@ -71,59 +71,42 @@ class Table:
         self.rows = rows
         self._shapes = by_length
 
-    def plain(self) -> list:
-        """The rows as the dicts and lists they stand for."""
-        out = []
-        for row in self.rows:
-            shape = self._shapes[len(row)]
-            slots = iter(row)
-            fields = [list(islice(slots, a)) if a else next(slots)
-                      for a in _arities(shape)]
-            out.append(dict(zip(shape, fields)) if type(shape) is dict
-                       else fields)
-        return out
-
     def templates(self, ind: str) -> dict[int, str]:
         """Row length -> %-template of such a row on a line indented ind,
         with one %s per slot."""
         return {n: _template(shape, ind) for n, shape in self._shapes.items()}
 
-    def columns(self) -> dict[int, list[tuple]] | None:
-        """Row length -> the columns of the rows of that length, or None if
-        a column fails the type check. A column holds exactly ints only, or
-        exactly floats and strs, and, at the depth of a field, tuples of
-        exact strs: a tuple's text is made once, each distinct tuple is
-        checked once, and an int is never looked up among equal floats."""
+    def columns(self) -> dict[int, list[tuple]]:
+        """Row length -> the columns of the rows of that length. A column
+        holds exact ints only, or exact floats and strs and, at the depth of
+        a field, tuples of exact strs: a tuple's text is made once, each
+        distinct tuple is checked once, and an int is never looked up among
+        equal floats. Any other column raises TypeError."""
         rows = self.rows
         lengths = set(map(len, rows))
         out = {}
         for n in lengths:
+            shape = self._shapes[n]
             group = rows if len(lengths) == 1 else [
                 r for r in rows if len(r) == n]
             cols = list(zip(*group))
-            in_point = [a > 0 for a in _arities(self._shapes[n])
-                        for _ in range(a or 1)]
-            for col, point in zip(cols, in_point):
+            in_point = [a > 0 for a in _arities(shape) for _ in range(a or 1)]
+            for slot, (col, point) in enumerate(zip(cols, in_point)):
                 kinds = set(map(type, col))
                 if kinds == {int}:
                     continue
-                if not kinds <= (_POINT_TYPES if point else _FIELD_TYPES):
-                    return None
-                if tuple in kinds:
-                    try:
-                        distinct = set(col)
-                    except TypeError:  # a tuple holding a list, say
-                        return None
+                bad = [t.__name__ for t in
+                       kinds - (_POINT_TYPES if point else _FIELD_TYPES)]
+                if tuple in kinds and not bad:
                     items = chain.from_iterable(
-                        v for v in distinct if type(v) is tuple)
-                    if not set(map(type, items)) <= {str}:
-                        return None
+                        v for v in set(col) if type(v) is tuple)
+                    bad = ["tuple of " + t.__name__
+                           for t in set(map(type, items)) - {str}]
+                if bad:
+                    raise TypeError(f"table shape {shape!r}, slot {slot}: "
+                                    f"cannot write {', '.join(sorted(bad))}")
             out[n] = cols
         return out
-
-    def typed(self) -> bool:
-        """Whether every column passes the type check (see columns)."""
-        return self.columns() is not None
 
 
 def _arities(shape) -> tuple:
@@ -256,14 +239,11 @@ def canonical_json(obj) -> bytes:
         float or str column gets its text before the fill, floats all in
         one batch; zeros are never stored, so they reach the fill as
         floats, whose %s is their repr, sign and all, as do the ints of an
-        int column, which never meet the float cache (1 == 1.0). A table
-        that fails the type check is written as the list it stands for."""
+        int column, which never meet the float cache (1 == 1.0)."""
         rows = o.rows
         if not rows:
             return "[]"
         columns = o.columns()
-        if columns is None:
-            return array(o.plain(), ind)
         inner = ind + "  "
         texted = [col for cols in columns.values() for col in cols
                   if type(col[0]) is not int]

@@ -24,8 +24,8 @@ V1_TRACE_FIELDS = {"contact_angle_deg": 0, "creep": 0, "end_mm": 2,
 
 def v1_trace_rows(traces) -> bytes:
     """The traces as a version-1 simulate report wrote them, physics and
-    all in each row: the oracle of the version-2 trace and physics
-    tables."""
+    all in each row: the oracle of the trace and physics tables that
+    reports have had since version 2."""
     return canonical_json(Table([V1_TRACE_FIELDS], [
         (t.contact_angle_deg, t.creep, *t.end, t.flags, t.flux_m3_s,
          t.pressure_g, t.speed_mm_s, *t.start, t.width_m)
@@ -33,8 +33,8 @@ def v1_trace_rows(traces) -> bytes:
 
 
 def expanded_traces(report: dict) -> bytes:
-    """A version-2 report's traces, each row's physics read through its
-    index (clamped left out), written as json.dumps writes them."""
+    """A report's traces, each row's physics read through its index
+    (clamped left out), written as json.dumps writes them."""
     physics = report["physics"]
     rows = []
     for t in report["traces"]:

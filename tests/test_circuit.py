@@ -487,7 +487,7 @@ class TestResistance:
                      "--pressure", "30", "--pairs", board.facts.pairs_arg(),
                      "--resistivity", "2.94e-7", "--out", str(out)]) == 0
         flags = {tuple(e["pads"]): e["approximate"] for e in json.loads(
-            out.read_bytes())["checks"]["resistance"] if e["connected"]}
+            out.read_bytes())["checks"]["resistance"]}
         assert set(board.facts.series_mm) == set(flags) - {("Ma", "Mb")}
         assert not any(flags[pair] for pair in board.facts.series_mm)
         assert flags["Ma", "Mb"] is True
@@ -568,8 +568,8 @@ class TestResistance:
                      "--out", str(out)]) == 0
         ab, aa = json.loads(out.read_bytes())["checks"]["resistance"]
         assert ab["ohms"] > 0.0 and ab["path"] == [0]
-        assert aa == {"pads": ["A", "A"], "connected": True, "ohms": 0.0,
-                      "path": [], "approximate": False}
+        assert aa == {"pads": ["A", "A"], "ohms": 0.0, "path": [],
+                      "approximate": False}
 
     def test_zero_area_segment_rejected(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0), flux=0.0)]

@@ -448,11 +448,12 @@ def test_simulate_report_and_pgm(run, tmp_path):
     assert physics["width_m"] > 0.0
     assert physics["speed_mm_s"] == 40.0
     assert physics["clamped"] is True  # 0.92 N is past pvc-film's table
-    assert "actions" not in report["toolpath"]  # plan writes them
+    # plan writes the actions and the estimate; totals state the latter
+    assert set(report["toolpath"]) == {"action_count", "drawing_id",
+                                       "policy"}
     totals = report["totals"]
     assert totals["print_time_s"] > 0.0
-    assert totals["ink_volume_mm3"] == pytest.approx(
-        report["toolpath"]["estimated_volume_mm3"], rel=1e-9)
+    assert totals["ink_volume_mm3"] > 0.0
     assert pgm_path.read_bytes().startswith(b"P5\n")
 
 
@@ -565,21 +566,24 @@ def test_check_report(run, tmp_path):
     assert checks["connectivity"] == [{"connected": True,
                                        "pads": ["A", "B"]}]
     assert checks["drc"]["passed"] is True
-    entry = checks["resistance"][0]
-    assert entry["connected"] is True and entry["ohms"] > 0.0
+    (entry,) = checks["resistance"]
+    assert set(entry) == {"approximate", "ohms", "pads", "path"}
+    assert entry["pads"] == ["A", "B"] and entry["ohms"] > 0.0
     assert out == ""
 
 
 def test_check_detects_open_pair(run, tmp_path):
     rc, out, _ = run(["check", "--drawing", f"{SAMPLES}/ic-sketch.json",
                       "--speed", "10", "--pressure", "30",
-                      "--pairs", "L1:B1,L1:L2",
+                      "--pairs", "L1:B1,L1:L2", "--resistivity", "2.9e-7",
                       "--out", str(tmp_path / "c.json")])
     assert rc == 0
     checks = read_report((tmp_path / "c.json").read_bytes())["checks"]
     verdicts = {tuple(c["pads"]): c["connected"]
                 for c in checks["connectivity"]}
     assert verdicts == {("L1", "B1"): True, ("L1", "L2"): False}
+    # connectivity states that L1:L2 is open, so resistance leaves it out
+    assert [e["pads"] for e in checks["resistance"]] == [["L1", "B1"]]
 
 
 def test_check_unknown_pad_is_domain_error(run, tmp_path):

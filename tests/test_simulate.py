@@ -234,6 +234,29 @@ def test_no_corner_risk_across_lift():
     assert result.flag_counts[FLAG_CORNER] == 0
 
 
+def test_a_loop_seam_is_slowed_and_not_flagged():
+    # the planner slows both edges at a loop's seam vertex (8.3 degrees
+    # here), but the head lifts there, so simulate flags corner-risk only
+    # on the two edges that meet at the 26 degree vertex (16, 6)
+    policy = CornerPolicy(threshold_angle=135.0, strategy="slowdown",
+                          slowdown_factor=0.5)
+    env = replace(QUIET, policy=policy)
+    points = ((0.0, 0.0), (10.0, 1.0), (14.0, 3.0), (16.0, 6.0), (10.0, 2.5))
+    assert interior_angle_deg(points[-1], points[0], points[1]) < 9.0
+    assert 26.0 < interior_angle_deg(*points[2:]) < 27.0
+    d = VectorDrawing(strokes=(points,), closed_flags=(True,))
+    tp = plan(d, SETTINGS, environment=env)
+    moves = [a for a in tp.actions if type(a) is Move]
+    assert [type(a) for a in tp.actions] == [Tap, *[Move] * 5, Lift]
+    full = moves[1].speed_mm_s  # the one edge with no sharp end
+    assert [m.speed_mm_s for m in moves] == [0.5 * full, full] + [
+        0.5 * full] * 3
+    result = simulate(tp, env)
+    assert [(t.start, t.end) for t in result.traces
+            if FLAG_CORNER in t.flags] == [((14.0, 3.0), (16.0, 6.0)),
+                                           ((16.0, 6.0), (10.0, 2.5))]
+
+
 def test_plan_and_simulate_judge_corners_by_one_policy():
     # at a 60 degree threshold a 90 degree corner stays inside the stroke,
     # and simulate, reading the same policy, does not flag it

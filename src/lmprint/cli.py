@@ -24,7 +24,7 @@ from .environment import Environment
 from .errors import FullSlipError, LmprintError
 from .flux import (ANCHOR_CONDITIONS, ANCHOR_FLUX_M3_S, ANCHOR_GAP_WIDTH,
                    FlowConditions, calibrate_flux, flux_table)
-from .planner import Lift, Move, Tap, estimate, plan
+from .planner import Move, Tap, estimate, plan
 from .report import Table, make_report, write_report
 from .wetting import force_clamped, line_width_profile, stable_line_width
 
@@ -52,10 +52,6 @@ def _g(x: float) -> str:
     return f"{x + 0.0:.9g}"  # +0.0 folds -0.0 into 0.0
 
 
-def _point(p) -> list[float]:
-    return [p[0], p[1]]
-
-
 def _write_bytes(path: str, chunks):
     if path == "-":
         sys.stdout.buffer.writelines(chunks)
@@ -81,17 +77,15 @@ def _load_drawing(args, env: Environment):
 
 
 def _drawing_section(drawing) -> dict:
-    bounds = drawing.bounds  # None for a drawing with no strokes
     return {
         "id": drawing.drawing_id,
         "strokes": len(drawing.strokes),
         "pads": sorted(drawing.pads),
-        "bounds_mm": bounds and [_point(p) for p in bounds],
+        "bounds_mm": drawing.bounds,  # None for a drawing with no strokes
     }
 
 
-# report table rows: fields in sorted order, points as their coordinates
-_ACTION_SHAPES = ((0, 2, 0, 0), (0, 2, 0), (0,))  # move, tap, lift
+# a trace table row: fields in sorted order, points as their coordinates
 _TRACE_FIELDS = {"end_mm": 2, "flags": 0, "physics": 0, "start_mm": 2}
 # a physics row's fields besides clamped, sorted; a trace's values of them
 _PHYSICS_FIELDS = ("contact_angle_deg", "creep", "flux_m3_s", "pressure_g",
@@ -110,11 +104,10 @@ def _toolpath_section(toolpath) -> dict:
     }
 
 
-def _action_table(toolpath) -> Table:
-    return Table(_ACTION_SHAPES, [
-        ("move", *a.to, a.speed_mm_s, a.pressure_g) if type(a) is Move
-        else ("tap", *a.at, a.force_n) if type(a) is Tap else ("lift",)
-        for a in toolpath.actions])
+def _action_table(toolpath) -> list[list]:
+    return [["move", a.to, a.speed_mm_s, a.pressure_g] if type(a) is Move
+            else ["tap", a.at, a.force_n] if type(a) is Tap else ["lift"]
+            for a in toolpath.actions]
 
 
 def _trace_sections(result, substrate) -> tuple[list[dict], Table]:
@@ -129,7 +122,7 @@ def _trace_sections(result, substrate) -> tuple[list[dict], Table]:
         row["clamped"] = force_clamped(
             substrate, grams_to_newtons(row["pressure_g"]))
         physics.append(row)
-    return physics, Table([_TRACE_FIELDS], [
+    return physics, Table(_TRACE_FIELDS, [
         (*t.end, t.flags, i, *t.start)
         for t, i in zip(traces, map(index.__getitem__, keys))])
 
@@ -257,7 +250,7 @@ def _cmd_check(args) -> int:
     checks["drc"] = {
         "passed": verdict.passed,
         "violations": [
-            {"kind": v.kind, "location_mm": _point(v.location),
+            {"kind": v.kind, "location_mm": v.location,
              "measured": v.measured, "limit": v.limit}
             for v in verdict.violations
         ],

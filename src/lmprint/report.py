@@ -14,19 +14,18 @@ pure-Python encoder, which yields every token separately. Here each
 container is one str.join, each list of dicts that share their keys fills
 one %-template per dict, and each nonzero float's repr is computed once.
 
-The large tables of a report, its traces and a plan's actions, come as a
-Table: one flat tuple of slots per row, read straight from the records,
-with no dict or point list per row. The type check runs per column of the
-rows of each shape: a column holds exact ints only, or exact floats and
-strs and, at a field's depth, tuples of exact strs. Then the texts of the
-distinct values of the float and str columns are made once, nonzero
-floats from the same repr cache, and all rows are written by a single
-%-fill of their row templates joined, each template derived from the
-sorted field names and the point arity. Ints reach the fill as
+The large table of a report, its traces, comes as a Table: one flat
+tuple of slots per row, read straight from the records, with no dict or
+point list per row. The type check runs per column: a column holds exact
+ints only, or exact floats and strs and, at a field's depth, tuples of
+exact strs. Then the texts of the distinct values of the float and str
+columns are made once, nonzero floats from the same repr cache, and all
+rows are written by a single %-fill of one row template repeated, derived
+from the sorted field names and the point arity. Ints reach the fill as
 themselves, never through the cache, where 1 and 1.0 are one key. A table
 that fails the check (a bool, a column mixing ints with other values, a
-float subclass, a tuple in a point) raises TypeError naming its shape and
-slot, as any other value json cannot write does.
+float subclass, a tuple in a point) raises TypeError naming its fields
+and slot, as any other value json cannot write does.
 """
 
 from __future__ import annotations
@@ -45,79 +44,57 @@ _FIELD_TYPES = {float, str, tuple}
 
 
 class Table:
-    """A JSON list whose rows are held flat, for canonical_json.
+    """A JSON list of objects whose rows are held flat, for canonical_json.
 
-    shapes lists the forms a row may take. A shape is a dict of field name
-    -> arity, names sorted, for rows written as objects, or a tuple of
-    arities for rows written as arrays. A field of arity 0 is one slot,
-    written as itself (a tuple of strs as a list of any length); arity
-    k > 0 is k slots, written as a list of k (a point). A row is the flat
-    tuple of its fields' slots in field order, and its length picks its
-    shape, so no two shapes may have the same number of slots.
+    fields is a dict of field name -> arity, names sorted. A field of arity
+    0 is one slot, written as itself (a tuple of strs as a list of any
+    length); arity k > 0 is k slots, written as a list of k (a point). A
+    row is the flat tuple of its fields' slots in field order, and every
+    row has all of them.
     """
 
-    __slots__ = ("rows", "_shapes")
+    __slots__ = ("rows", "fields")
 
-    def __init__(self, shapes, rows: list[tuple]):
-        by_length = {}
-        for shape in shapes:
-            if type(shape) is dict and list(shape) != sorted(shape):
-                raise ValueError("table field names must be sorted")
-            n = sum(a or 1 for a in _arities(shape))
-            if by_length.setdefault(n, shape) is not shape:
-                raise ValueError(f"two table shapes have {n} slots")
-        if not set(map(len, rows)) <= by_length.keys():
-            raise ValueError("a table row has no shape of its length")
+    def __init__(self, fields: dict, rows: list[tuple]):
+        if list(fields) != sorted(fields):
+            raise ValueError("table field names must be sorted")
+        n = sum(a or 1 for a in fields.values())
+        if not set(map(len, rows)) <= {n}:
+            raise ValueError(f"a table row does not have {n} slots")
         self.rows = rows
-        self._shapes = by_length
+        self.fields = fields
 
-    def templates(self, ind: str) -> dict[int, str]:
-        """Row length -> %-template of such a row on a line indented ind,
-        with one %s per slot."""
-        return {n: _template(shape, ind) for n, shape in self._shapes.items()}
-
-    def columns(self) -> dict[int, list[tuple]]:
-        """Row length -> the columns of the rows of that length. A column
-        holds exact ints only, or exact floats and strs and, at the depth of
-        a field, tuples of exact strs: a tuple's text is made once, each
-        distinct tuple is checked once, and an int is never looked up among
-        equal floats. Any other column raises TypeError."""
-        rows = self.rows
-        lengths = set(map(len, rows))
-        out = {}
-        for n in lengths:
-            shape = self._shapes[n]
-            group = rows if len(lengths) == 1 else [
-                r for r in rows if len(r) == n]
-            cols = list(zip(*group))
-            in_point = [a > 0 for a in _arities(shape) for _ in range(a or 1)]
-            for slot, (col, point) in enumerate(zip(cols, in_point)):
-                kinds = set(map(type, col))
-                if kinds == {int}:
-                    continue
-                bad = [t.__name__ for t in
-                       kinds - (_POINT_TYPES if point else _FIELD_TYPES)]
-                if tuple in kinds and not bad:
-                    items = chain.from_iterable(
-                        v for v in set(col) if type(v) is tuple)
-                    bad = ["tuple of " + t.__name__
-                           for t in set(map(type, items)) - {str}]
-                if bad:
-                    raise TypeError(f"table shape {shape!r}, slot {slot}: "
-                                    f"cannot write {', '.join(sorted(bad))}")
-            out[n] = cols
-        return out
+    def columns(self) -> list[tuple]:
+        """The columns of the rows. A column holds exact ints only, or
+        exact floats and strs and, at the depth of a field, tuples of exact
+        strs: a tuple's text is made once, each distinct tuple is checked
+        once, and an int is never looked up among equal floats. Any other
+        column raises TypeError."""
+        cols = list(zip(*self.rows))
+        in_point = [a > 0 for a in self.fields.values() for _ in range(a or 1)]
+        for slot, (col, point) in enumerate(zip(cols, in_point)):
+            kinds = set(map(type, col))
+            if kinds == {int}:
+                continue
+            bad = [t.__name__ for t in
+                   kinds - (_POINT_TYPES if point else _FIELD_TYPES)]
+            if tuple in kinds and not bad:
+                items = chain.from_iterable(
+                    v for v in set(col) if type(v) is tuple)
+                bad = ["tuple of " + t.__name__
+                       for t in set(map(type, items)) - {str}]
+            if bad:
+                raise TypeError(f"table fields {self.fields!r}, slot {slot}: "
+                                f"cannot write {', '.join(sorted(bad))}")
+        return cols
 
 
-def _arities(shape) -> tuple:
-    return tuple(shape.values()) if type(shape) is dict else shape
-
-
-def _template(shape, ind: str) -> str:
-    """%-template of a row of this shape on a line indented ind: the field
-    names quoted, sorted and %-escaped, a %s per slot, points as lists."""
-    if not shape:
-        return "{}" if type(shape) is dict else "[]"
+def _template(fields: dict, ind: str) -> str:
+    """%-template of a row with these fields on a line indented ind: the
+    field names quoted, sorted and %-escaped, a %s per slot, points as
+    lists."""
+    if not fields:
+        return "{}"
     inner = ind + "  "
     point = inner + "  "
 
@@ -126,11 +103,9 @@ def _template(shape, ind: str) -> str:
             return "%s"
         return "[" + point + ("," + point).join(["%s"] * arity) + inner + "]"
 
-    if type(shape) is dict:
-        return "{" + inner + ("," + inner).join(
-            [_quote(k).replace("%", "%%") + ": " + field(a)
-             for k, a in shape.items()]) + ind + "}"
-    return "[" + inner + ("," + inner).join(map(field, shape)) + ind + "]"
+    return "{" + inner + ("," + inner).join(
+        [_quote(k).replace("%", "%%") + ": " + field(a)
+         for k, a in fields.items()]) + ind + "}"
 
 
 def canonical_json(obj) -> bytes:
@@ -152,12 +127,6 @@ def canonical_json(obj) -> bytes:
         if o:
             floats[o] = text
         return text
-
-    def numbers(new: list) -> None:
-        """number() for many nonzero floats at once."""
-        for o in filterfalse(math.isfinite, new):
-            number(o)  # raises ValueError
-        floats.update(zip(new, map(float.__repr__, new)))
 
     def key(k) -> str:
         if isinstance(k, str):
@@ -235,8 +204,8 @@ def canonical_json(obj) -> bytes:
                 for row in o]
 
     def table(o: Table, ind: str) -> str:
-        """One %-fill of the row templates joined. Each distinct value of a
-        float or str column gets its text before the fill, floats all in
+        """One %-fill of the row template repeated. Each distinct value of
+        a float or str column gets its text before the fill, floats all in
         one batch; zeros are never stored, so they reach the fill as
         floats, whose %s is their repr, sign and all, as do the ints of an
         int column, which never meet the float cache (1 == 1.0)."""
@@ -245,25 +214,21 @@ def canonical_json(obj) -> bytes:
             return "[]"
         columns = o.columns()
         inner = ind + "  "
-        texted = [col for cols in columns.values() for col in cols
-                  if type(col[0]) is not int]
+        texted = [col for col in columns if type(col[0]) is not int]
         new = set().union(*texted) - floats.keys()
-        numbers([v for v in new if type(v) is float and v])
+        nonzero = [v for v in new if type(v) is float and v]
+        for v in filterfalse(math.isfinite, nonzero):
+            number(v)  # raises ValueError
+        floats.update(zip(nonzero, map(float.__repr__, nonzero)))
         texts = dict(floats)
         for v in new:
             if type(v) is not float:
                 texts[v] = value(v, inner + "  ")
-        # row length -> the slot values of its rows, row by row
-        filled = {n: zip(*[col if type(col[0]) is int
-                           else map(texts.get, col, col) for col in cols])
-                  if cols else repeat(())
-                  for n, cols in columns.items()}
-        templates = o.templates(inner)
-        lengths = list(map(len, rows))
         body = "[" + inner + ("," + inner).join(
-            map(templates.__getitem__, lengths)) + ind + "]"
-        return body % tuple(chain.from_iterable(
-            map(next, map(filled.__getitem__, lengths))))
+            repeat(_template(o.fields, inner), len(rows))) + ind + "]"
+        return body % tuple(chain.from_iterable(zip(*[
+            col if type(col[0]) is int else map(texts.get, col, col)
+            for col in columns])))
 
     def mapping(o, ind: str) -> str:
         if not o:
@@ -279,7 +244,7 @@ def canonical_json(obj) -> bytes:
         # the writers call each other through their closure cells, a cycle
         # that holds the repr cache until the collector runs; emptying the
         # cells frees both as the call returns
-        del number, numbers, key, value, array, rows, table, mapping
+        del number, key, value, array, rows, table, mapping
 
 
 def make_report(*, drawing=None, toolpath=None, physics=None, traces=None,
@@ -304,8 +269,8 @@ def write_report(report: dict) -> bytes:
 
 
 def read_report(data: bytes | str) -> dict:
-    """A report of this version, whose every trace's physics index names a
-    row of its physics table."""
+    """A report of this version, whose physics and traces are lists and
+    whose every trace's physics index names a row of its physics table."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -314,8 +279,10 @@ def read_report(data: bytes | str) -> dict:
         raise DrawingFormatError(f"malformed report JSON: {exc}") from exc
     if not isinstance(report, dict) or report.get("version") != REPORT_VERSION:
         raise DrawingFormatError(f"report 'version' must be {REPORT_VERSION}")
-    physics = report.get("physics", [])
-    for k, trace in enumerate(report.get("traces", [])):
+    physics, traces = report.get("physics", []), report.get("traces", [])
+    if not isinstance(physics, list) or not isinstance(traces, list):
+        raise DrawingFormatError("report 'physics' and 'traces' must be lists")
+    for k, trace in enumerate(traces):
         i = trace.get("physics") if isinstance(trace, dict) else None
         if type(i) is not int or not 0 <= i < len(physics):
             raise DrawingFormatError(

@@ -39,7 +39,7 @@ def _local_tag(tag: str) -> str:
 
 def _parse_svg(text: str, tol: float) -> VectorDrawing:
     from xml.etree import ElementTree
-    if tol <= 0:
+    if not tol > 0:  # nan too
         raise DrawingFormatError("chord tolerance must be > 0")
     try:
         root = ElementTree.fromstring(text)
@@ -161,9 +161,9 @@ def _parse_path_data(d: str, tol: float, where: str, budget: list[int]):
                         cur[0] + x1, cur[1] + y1, cur[0] + x2, cur[1] + y2,
                         cur[0] + x3, cur[1] + y3)
                 n = len(points)
-                try:
-                    _flatten(*cur, x1, y1, x2, y2, x3, y3, tol, points, 0,
-                             n + budget[0])
+                try:  # a relative point may overflow where its numbers do not
+                    _flatten(*_finite(*cur, x1, y1, x2, y2, x3, y3), tol,
+                             points, 0, n + budget[0])
                 except DrawingFormatError as exc:
                     raise DrawingFormatError(
                         f"{where}: command {cmd!r} at offset {off}: {exc}") from None
@@ -190,10 +190,20 @@ def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point, tol: float,
 
     Subdivides until both interior control points sit within tol of the
     chord; the convex-hull property then bounds the curve-to-chord distance
-    by the same tol. A cubic that needs more than MAX_CUBIC_CHORDS chords
-    is a DrawingFormatError, as in a parsed SVG.
+    by the same tol. Needing more than MAX_CUBIC_CHORDS chords, a control
+    point not finite or a tol not > 0 is a DrawingFormatError, as in an SVG.
     """
-    _flatten(*p0, *p1, *p2, *p3, tol, out, _depth, len(out) + MAX_CUBIC_CHORDS)
+    if not tol > 0:  # nan too: it would split the cubic to the budget
+        raise DrawingFormatError("chord tolerance must be > 0")
+    _flatten(*_finite(*p0, *p1, *p2, *p3), tol, out, _depth,
+             len(out) + MAX_CUBIC_CHORDS)
+
+
+def _finite(*coords: float) -> tuple:
+    """coords, if all are finite: on NaN distances a cubic splits wrong."""
+    if not all(map(math.isfinite, coords)):
+        raise DrawingFormatError("a control point of the cubic is not finite")
+    return coords
 
 
 def _flatten(x0, y0, x1, y1, x2, y2, x3, y3, tol, out, depth, limit):

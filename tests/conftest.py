@@ -26,7 +26,7 @@ def v1_trace_rows(traces) -> bytes:
     """The traces as a version-1 simulate report wrote them, physics and
     all in each row: the oracle of the trace and physics tables that
     reports have had since version 2."""
-    return canonical_json(Table([V1_TRACE_FIELDS], [
+    return canonical_json(Table(V1_TRACE_FIELDS, [
         (t.contact_angle_deg, t.creep, *t.end, t.flags, t.flux_m3_s,
          t.pressure_g, t.speed_mm_s, *t.start, t.width_m)
         for t in traces]))

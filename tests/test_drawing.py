@@ -368,6 +368,56 @@ def test_flatten_cubic_past_the_chord_budget_fails_fast(monkeypatch):
         flatten_cubic(*cubic, [])
 
 
+def test_flatten_cubic_refuses_an_infinite_control_point():
+    # on NaN midpoints it split to the chord budget, then blamed the
+    # tolerance
+    out = []
+    started = time.perf_counter()
+    with pytest.raises(DrawingFormatError,
+                       match="^a control point of the cubic is not finite$"):
+        flatten_cubic((0, 0), (math.inf, 0), (0, 0), (1, 0), 0.05, out)
+    assert time.perf_counter() - started < 0.1
+    assert out == []
+
+
+def test_flatten_cubic_refuses_a_nan_control_point():
+    # NaN distances compare false against the tolerance, so the control
+    # point was dropped and the cubic became one straight chord
+    out = []
+    with pytest.raises(DrawingFormatError,
+                       match="^a control point of the cubic is not finite$"):
+        flatten_cubic((0, 0), (0, math.nan), (1, 1), (1, 0), 0.05, out)
+    assert out == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_flatten_cubic_refuses_a_tolerance_not_above_zero(tol):
+    with pytest.raises(DrawingFormatError,
+                       match="^chord tolerance must be > 0$"):
+        flatten_cubic((0, 0), (1, 2), (-1, 2), (0, 0), tol, [])
+
+
+def test_parse_drawing_refuses_a_nan_chord_tolerance():
+    # nan passed the tol <= 0 guard and recursed to the chord budget
+    started = time.perf_counter()
+    with pytest.raises(DrawingFormatError,
+                       match="^chord tolerance must be > 0$"):
+        parse_drawing('<svg><path d="M 0 0 C 1 2 -1 2 0 1"/></svg>',
+                      "svg-subset", chord_tolerance_mm=math.nan)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_a_relative_cubic_past_the_float_range_is_refused_at_once():
+    # each number is finite, but the current point plus 1e308 is not
+    started = time.perf_counter()
+    with pytest.raises(DrawingFormatError) as exc:
+        parse_drawing('<svg><path d="M 1e308 0 c 1e308 0 0 0 1 0"/></svg>',
+                      "svg-subset")
+    assert time.perf_counter() - started < 0.1
+    assert str(exc.value) == ("element 1 <path>: command 'c' at offset 10: "
+                              "a control point of the cubic is not finite")
+
+
 def test_the_chord_budget_counts_every_cubic_of_a_drawing(monkeypatch):
     svg = coil_svg(seed=3)  # four paths of cubics, one per coil
     strokes = parse_drawing(svg, "svg-subset").strokes

@@ -164,3 +164,19 @@ def test_read_report_refuses_a_physics_index_that_does_not_resolve(ref):
     assert read_report(good % "0")["traces"][1]["physics"] == 0
     with pytest.raises(DrawingFormatError, match="trace 1"):
         read_report(good % ref)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"version": 3, "physics": 5, "traces": [{"physics": 0}]}',
+    '{"version": 3, "physics": null, "traces": [{"physics": 0}]}',
+    '{"version": 3, "physics": {"0": {}}, "traces": [{"physics": 0}]}',
+    '{"version": 3, "physics": [], "traces": 5}',
+    '{"version": 3, "physics": [{}], "traces": {"physics": 0}}',
+], ids=["int-physics", "null-physics", "dict-physics", "int-traces",
+        "dict-traces"])
+def test_read_report_refuses_sections_that_are_not_lists(doc):
+    # an int or null section was a bare TypeError, and a dict physics
+    # section let an index resolve by its length
+    with pytest.raises(DrawingFormatError,
+                       match="^report 'physics' and 'traces' must be lists$"):
+        read_report(doc)

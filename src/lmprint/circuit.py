@@ -81,13 +81,7 @@ def outline_clearance(t1, t2) -> float:
 
 def _capsules(traces) -> list[tuple[Point, Point, float]]:
     """(start, end, half width in mm) of each trace's stroked outline."""
-    capsules = [(t.start, t.end, 0.5e3 * t.width_m) for t in traces]
-    for start, end, half_width in capsules:
-        if not (math.isfinite(start[0]) and math.isfinite(start[1])
-                and math.isfinite(end[0]) and math.isfinite(end[1])
-                and 0.0 <= half_width < math.inf):
-            raise CircuitError("trace geometry must be finite, width >= 0")
-    return capsules
+    return [(t.start, t.end, 0.5e3 * t.width_m) for t in traces]
 
 
 # a capsule goes to the least level whose bands are at least 1/_SLACK of

@@ -20,7 +20,7 @@ import math
 import sys
 from array import array
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 from .core import Record
 from .errors import ConfigError, DrawingFormatError, RasterSizeError
@@ -253,15 +253,11 @@ def rasterize(traces, scale: float, *,
     if not _few_pairs(traces, scale):
         from . import spans
         return spans.rasterize(traces, scale, max_pixels)
-    geom = [(float(t.start[0]), float(t.start[1]), float(t.end[0]),
-             float(t.end[1]), 0.5 * float(t.width_m) * 1e3) for t in traces]
-    # a value that is not finite anywhere reads as a nan half-width, which
-    # _canvas refuses
-    finite = all(map(math.isfinite, chain.from_iterable(geom)))
+    geom = [(*t.start, *t.end, 0.5 * t.width_m * 1e3) for t in traces]
     ox, oy, wpx, hpx = _canvas(
         min(min(g[0], g[2]) for g in geom), max(max(g[0], g[2]) for g in geom),
         min(min(g[1], g[3]) for g in geom), max(max(g[1], g[3]) for g in geom),
-        max(g[4] for g in geom) if finite else math.nan, scale, max_pixels)
+        max(g[4] for g in geom), scale, max_pixels)
     starts: list[int] = []
     stops: list[int] = []
     for sx, sy, ex, ey, hw in geom:
@@ -276,8 +272,7 @@ def _few_pairs(traces, scale: float) -> bool:
     pairs. A trace of half-width hw > 0 spans at most (|dy| + 2 hw) /
     scale + 4 rows, which needs no canvas; the sum stops as soon as it
     passes the limit. It is kept in mm, so a bad scale divides nothing
-    here: _canvas, which either kernel calls next, refuses it, and any
-    value that is not finite."""
+    here: _canvas, which either kernel calls next, refuses it."""
     limit, total = _SCALAR_PAIRS * scale, 0.0
     for t in traces:
         width_mm = t.width_m * 1e3
@@ -304,23 +299,23 @@ def _canvas(left: float, right: float, bottom: float, top: float, hw: float,
     half-widths at most hw: (ox, oy, width, height), the origin snapped to
     the pixel grid and the size in pixels, padded by hw plus a pixel.
 
-    Each kernel computes the five floats its own way and passes them here.
-    A scale or a float that is not finite is a ConfigError. The size is
-    checked against max_pixels in floats, so a side past every float, inf
-    or nan, is a RasterSizeError too.
+    Each kernel computes the five floats its own way, from finite traces.
+    A bad scale is a ConfigError; a canvas over max_pixels, or whose origin
+    distance from (0, 0) plus its size is over 2^52 px (inf and nan too), a
+    RasterSizeError: within that, a rounding moves a point under half a
+    pixel, so no kernel window is empty and no kernel margin overflows.
     """
     if not (0.0 < scale < math.inf):
         raise ConfigError("raster scale must be finite and > 0")
-    if not all(map(math.isfinite, (left, right, bottom, top, hw))):
-        raise ConfigError("trace coordinates and widths must be finite")
     pad = hw + scale
     ox = _floor((left - pad) / scale) * scale
     oy = _ceil((top + pad) / scale) * scale  # top edge
     wpx = _ceil((right + pad - ox) / scale) + 1.0
     hpx = _ceil((oy - (bottom - pad)) / scale) + 1.0
-    if not wpx * hpx <= max_pixels:
-        raise RasterSizeError(f"raster {wpx:.0f}x{hpx:.0f} = {wpx * hpx:.0f} "
-                              f"px exceeds budget {max_pixels}")
+    if not (wpx * hpx <= max_pixels and abs(ox) / scale + wpx <= 2.0 ** 52
+            and abs(oy) / scale + hpx <= 2.0 ** 52):
+        raise RasterSizeError(f"raster {wpx:.0f}x{hpx:.0f} at ({ox:g}, {oy:g}) mm "
+                              f"is over {max_pixels} px or 2^52 px from (0, 0)")
     return ox, oy, int(wpx), int(hpx)
 
 
@@ -343,8 +338,6 @@ def _stamp(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx, starts, stops):
     j1 = min(wpx, int((max(sx, ex) + hw - ox) / scale) + 2)
     i0 = max(0, int((oy - (max(sy, ey) + hw)) / scale) - 1)
     i1 = min(hpx, int((oy - (min(sy, ey) - hw)) / scale) + 2)
-    if j0 >= j1 or i0 >= i1:
-        return
     dx, dy = ex - sx, ey - sy
     eps = 1e-12 * (abs(ox) + abs(oy) + abs(sx) + abs(sy) + abs(dx) + abs(dy)
                    + hw + scale)

@@ -15,7 +15,7 @@ import math
 
 from .core import Record, trusted
 from .environment import DEFAULT_ENVIRONMENT, Environment
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, DomainError
 from .planner import HeadState, Point, Toolpath, _walk, interior_angle_deg
 
 
@@ -30,7 +30,9 @@ _FLAGS = {key: tuple(sorted(flag for flag, on in zip(
 
 
 class TraceSegment(Record):
-    """One deposited straight segment with its predicted physics."""
+    """One deposited straight segment with its predicted physics: a
+    DomainError unless its points (kept as float pairs) and flux are finite,
+    width_m * 1e3 is in [0, inf) and speed_mm_s * 1e-3 in (0, inf)."""
 
     start: Point
     end: Point
@@ -41,6 +43,16 @@ class TraceSegment(Record):
     speed_mm_s: float
     pressure_g: float
     flags: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name, (x, y) in (("start", self.start), ("end", self.end)):
+            object.__setattr__(self, name, (float(x), float(y)))
+        if not (all(map(math.isfinite, self.start + self.end))
+                and 0.0 <= self.width_m * 1e3 < math.inf
+                and math.isfinite(self.flux_m3_s)
+                and 0.0 < self.speed_mm_s * 1e-3 < math.inf):
+            raise DomainError("a trace needs finite points and flux, a width "
+                              "in [0, inf) mm and a speed in (0, inf) m/s")
 
     @property
     def length_mm(self) -> float:
@@ -98,11 +110,9 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
                move.speed_mm_s > fast, sharp_start or sharp_end)
         tally[key] += 1
         sharp_start = sharp_end
-        if width_model is not None:
-            width_m = width_model.predict(move.speed_mm_s, move.pressure_g)
-        else:
-            width_m = phys.width_m
-        # the walk's points are tuples of two floats, as a Move stores them
+        width_m = phys.width_m if width_model is None else \
+            width_model.predict(move.speed_mm_s, move.pressure_g)
+        # _walk, segment_physics and predict see that TraceSegment's check holds
         traces.append(trusted(TraceSegment, {
             "start": start, "end": end, "width_m": width_m,
             "flux_m3_s": phys.flux_m3_s, "creep": phys.creep,
@@ -135,8 +145,8 @@ def simulate(toolpath: Toolpath, environment: Environment | None = None, *,
 class EmpiricalWidthModel(Record):
     """Power law w = a * F_g^b / v^c fitted to measured line widths.
 
-    Speeds in mm/s, forces in grams, widths in metres. b, c >= 0 so the
-    width never increases with speed and never decreases with pressure.
+    Speeds in mm/s, forces in grams, widths in metres. a > 0, b, c >= 0, all
+    finite: the width never grows with speed or shrinks with pressure.
     """
 
     a: float
@@ -145,17 +155,22 @@ class EmpiricalWidthModel(Record):
     residual: float = 0.0
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise CalibrationError("width model: a must be > 0")
-        if self.b < 0 or self.c < 0:
-            raise CalibrationError("width model: b and c must be >= 0")
+        if not (0.0 < self.a < math.inf and 0.0 <= self.b < math.inf
+                and 0.0 <= self.c < math.inf):
+            raise CalibrationError("width model: a must be finite and > 0, "
+                                   "b and c finite and >= 0")
 
     def predict(self, speed_mm_s: float, pressure_g: float) -> float:
-        if speed_mm_s <= 0:
-            raise ConfigError("speed must be > 0")
-        if pressure_g < 0:
-            raise ConfigError("pressure must be >= 0")
-        return self.a * pressure_g ** self.b / speed_mm_s ** self.c
+        if not (speed_mm_s > 0 and pressure_g >= 0):
+            raise ConfigError("speed must be > 0 and pressure >= 0")
+        try:  # a power past every float
+            width = self.a * pressure_g ** self.b / speed_mm_s ** self.c
+        except (OverflowError, ZeroDivisionError):
+            width = math.inf
+        if not width * 1e3 < math.inf:  # in mm, as a trace checks it
+            raise CalibrationError(f"width model: no finite width at "
+                                   f"{speed_mm_s:g} mm/s, {pressure_g:g} g")
+        return width
 
 
 def fit_width_model(samples) -> EmpiricalWidthModel:

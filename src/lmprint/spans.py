@@ -6,8 +6,6 @@ float decisions on smaller ones.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .raster import RasterImage, _canvas
@@ -20,17 +18,13 @@ _SPAN_CHUNK = 1 << 12
 def rasterize(traces, scale: float, max_pixels: int) -> RasterImage:
     """raster.rasterize with the vector kernel, on a non-empty tuple of
     traces: the spans of every (trace, row) pair, merged into runs."""
-    geom = np.array([(t.start[0], t.start[1], t.end[0], t.end[1], t.width_m)
-                     for t in traces], dtype=np.float64)
-    sx, sy, ex, ey, width_m = geom.T
+    sx, sy, ex, ey, width_m = np.array(
+        [(*t.start, *t.end, t.width_m) for t in traces], dtype=np.float64).T
     hw = 0.5 * width_m * 1e3
-    # a value that is not finite anywhere reads as a nan half-width, which
-    # _canvas refuses
     ox, oy, wpx, hpx = _canvas(
         float(min(sx.min(), ex.min())), float(max(sx.max(), ex.max())),
         float(min(sy.min(), ey.min())), float(max(sy.max(), ey.max())),
-        float(hw.max()) if np.isfinite(geom).all() else math.nan,
-        scale, max_pixels)
+        float(hw.max()), scale, max_pixels)
     # the per-trace arrays live in _spans only, so they are gone before
     # the merge, the peak of the call
     starts, stops = _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx)
@@ -100,7 +94,7 @@ def _spans(sx, sy, ex, ey, hw, ox, oy, scale, wpx, hpx):
                     .astype(np.int64) - 1)
     i1 = np.minimum(hpx, ((oy - (np.minimum(sy, ey) - hw)) / scale)
                     .astype(np.int64) + 2)
-    keep = (hw > 0.0) & (j0 < j1) & (i0 < i1)
+    keep = hw > 0.0  # a window is never empty (see raster._canvas)
     sx, sy, hw, j0, j1, i0 = (v[keep] for v in (sx, sy, hw, j0, j1, i0))
     dx, dy = ex[keep] - sx, ey[keep] - sy
     rows = i1[keep] - i0

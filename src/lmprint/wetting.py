@@ -71,7 +71,8 @@ def stable_line_width(theta: float, flux: float, print_speed: float) -> LineEsti
     L = 2 sin(theta) / sqrt(theta - sin(theta) cos(theta)) * sqrt(Q / Vs)
     with theta in radians, Q in m^3/s, Vs in m/s. Valid for theta in
     (0, pi]; theta = pi gives L = 0 by continuity (sin(pi) = 0), theta at
-    or below 0 or above pi has no geometric meaning and raises.
+    or below 0 or above pi has no geometric meaning and raises, as does L
+    past every float (a speed too small).
     """
     if not (0.0 < theta <= math.pi):
         raise WettingDomainError(f"contact angle {theta:g} rad outside (0, pi]")
@@ -80,6 +81,8 @@ def stable_line_width(theta: float, flux: float, print_speed: float) -> LineEsti
     area = cross_section_area(flux, print_speed)
     denom = theta - math.sin(theta) * math.cos(theta)
     width = 2.0 * math.sin(theta) / math.sqrt(denom) * math.sqrt(area)
+    if not width < math.inf:
+        raise WettingDomainError(f"line width not finite at {print_speed:g} m/s")
     return LineEstimate(width=width, cross_section_area=area, contact_angle=theta)
 
 

@@ -21,7 +21,8 @@ from lmprint.circuit import CircuitNets, Contact, DrcResult, DrcViolation, \
     drc, estimate_resistance, outline_clearance
 from lmprint.cli import main
 from lmprint.core import replace
-from lmprint.errors import CircuitError, ConfigError, UnknownPadError
+from lmprint.errors import CircuitError, ConfigError, DomainError, \
+    UnknownPadError
 from lmprint.simulator import TraceSegment
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -579,12 +580,13 @@ class TestResistance:
             estimate_resistance(nets, "A", "B", 1.0)
 
     def test_a_segment_without_a_number_for_its_area_is_rejected(self):
-        # a nan cross-section would make every cost comparison false
-        traces = [_trace((0.0, 0.0), (10.0, 0.0), flux=math.nan)]
-        nets = extract_nets(traces, 0.0,
-                            pads={"A": (0.0, 0.0), "B": (10.0, 0.0)})
-        with pytest.raises(CircuitError):
-            estimate_resistance(nets, "A", "B", 1.0)
+        # a nan cross-section would make every cost comparison false, and
+        # a speed of 0 m/s (5e-324 mm/s underflows to it) divided by zero
+        # in estimate_resistance: such a trace cannot be built
+        for flux, speed in [(math.nan, 40.0), (math.inf, 40.0),
+                            (1e-12, 0.0), (1e-12, 5e-324)]:
+            with pytest.raises(DomainError):
+                _trace((0.0, 0.0), (10.0, 0.0), flux=flux, speed=speed)
 
     def test_pad_on_other_net_rejected(self):
         traces = [_trace((0.0, 0.0), (10.0, 0.0)),
@@ -1234,8 +1236,13 @@ def test_non_finite_or_negative_limits_rejected(value):
 
 
 def test_non_finite_trace_geometry_rejected():
-    with pytest.raises(CircuitError):
-        extract_nets([_trace((0.0, 0.0), (math.nan, 0.0))], 0.0)
+    # a trace checks itself when built, so extract_nets never meets one;
+    # a width of 1e306 m is inf mm, the unit of the circuit's capsules
+    with pytest.raises(DomainError):
+        _trace((0.0, 0.0), (math.nan, 0.0))
+    for width_m in (math.inf, 1e306):
+        with pytest.raises(DomainError):
+            replace(_trace((0.0, 0.0), (1.0, 0.0)), width_m=width_m)
 
 
 @pytest.mark.parametrize("pad", [(math.inf, 0.0), (0.0, -math.inf),

@@ -556,6 +556,29 @@ def test_a_canvas_wider_than_any_float_is_a_raster_size_error(run, tmp_path,
     assert not pgm_path.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "render"])
+@pytest.mark.parametrize("far_mm, scale", [(1e200, "0.05"), (1e307, "0.01")])
+def test_a_drawing_past_2_52_pixels_is_a_raster_size_error(
+        run, tmp_path, command, far_mm, scale):
+    # a finite stroke far from (0, 0): at 1e200 mm the kernels' margins
+    # overflowed (render raised OverflowError), at 1e307 mm the canvas
+    # origin did (int(-inf) raised it)
+    drawing = tmp_path / "far.json"
+    drawing.write_text(json.dumps({"version": 1, "units": "mm", "strokes": [
+        {"closed": False, "points": [[far_mm, 0], [far_mm, 1]]}]}))
+    pgm_path = tmp_path / "img.pgm"
+    argv = [command, "--drawing", str(drawing), "--speed", "10",
+            "--pressure", "30", "--pgm", str(pgm_path), "--scale", scale]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim.json")]
+    with pytest.warns(UserWarning):  # the force is beyond the angle table
+        rc, out, err = run(argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: raster ") and err.count("\n") == 1
+    assert "2^52 px" in err
+    assert not pgm_path.exists()
+
+
 def test_check_report(run, tmp_path):
     out_path = tmp_path / "check.json"
     rc, out, _ = run(["check", *PIPELINE, "--pairs", "A:B",

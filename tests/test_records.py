@@ -11,14 +11,16 @@ run are compared with their twins as well.
 
 import dataclasses
 import functools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lmprint
 from conftest import coil_svg, sample
 from lmprint.core import Record, replace, trusted
+from lmprint.errors import DomainError
 from lmprint.planner import Move
 from lmprint.simulator import _FLAGS, TraceSegment
 
@@ -224,6 +226,24 @@ SPEEDS = st.floats(min_value=0.0, exclude_min=True)
 @given(to=POINTS, start=POINTS, speed=SPEEDS,
        values=st.lists(FLOATS, min_size=5, max_size=5),
        flags=st.sampled_from(list(_FLAGS.values())))
+@example(to=(1.0, -0.0), start=(0.0, 2.0), speed=40.0,
+         values=[94.0, -0.0, 0.0, -0.0, 120.0], flags=())
+@example(to=(math.inf, 0.0), start=(0.0, 0.0), speed=40.0,
+         values=[94.0, 1e-4, 1e-12, 0.0, 120.0], flags=())
+@example(to=(1.0, 0.0), start=(0.0, -math.inf), speed=40.0,
+         values=[94.0, 1e-4, 1e-12, 0.0, 120.0], flags=())
+@example(to=(1.0, 0.0), start=(0.0, 0.0), speed=40.0,
+         values=[94.0, math.inf, 1e-12, 0.0, 120.0], flags=())
+@example(to=(1.0, 0.0), start=(0.0, 0.0), speed=40.0,
+         values=[94.0, -1e-4, 1e-12, 0.0, 120.0], flags=())
+@example(to=(1.0, 0.0), start=(0.0, 0.0), speed=40.0,
+         values=[94.0, 1e306, 1e-12, 0.0, 120.0], flags=())
+@example(to=(1.0, 0.0), start=(0.0, 0.0), speed=40.0,
+         values=[94.0, 1e-4, -math.inf, 0.0, 120.0], flags=())
+@example(to=(1.0, 0.0), start=(0.0, 0.0), speed=5e-324,
+         values=[94.0, 1e-4, 1e-12, 0.0, 120.0], flags=())
+@example(to=(1.0, 0.0), start=(0.0, 0.0), speed=math.inf,
+         values=[94.0, 1e-4, 1e-12, 0.0, 120.0], flags=())
 def test_trusted_moves_and_traces_equal_their_public_constructors(
         to, start, speed, values, flags):
     pressure, width, flux, creep, angle = values
@@ -232,7 +252,18 @@ def test_trusted_moves_and_traces_equal_their_public_constructors(
     trace = {"start": start, "end": to, "width_m": width, "flux_m3_s": flux,
              "creep": creep, "contact_angle_deg": angle, "speed_mm_s": speed,
              "pressure_g": pressure, "flags": flags}
-    _agree(trusted(TraceSegment, dict(trace)), TraceSegment(**trace))
+    # a trace refuses what the strategies draw past its range: a point or
+    # a flux that is infinite, a width below 0 or over about 1.8e305 m,
+    # which is inf mm, and a speed that is infinite or under about
+    # 2.5e-321 mm/s, which is 0 m/s. It stores the rest as trusted() is
+    # given it
+    if (all(map(math.isfinite, start + to))
+            and 0.0 <= width * 1e3 < math.inf
+            and math.isfinite(flux) and 0.0 < speed * 1e-3 < math.inf):
+        _agree(trusted(TraceSegment, dict(trace)), TraceSegment(**trace))
+    else:
+        with pytest.raises(DomainError):
+            TraceSegment(**trace)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -258,3 +289,26 @@ def test_planned_moves_and_simulated_traces_equal_their_rebuilds(strategy):
     # slowdown slows the edges at sharp corners, fillet slows none
     assert speeds == ({40.0, 40.0 * env.policy.slowdown_factor}
                       if strategy == "slowdown" else {40.0})
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_traces_simulated_with_a_width_model_equal_their_rebuilds():
+    # simulate stores the model's widths through trusted() too, so each
+    # must be one the public constructor accepts and stores as it is
+    env = lmprint.DEFAULT_ENVIRONMENT
+    env = replace(env, policy=replace(env.policy, strategy="slowdown"))
+    model = lmprint.fit_width_model([(10.0, 50.0, 1e-4), (20.0, 100.0, 1.2e-4),
+                                     (160.0, 100.0, 6e-5)])
+    speeds = set()
+    for name in ("straight-line", "square", "grid-antenna", "ic-sketch"):
+        toolpath = lmprint.plan(sample(name),
+                                lmprint.MachineSettings(10.0, 30.0),
+                                environment=env)
+        result = lmprint.simulate(toolpath, env, width_model=model)
+        assert result.width_source == "empirical" and result.traces
+        for trace in result.traces:
+            _agree(trace, TraceSegment(**vars(trace)))
+            assert trace.width_m == model.predict(trace.speed_mm_s,
+                                                  trace.pressure_g)
+            speeds.add(trace.speed_mm_s)
+    assert len(speeds) == 2  # the model gives each speed its own width

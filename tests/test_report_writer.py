@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLES, expanded_traces, v1_trace_rows
 from lmprint import (PVC_FILM, TraceSegment, angle_at_force, cli,
                      grams_to_newtons, make_report, read_report, write_report)
+from lmprint.errors import DomainError
 from lmprint.report import Table, canonical_json
 
 
@@ -419,19 +420,33 @@ def test_write_report_leaves_no_cyclic_garbage():
 # --- the version-2 trace and physics tables against the version-1 rows
 
 # physics values and coordinates from one small pool: indices 0-3 equal
-# coordinates, -0.0 equals 0.0, and 94 g is past pvc-film's angle table
+# coordinates, -0.0 equals 0.0, and 94 g is past pvc-film's angle table.
+# A trace's speed must be over 0 in m/s, so speeds come from the pool less
+# 0.0, -0.0 and 5e-324 (test_a_trace_speed_of_0_m_s_is_refused)
 PHYSICS_VALUES = [0.0, -0.0, 1.0, 2.0, 3.0, 94.0, 1.5e-4, 5e-324, 1 / 3]
+NO_SPEEDS = [0.0, -0.0, 5e-324]
 COORDS = [0.0, -0.0, 1.0, 2.0, 3.0, 2.5]
 PHYSICS_FIELDS = ("contact_angle_deg", "creep", "flux_m3_s", "pressure_g",
                   "speed_mm_s", "width_m")
+
+
+@pytest.mark.parametrize("speed", NO_SPEEDS)
+def test_a_trace_speed_of_0_m_s_is_refused(speed):
+    with pytest.raises(DomainError):
+        TraceSegment(start=(0.0, 0.0), end=(1.0, 0.0), width_m=1.0,
+                     flux_m3_s=0.0, creep=0.0, contact_angle_deg=2.0,
+                     speed_mm_s=speed, pressure_g=94.0)
 
 
 @st.composite
 def simulations(draw):
     """A result's traces, each taking one of up to 6 physics tuples."""
     values = st.sampled_from(PHYSICS_VALUES)
+    speeds = st.sampled_from([v for v in PHYSICS_VALUES
+                              if v not in NO_SPEEDS])
+    fields = [speeds if f == "speed_mm_s" else values for f in PHYSICS_FIELDS]
     coords = st.sampled_from(COORDS) | st.floats(-10.0, 10.0)
-    pool = draw(st.lists(st.tuples(*[values] * 6), min_size=1, max_size=6))
+    pool = draw(st.lists(st.tuples(*fields), min_size=1, max_size=6))
     traces = []
     for _ in range(draw(st.integers(0, 12))):
         physics = dict(zip(PHYSICS_FIELDS, draw(st.sampled_from(pool))))

@@ -17,7 +17,7 @@ from lmprint import DEFAULT_ENVIRONMENT, MachineSettings, VectorDrawing, \
     spans
 from lmprint.core import grams_to_newtons, replace
 from lmprint.environment import CornerPolicy, segment_physics
-from lmprint.errors import CalibrationError, ConfigError, \
+from lmprint.errors import CalibrationError, ConfigError, DomainError, \
     IllegalActionError, RasterSizeError
 from lmprint.planner import Lift, Move, Tap, Toolpath, _walk, \
     interior_angle_deg, step_head
@@ -416,10 +416,41 @@ class TestRasterize:
     ], ids=["nan-x", "inf-y", "neg-inf-y", "nan-width", "inf-width",
             "neg-inf-width"])
     def test_non_finite_trace_is_domain_error(self, start, end, width_mm):
-        good = _trace((0.0, 0.0), (1.0, 1.0), 0.2)
+        # a trace checks itself when built, so no kernel meets a bad one
+        with pytest.raises(DomainError):
+            _trace(start, end, width_mm)
+
+    @pytest.mark.parametrize("far_mm, scale", [(1e200, 0.05), (1e307, 0.01)])
+    def test_a_far_away_trace_is_a_raster_size_error(self, far_mm, scale):
+        # finite traces past 2^52 px from (0, 0): at 1e200 mm the squared
+        # margins overflowed (the scalar kernel raised OverflowError, the
+        # vector kernel clipped on), at 1e307 mm the canvas origin did
+        trace = _trace((far_mm, 0.0), (far_mm, 1.0), 0.2)
         for kernel in KERNELS:
-            with _kernel(kernel), pytest.raises(ConfigError, match="finite"):
-                rasterize([good, _trace(start, end, width_mm)], 0.05)
+            with _kernel(kernel), pytest.raises(RasterSizeError):
+                rasterize([trace], scale)
+
+    def test_the_canvas_reaches_2_52_pixels_from_the_origin(self):
+        # at 1 mm/px every pixel centre is a half-integer, exact below
+        # 2^52: a canvas whose far edge lies there (its right edge, or its
+        # bottom edge, 3 mm past the trace) is stamped as the per-pixel
+        # rule has it, and one 1 mm farther is refused
+        def right(k):
+            x = 2.0 ** 52 - k
+            return [_trace((x, 0.0), (x - 1.5, 0.5), 2.0)]
+
+        def bottom(k):
+            y = -(2.0 ** 52 - k)
+            return [_trace((0.0, y), (0.5, y + 1.5), 2.0)]
+
+        for layout in (right, bottom):
+            for kernel in KERNELS:
+                with _kernel(kernel):
+                    image = rasterize(layout(3.0), 1.0)
+                cells = _brute_canvas(layout(3.0), 1.0)[0]
+                assert cells.any() and np.array_equal(image.cells, cells)
+                with _kernel(kernel), pytest.raises(RasterSizeError):
+                    rasterize(layout(2.0), 1.0)
 
 
 # --- span rasterizer against the per-pixel oracle
@@ -527,6 +558,10 @@ def _raster_layouts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_raster_layouts())
+# a point on a pixel centre, a pixel in radius: its span ends fall on
+# pixel centres, so the scalar kernel settles them with the rule for a
+# point (_settle with dx = dy = 0)
+@example(([_trace((0.25, 0.25), (0.25, 0.25), 1.0)], 0.5))
 def test_spans_equal_per_pixel_oracle(layout):
     traces, scale = layout
     slow = _brute_rasterize(traces, scale)
@@ -968,3 +1003,29 @@ class TestWidthModelFit:
             EmpiricalWidthModel(a=-1.0, b=0.1, c=0.1, residual=0.0)
         with pytest.raises(CalibrationError):
             EmpiricalWidthModel(a=1e-4, b=-0.1, c=0.1, residual=0.0)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (math.inf, math.nan, 0.0), (math.nan, 0.1, 0.1), (1e-4, math.nan, 0.1),
+        (1e-4, 0.1, math.nan), (1e-4, math.inf, 0.1), (1e-4, 0.1, math.inf)])
+    def test_a_model_that_is_not_finite_is_refused(self, a, b, c):
+        with pytest.raises(CalibrationError):
+            EmpiricalWidthModel(a=a, b=b, c=c)
+
+    @pytest.mark.parametrize("abc, speed, pressure", [
+        ((1.0, 200.0, 0.0), 40.0, 100.0),     # 100 ** 200 raises
+        ((1e300, 1.0, 0.0), 40.0, 1e10),      # the product is inf
+        ((1.0, 0.0, 2.0), 1e-200, 94.0),      # v ** c is 0.0
+        ((1e-4, 1.0, 1.0), math.inf, math.inf),  # inf / inf is nan
+        ((1e306, 0.0, 0.0), 40.0, 94.0),      # 1e306 m is inf mm
+    ], ids=["power", "product", "divisor", "nan", "mm"])
+    def test_a_width_past_every_float_is_a_calibration_error(
+            self, abc, speed, pressure):
+        model = EmpiricalWidthModel(*abc)
+        with pytest.raises(CalibrationError):
+            model.predict(speed, pressure)
+
+    def test_simulate_stores_no_width_past_every_float(self):
+        # simulate stores predicted widths unchecked, so predict refuses
+        model = EmpiricalWidthModel(a=1.0, b=200.0, c=0.0)
+        with pytest.raises(CalibrationError):
+            simulate(_line_toolpath(pressure=100.0), QUIET, width_model=model)
